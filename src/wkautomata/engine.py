@@ -12,6 +12,19 @@ lower head is one-way, the only part of the strand that can still matter is
 the symbol currently under the head, so the search commits the guess one
 position at a time and explores the finite graph of
 (state, upper position, lower position, committed symbol) nodes.
+
+Sweeps use ``existential_acceptor``, which searches the same graph in
+stages and shares them between words.  Both heads are one-way, so a node
+whose positions are both <= k depends only on the length-k prefix of the
+word.  Stage j explores exactly the reached nodes with a head at position
+j and hands stage j + 1 a frontier: the nodes whose upper head moved to
+j + 1, and the (target, upper position) pairs whose lower head moves onto
+j + 1.  Each call keeps the stages of the longest prefix it shares with the
+previous word, so an acceptor carries state between calls and belongs to
+one thread at a time; machines themselves stay immutable.
+
+Every engine refuses a machine that fails ``validate`` with an
+``InvalidMachineError``.
 """
 
 from __future__ import annotations
@@ -25,10 +38,12 @@ from .machines import (
     LEFT_END,
     RIGHT_END,
     Entry,
+    InvalidMachineError,
     MachineError,
     MultiHeadAutomaton,
     UnknownSymbolError,
     WKAutomaton,
+    validate,
 )
 
 Word = tuple[str, ...]
@@ -58,14 +73,6 @@ class Configuration:
 
     state: str
     positions: tuple[int, ...]
-
-    @property
-    def p1(self) -> int:
-        return self.positions[0]
-
-    @property
-    def p2(self) -> int:
-        return self.positions[1]
 
 
 @dataclass(frozen=True)
@@ -202,6 +209,9 @@ class _CompiledWK:
 
 
 def _compile_wk(machine: WKAutomaton) -> _CompiledWK:
+    report = validate(machine)
+    if not report.passed:
+        raise InvalidMachineError(report)
     sym_index: dict[str, int] = {}
 
     def sym(token: str) -> int:
@@ -328,11 +338,131 @@ def accepts_existential(
 
 
 def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool]:
-    """A precompiled acceptance predicate for sweeping many words."""
+    """A precompiled acceptance predicate for sweeping many words.
+
+    The predicate decides what ``accepts_existential`` decides, but it
+    searches in stages and keeps the stages of the previous word.  Both
+    heads are one-way, so a node whose positions are both <= k depends only
+    on the length-k prefix.  Stage j explores exactly the reached nodes with
+    a head at position j.  It hands stage j + 1 a frontier of two kinds:
+    *heads*, the nodes whose upper head moved to j + 1, and *commits*, the
+    (target, p1) pairs whose lower head moves onto j + 1, which stage j + 1
+    expands over the images of its symbol.  Nodes of different stages are
+    disjoint, so each stage deduplicates with a set of its own, and no
+    visited set outlives its stage.  Acceptance found at stage j holds for
+    every extension of the prefix, and so does rejection once a stage hands
+    on nothing.  Raises ``InvalidMachineError`` for a machine that fails
+    ``validate``.
+
+    A call drops the stages after the longest prefix it shares with the
+    previous word, extends one stage per new position and closes with a
+    stage on the right end marker, which is never kept.  Shortest-first
+    lexicographic sweeps share most of each word with the one before; in
+    any other order each call simply runs every stage.  The predicate
+    carries these stages from call to call, so use it from one thread at a
+    time; the machine itself is not touched.
+    """
     compiled = _compile_wk(machine)
+    upper_index = compiled.upper_index
+    delta = compiled.delta
+    finals = compiled.finals
+    right = compiled.right
+    images = {**compiled.images, right: (right,)}
+
+    # live[x][q][u]: the images of x the lower head may commit in state q
+    # over upper symbol u.  An image that leaves a non-final q stuck is left
+    # out, since that node neither moves nor accepts.  _compile_wk numbers
+    # the end markers and the upper symbols first, so u < nu.
+    nq, nu = len(machine.states), len(upper_index) + 2
+    live = {}
+    for x, xs in images.items():
+        table = [[xs if q in finals else () for _ in range(nu)] for q in range(nq)]
+        for q, u, s in delta:
+            if s in xs and q not in finals:
+                table[q][u] += (s,)
+        live[x] = table
+
+    def stage(ups: list[int], frontier: tuple[set, set]):
+        """Run stage ``j = len(ups) - 1`` on the frontier of stage j - 1.
+
+        Returns True on acceptance, False when nothing reaches position
+        j + 1, and otherwise the frontier for stage j + 1.
+        """
+        # Plain loops throughout: a comprehension would turn the names it
+        # reads (j, t, np1, ...) into closure cells, slower at every node.
+        j = len(ups) - 1
+        heads, commits = frontier
+        seen = set(heads)
+        if commits:
+            fan = live[ups[j]]
+            for t, p1 in commits:
+                for s in fan[t][ups[p1]]:
+                    seen.add((t, p1, j, s))
+        stack = list(seen)
+        next_heads = set()
+        next_commits = set()
+        while stack:
+            q, p1, p2, s = stack.pop()
+            found = delta.get((q, ups[p1], s))
+            if found is None:
+                if q in finals:
+                    return True
+                continue
+            t, d1, d2 = found
+            np1 = p1 + d1
+            if d2:
+                if p2 == j:
+                    next_commits.add((t, np1))
+                    continue
+                np2 = p2 + 1
+                if np1 > j:
+                    for s2 in images[ups[np2]]:
+                        next_heads.add((t, np1, np2, s2))
+                    continue
+                for s2 in live[ups[np2]][t][ups[np1]]:
+                    nxt = (t, np1, np2, s2)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+            elif np1 > j:
+                next_heads.add((t, np1, p2, s))
+            else:
+                nxt = (t, np1, p2, s)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        if next_heads or next_commits:
+            return next_heads, next_commits
+        return False
+
+    # ups[i] is the symbol at position i of the previous word (0 is the left
+    # marker) and frontiers[i] what its stage i handed on.
+    ups = [compiled.left]
+    frontiers = [stage(ups, ({(compiled.start, 0, 0, compiled.left)}, set()))]
 
     def accepts(word: Sequence[str]) -> bool:
-        return _search(compiled, tuple(word), False)[0]
+        try:
+            w = [upper_index[x] for x in word]
+        except KeyError as exc:
+            raise UnknownSymbolError(
+                f"symbol {exc.args[0]!r} is not in the upper alphabet"
+            ) from None
+        k = 0
+        shared = min(len(w), len(frontiers) - 1)
+        while k < shared and w[k] == ups[k + 1]:
+            k += 1
+        del frontiers[k + 1 :], ups[k + 1 :]
+        frontier = frontiers[k]
+        for x in w[k:]:
+            if isinstance(frontier, bool):
+                return frontier
+            ups.append(x)
+            frontier = stage(ups, frontier)
+            frontiers.append(frontier)
+        if isinstance(frontier, bool):
+            return frontier
+        ups.append(right)  # dropped again by the next call
+        return stage(ups, frontier) is True
 
     return accepts
 

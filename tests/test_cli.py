@@ -118,6 +118,18 @@ class TestRun:
         assert code == 2
         assert "error:" in err
 
+    def test_invalid_machine_is_a_usage_error(self, tmp_path):
+        bad = tmp_path / "bad.wk"
+        bad.write_text(
+            "type: wk\nstates: q0\nstart: q0\nfinal:\nalphabet: a\nrho: a->a\n"
+            "trans: q0 # # -> q0 1 1\ntrans: q0 a a -> q0 1 1\ntrans: q0 $ $ -> q0 1 0\n"
+        )
+        code, out, err = run_cli("run", str(bad), "a")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "move-on-endmarker" in err
+        assert "Traceback" not in err
+
     def test_non_complementary_lower_is_a_usage_error(self):
         code, _, err = run_cli(
             "run", corpus("example1-rwka.wk"), "aba", "--lower", "a_1,a_1,a_1"

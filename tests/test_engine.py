@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wkautomata import (
+    ComplementarityRelation,
     MultiHeadAutomaton,
     Verdict,
+    WKAutomaton,
     accepts_existential,
     accepts_existential_bruteforce,
     complement_strands,
@@ -18,9 +20,11 @@ from wkautomata import (
     run_mfa,
 )
 from wkautomata.engine import SearchBoundError, StrandMismatchError
-from wkautomata.machines import UnknownSymbolError
+from wkautomata.fileformat import parse_machine
+from wkautomata.machines import InvalidMachineError, UnknownSymbolError
 from wkautomata.oracle import enumerate_words
 from wkautomata.samples import random_dfa
+from conftest import CORPUS_DIR
 
 
 class TestComplementStrands:
@@ -126,10 +130,21 @@ class TestAcceptsExistential:
             )
             assert result.explored <= bound
 
-    def test_acceptor_closure_matches_rich_api(self, theorem2):
-        accept = existential_acceptor(theorem2)
-        for word in enumerate_words(theorem2.upper_alphabet, 4):
-            assert accept(word) == accepts_existential(theorem2, word).accepted
+    def test_acceptor_closure_matches_rich_api(self):
+        for name, max_len in [
+            ("theorem2.wk", 5),
+            ("example1-rwka.wk", 7),
+            ("identity-rho.wk", 7),
+            ("loop.wk", 7),
+        ]:
+            machine = parse_machine((CORPUS_DIR / name).read_text(encoding="utf-8"))
+            assert_acceptor_matches(machine, max_len, random.Random(name))
+
+    @given(seed=st.integers(0, 10_000), order=st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_acceptor_closure_matches_rich_api_on_compiled_dfas(self, seed, order):
+        machine = dfa_to_rwka(random_dfa(random.Random(seed)))
+        assert_acceptor_matches(machine, 5, order)
 
     def test_witness_gaps_take_the_first_declared_image(self):
         # A machine that halts immediately in a final state accepts every
@@ -149,6 +164,50 @@ class TestAcceptsExistential:
         assert result.accepted
         assert result.witness_lower == ("x", "x")
         assert run_deterministic(machine, "aa", result.witness_lower).accepted
+
+
+def assert_acceptor_matches(machine, max_len, rng):
+    """The acceptor keeps the stages of the previous word; no call order may
+    change a verdict."""
+    words = list(enumerate_words(machine.upper_alphabet, max_len))
+    expected = {
+        word: accepts_existential(machine, word, want_witness=False).accepted
+        for word in words
+    }
+    accept = existential_acceptor(machine)
+    shuffled = rng.sample(words, len(words))
+    for word in words + shuffled:  # lexicographic, then shuffled
+        assert accept(word) == expected[word], word
+    for word, other in zip(shuffled[:40], shuffled[1:41]):
+        assert accept(word) == expected[word]
+        assert accept(word) == expected[word]  # the same word twice
+        for cut in reversed(range(len(word))):  # ever shorter proper prefixes
+            assert accept(word[:cut]) == expected[word[:cut]]
+        with pytest.raises(UnknownSymbolError):
+            accept(word[:1] + ("?",) + word[1:])
+        assert accept(other) == expected[other]
+
+
+class TestInvalidMachines:
+    # The upper head moves off the right end marker.
+    MOVES_ON_END = WKAutomaton(
+        states=("q0",),
+        upper_alphabet=("a",),
+        start="q0",
+        finals=set(),
+        rho=ComplementarityRelation.identity(("a",)),
+        delta={
+            ("q0", "#", "#"): ("q0", 1, 1),
+            ("q0", "a", "a"): ("q0", 1, 1),
+            ("q0", "$", "$"): ("q0", 1, 0),
+        },
+    )
+
+    def test_engines_refuse_a_machine_that_fails_validation(self):
+        with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
+            accepts_existential(self.MOVES_ON_END, "a")
+        with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
+            existential_acceptor(self.MOVES_ON_END)
 
 
 class TestBruteForce:
