@@ -34,7 +34,7 @@ from wkautomata import (
     enumerate_words,
     existential_acceptor,
     mfa2_to_swk,
-    run_mfa,
+    mfa_acceptor,
     swk_to_mfa2,
     theorem2_machine,
     theorem2_member,
@@ -118,7 +118,7 @@ def sweep_twohead(cfg: SweepConfig) -> bool:
     back = swk_to_mfa2(wk)
     identical = back == mfa
     report = differential_compare(
-        lambda w: run_mfa(mfa, w).accepted,
+        mfa_acceptor(mfa),
         existential_acceptor(wk),
         enumerate_words(mfa.alphabet, cfg.max_len_random),
     )

@@ -103,27 +103,26 @@ def _cmd_run(args) -> int:
             raise MachineError("--lower does not apply to mfa machines")
         word = fileformat.parse_word(args.word, machine.alphabet)
         outcome = engine.run_mfa(machine, word, keep_trace=args.trace)
-        print(outcome.verdict.value)
-        if args.trace:
-            print("\n".join(_trace_lines(outcome)))
-        return 0 if outcome.accepted else 1
-
-    word = fileformat.parse_word(args.word, machine.upper_alphabet)
-    if args.lower is not None:
+    else:
+        word = fileformat.parse_word(args.word, machine.upper_alphabet)
+        if args.lower is None:
+            return _run_existential(machine, word, args.trace)
         lower = fileformat.parse_word(args.lower, machine.lower_alphabet)
         outcome = engine.run_deterministic(machine, word, lower, keep_trace=args.trace)
-        print(outcome.verdict.value)
-        if args.trace:
-            print("\n".join(_trace_lines(outcome)))
-        return 0 if outcome.accepted else 1
+    print(outcome.verdict.value)
+    if args.trace:
+        print("\n".join(_trace_lines(outcome)))
+    return 0 if outcome.accepted else 1
 
+
+def _run_existential(machine: WKAutomaton, word, trace: bool) -> int:
     result = engine.accepts_existential(machine, word)
     if not result.accepted:
         print("reject")
         return 1
     print("accept")
     print("witness: " + fileformat.render_word(result.witness_lower, machine.lower_alphabet))
-    if args.trace:
+    if trace:
         outcome = engine.run_deterministic(machine, word, result.witness_lower, keep_trace=True)
         print("\n".join(_trace_lines(outcome)))
     return 0
@@ -143,7 +142,7 @@ def _acceptor(machine):
     if isinstance(machine, WKAutomaton):
         return engine.existential_acceptor(machine), machine.upper_alphabet
     if isinstance(machine, MultiHeadAutomaton):
-        return (lambda word: engine.run_mfa(machine, word).accepted), machine.alphabet
+        return engine.mfa_acceptor(machine), machine.alphabet
     return (lambda word: oracle.dfa_accepts(machine, word)), machine.alphabet
 
 

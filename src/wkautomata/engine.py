@@ -1,11 +1,12 @@
 """Run semantics for the machine kinds.
 
-Three engines live here: a deterministic run over a fixed strand pair, an
-existential search over every complementary lower strand, and the k-head
-runner.  All of them use halting acceptance: a run accepts exactly when it
-gets stuck (no transition applies) in a final state.  Getting stuck in a
-non-final state rejects, and so does revisiting a configuration, which is
-the only way a one-way machine can run forever.
+Two engines live here: one deterministic run loop with a tape per head,
+which runs a two-strand machine on a fixed strand pair as a 2-head machine,
+and an existential search over every complementary lower strand.  Both use
+halting acceptance: a run accepts exactly when it gets stuck (no transition
+applies) in a final state.  Getting stuck in a non-final state rejects, and
+so does revisiting a configuration, which is the only way a one-way machine
+can run forever.
 
 The existential engine does not enumerate whole lower strands.  Because the
 lower head is one-way, the only part of the strand that can still matter is
@@ -30,9 +31,11 @@ Every engine refuses a machine that fails ``validate`` with an
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from operator import add, getitem
 
 from .machines import (
     LEFT_END,
@@ -44,6 +47,7 @@ from .machines import (
     UnknownSymbolError,
     WKAutomaton,
     validate,
+    wk_entries,
 )
 
 Word = tuple[str, ...]
@@ -113,6 +117,49 @@ def complement_strands(machine: WKAutomaton, upper: Sequence[str]) -> Iterator[W
     return itertools.product(*choices)
 
 
+def _require_valid(machine: WKAutomaton | MultiHeadAutomaton) -> None:
+    report = validate(machine)
+    if not report.passed:
+        raise InvalidMachineError(report)
+
+
+def _run_loop(
+    machine: WKAutomaton | MultiHeadAutomaton,
+) -> Callable[[Sequence[Word], bool], RunOutcome]:
+    """Validate ``machine`` once and return its deterministic run loop.
+
+    The loop takes one word per head, which it end-marks as that head's
+    tape, and whether to keep the trace.  A two-strand transition's read
+    and move pairs serve as its 2-head read and move tuples.
+    """
+    _require_valid(machine)
+    if isinstance(machine, WKAutomaton):
+        delta = {(q, reads): (t, moves) for q, reads, t, moves in wk_entries(machine)}
+    else:
+        delta = machine.delta
+    start, finals = machine.start, machine.finals
+
+    def run(words: Sequence[Word], keep_trace: bool) -> RunOutcome:
+        tapes = [(LEFT_END, *w, RIGHT_END) for w in words]
+        state, positions = start, (0,) * len(tapes)
+        seen = set()
+        trace: list[tuple[Configuration, Entry]] = []
+        while (state, positions) not in seen:
+            seen.add((state, positions))
+            reads = tuple(map(getitem, tapes, positions))
+            found = delta.get((state, reads))
+            if found is None:
+                verdict = Verdict.ACCEPT_HALT if state in finals else Verdict.REJECT_HALT
+                return RunOutcome(verdict, Configuration(state, positions), tuple(trace))
+            target, moves = found
+            if keep_trace:
+                trace.append((Configuration(state, positions), (state, reads, target, moves)))
+            state, positions = target, tuple(map(add, positions, moves))
+        return RunOutcome(Verdict.INFINITE_LOOP, Configuration(state, positions), tuple(trace))
+
+    return run
+
+
 def run_deterministic(
     machine: WKAutomaton,
     upper: Sequence[str],
@@ -125,6 +172,7 @@ def run_deterministic(
     A non-complementary ``lower`` is a precondition error, distinct from a
     rejecting run.
     """
+    run = _run_loop(machine)
     w1, w2 = tuple(upper), tuple(lower)
     _require_symbols(w1, set(machine.upper_alphabet), "upper alphabet")
     if len(w2) != len(w1):
@@ -136,62 +184,27 @@ def run_deterministic(
             raise StrandMismatchError(
                 f"position {i + 1}: {y!r} is not a complementarity image of {x!r}"
             )
+    return run((w1, w2), keep_trace)
 
-    up = (LEFT_END,) + w1 + (RIGHT_END,)
-    lo = (LEFT_END,) + w2 + (RIGHT_END,)
-    delta = machine.delta
-    finals = machine.finals
 
-    state, p1, p2 = machine.start, 0, 0
-    seen = {(state, p1, p2)}
-    trace: list[tuple[Configuration, Entry]] = []
-    while True:
-        found = delta.get((state, up[p1], lo[p2]))
-        if found is None:
-            verdict = Verdict.ACCEPT_HALT if state in finals else Verdict.REJECT_HALT
-            return RunOutcome(verdict, Configuration(state, (p1, p2)), tuple(trace))
-        target, d1, d2 = found
-        if keep_trace:
-            entry: Entry = (state, (up[p1], lo[p2]), target, (d1, d2))
-            trace.append((Configuration(state, (p1, p2)), entry))
-        state, p1, p2 = target, p1 + d1, p2 + d2
-        if (state, p1, p2) in seen:
-            return RunOutcome(
-                Verdict.INFINITE_LOOP, Configuration(state, (p1, p2)), tuple(trace)
-            )
-        seen.add((state, p1, p2))
+def _mfa_tapes(machine: MultiHeadAutomaton, word: Sequence[str]) -> tuple[Word, ...]:
+    w = tuple(word)
+    _require_symbols(w, set(machine.alphabet), "alphabet")
+    return (w,) * machine.head_count
 
 
 def run_mfa(
     machine: MultiHeadAutomaton, word: Sequence[str], *, keep_trace: bool = False
 ) -> RunOutcome:
     """Run the k-head machine, with the same halt/loop classification."""
-    w = tuple(word)
-    _require_symbols(w, set(machine.alphabet), "alphabet")
-    tape = (LEFT_END,) + w + (RIGHT_END,)
-    delta = machine.delta
-    finals = machine.finals
+    return _run_loop(machine)(_mfa_tapes(machine, word), keep_trace)
 
-    state = machine.start
-    positions = (0,) * machine.head_count
-    seen = {(state, positions)}
-    trace: list[tuple[Configuration, Entry]] = []
-    while True:
-        reads = tuple(tape[p] for p in positions)
-        found = delta.get((state, reads))
-        if found is None:
-            verdict = Verdict.ACCEPT_HALT if state in finals else Verdict.REJECT_HALT
-            return RunOutcome(verdict, Configuration(state, positions), tuple(trace))
-        target, moves = found
-        if keep_trace:
-            trace.append((Configuration(state, positions), (state, reads, target, moves)))
-        state = target
-        positions = tuple(p + d for p, d in zip(positions, moves))
-        if (state, positions) in seen:
-            return RunOutcome(
-                Verdict.INFINITE_LOOP, Configuration(state, positions), tuple(trace)
-            )
-        seen.add((state, positions))
+
+def mfa_acceptor(machine: MultiHeadAutomaton) -> Callable[[Sequence[str]], bool]:
+    """The verdict of ``run_mfa`` as a predicate that validates the machine
+    once, not once per word."""
+    run = _run_loop(machine)
+    return lambda word: run(_mfa_tapes(machine, word), False).accepted
 
 
 @dataclass(frozen=True)
@@ -209,9 +222,7 @@ class _CompiledWK:
 
 
 def _compile_wk(machine: WKAutomaton) -> _CompiledWK:
-    report = validate(machine)
-    if not report.passed:
-        raise InvalidMachineError(report)
+    _require_valid(machine)
     sym_index: dict[str, int] = {}
 
     def sym(token: str) -> int:
@@ -471,16 +482,11 @@ def accepts_existential_bruteforce(
     machine: WKAutomaton, upper: Sequence[str], *, max_strands: int = 1_000_000
 ) -> bool:
     """Independent oracle: try every complementary strand deterministically."""
+    run = _run_loop(machine)
     w1 = tuple(upper)
-    _require_symbols(w1, set(machine.upper_alphabet), "upper alphabet")
-    total = 1
-    for x in w1:
-        total *= len(machine.rho.image(x))
-        if total > max_strands:
-            raise SearchBoundError(
-                f"strand count exceeds the bound of {max_strands} for a word of length {len(w1)}"
-            )
-    return any(
-        run_deterministic(machine, w1, w2).accepted
-        for w2 in complement_strands(machine, w1)
-    )
+    strands = complement_strands(machine, w1)
+    if math.prod(len(machine.rho.image(x)) for x in w1) > max_strands:
+        raise SearchBoundError(
+            f"strand count exceeds the bound of {max_strands} for a word of length {len(w1)}"
+        )
+    return any(run((w1, w2), False).accepted for w2 in strands)

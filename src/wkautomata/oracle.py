@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .machines import ClassicalDFA, UnknownSymbolError
 
@@ -97,43 +98,30 @@ def enumerate_words(alphabet: Sequence[str], max_len: int) -> Iterator[Word]:
         yield from itertools.product(tuple(alphabet), repeat=length)
 
 
-def _block_words_of_length(length: int, max_blocks: int) -> list[Word]:
-    order = {sym: i for i, sym in enumerate(BLOCK_ALPHABET)}
-    words: list[Word] = []
-    for blocks in range(1, max_blocks + 1):
-        content = length - (2 * blocks - 1)
-        if content < 0:
-            continue
-        # Distribute the content length over the 2*blocks w/x parts.
-        for split in itertools.combinations(range(content + 2 * blocks - 1), 2 * blocks - 1):
-            part_lengths = []
-            prev = -1
-            for cut in split:
-                part_lengths.append(cut - prev - 1)
-                prev = cut
-            part_lengths.append(content + 2 * blocks - 2 - prev)
-            for parts in itertools.product(
-                *(itertools.product(_BLOCK_CONTENT, repeat=n) for n in part_lengths)
-            ):
-                word: list[str] = []
-                for i in range(blocks):
-                    if i:
-                        word.append("%")
-                    word.extend(parts[2 * i])
-                    word.append("*")
-                    word.extend(parts[2 * i + 1])
-                words.append(tuple(word))
-    words.sort(key=lambda w: tuple(order[sym] for sym in w))
-    return words
-
-
 def enumerate_block_strings(max_total_len: int, max_blocks: int) -> Iterator[Word]:
     """All well-formed block words up to the given total length and block
     count, shortest first, then lexicographic under the order a, b, *, %."""
     if max_blocks < 1:
         return
     for length in range(1, max_total_len + 1):
-        yield from _block_words_of_length(length, max_blocks)
+        # Depth first over (prefix, blocks opened, block has its '*'), with
+        # children pushed in reverse so that they pop as a, b, *, %: each
+        # length comes out sorted.  A child is pushed only if it still ends
+        # in a word of this length; a block without its '*' needs a symbol.
+        stack: list[tuple[Word, int, bool]] = [((), 1, False)]
+        while stack:
+            prefix, blocks, starred = stack.pop()
+            left = length - len(prefix)
+            if not left:
+                yield prefix
+                continue
+            if starred and blocks < max_blocks and left >= 2:
+                stack.append((prefix + ("%",), blocks + 1, False))
+            if not starred:
+                stack.append((prefix + ("*",), blocks, True))
+            if starred or left >= 2:
+                stack.append((prefix + ("b",), blocks, starred))
+                stack.append((prefix + ("a",), blocks, starred))
 
 
 @dataclass(frozen=True)
@@ -158,28 +146,32 @@ class DiffReport:
     truncated: bool
     cap: int
 
+    @cached_property
+    def totals(self) -> LengthStats:
+        """The column sums of ``per_length``."""
+        rows = self.per_length.values()
+        return LengthStats(
+            words=sum(s.words for s in rows),
+            agreements=sum(s.agreements for s in rows),
+            a_only=sum(s.a_only for s in rows),
+            b_only=sum(s.b_only for s in rows),
+        )
+
     @property
     def total_words(self) -> int:
-        return sum(s.words for s in self.per_length.values())
+        return self.totals.words
 
     @property
     def total_mismatches(self) -> int:
-        return sum(s.a_only + s.b_only for s in self.per_length.values())
+        return self.totals.a_only + self.totals.b_only
 
     def to_text(self, render: Callable[[Word], str] | None = None) -> str:
         render = render or _default_render
         lines = [f"{'length':>6} {'words':>8} {'agree':>8} {'a-only':>8} {'b-only':>8}"]
-        for length in sorted(self.per_length):
-            s = self.per_length[length]
+        for label, s in [*sorted(self.per_length.items()), ("total", self.totals)]:
             lines.append(
-                f"{length:>6} {s.words:>8} {s.agreements:>8} {s.a_only:>8} {s.b_only:>8}"
+                f"{label:>6} {s.words:>8} {s.agreements:>8} {s.a_only:>8} {s.b_only:>8}"
             )
-        lines.append(
-            f"{'total':>6} {self.total_words:>8}"
-            f" {sum(s.agreements for s in self.per_length.values()):>8}"
-            f" {sum(s.a_only for s in self.per_length.values()):>8}"
-            f" {sum(s.b_only for s in self.per_length.values()):>8}"
-        )
         if not self.mismatches:
             lines.append("mismatches: none")
         else:
@@ -192,16 +184,12 @@ class DiffReport:
 
     def to_tsv(self, render: Callable[[Word], str] | None = None) -> str:
         render = render or _default_render
-        lines = []
-        for length in sorted(self.per_length):
-            s = self.per_length[length]
-            lines.append(f"len\t{length}\t{s.words}\t{s.agreements}\t{s.a_only}\t{s.b_only}")
-        lines.append(
-            f"total\t{self.total_words}"
-            f"\t{sum(s.agreements for s in self.per_length.values())}"
-            f"\t{sum(s.a_only for s in self.per_length.values())}"
-            f"\t{sum(s.b_only for s in self.per_length.values())}"
-        )
+        lines = [
+            f"len\t{n}\t{s.words}\t{s.agreements}\t{s.a_only}\t{s.b_only}"
+            for n, s in sorted(self.per_length.items())
+        ]
+        t = self.totals
+        lines.append(f"total\t{t.words}\t{t.agreements}\t{t.a_only}\t{t.b_only}")
         for word, side in self.mismatches:
             lines.append(f"mismatch\t{side}\t{render(word)}")
         if self.truncated:

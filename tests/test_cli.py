@@ -90,8 +90,15 @@ class TestRun:
             "run", corpus("example1-rwka.wk"), "aba", "--lower", "a_1,b_2,a_1", "--trace"
         )
         assert code == 0
-        assert out.count("reads") == 5
-        assert "[qf @ 4 4] halt" in out
+        assert out == (
+            "accept\n"
+            "  [q0' @ 0 0] reads (# #) -> q0 moves (1 1)\n"
+            "  [q0 @ 1 1] reads (a a_1) -> q1 moves (1 1)\n"
+            "  [q1 @ 2 2] reads (b b_2) -> q0 moves (1 1)\n"
+            "  [q0 @ 3 3] reads (a a_1) -> q1 moves (1 1)\n"
+            "  [q1 @ 4 4] reads ($ $) -> qf moves (0 0)\n"
+            "  [qf @ 4 4] halt\n"
+        )
 
     def test_loop_verdict(self):
         code, out, _ = run_cli(
@@ -101,9 +108,17 @@ class TestRun:
         assert out.splitlines()[0] == "loop"
 
     def test_mfa_run(self):
-        code, out, _ = run_cli("run", corpus("twohead-anbn1.mfa"), "abb")
+        code, out, _ = run_cli("run", corpus("twohead-anbn1.mfa"), "abb", "--trace")
         assert code == 0
-        assert out.strip() == "accept"
+        assert out == (
+            "accept\n"
+            "  [p0 @ 0 0] reads (# #) -> p1 moves (1 0)\n"
+            "  [p1 @ 1 0] reads (a #) -> p1 moves (1 0)\n"
+            "  [p1 @ 2 0] reads (b #) -> q1 moves (1 1)\n"
+            "  [q1 @ 3 1] reads (b a) -> q1 moves (1 1)\n"
+            "  [q1 @ 4 2] reads ($ b) -> qf moves (0 0)\n"
+            "  [qf @ 4 2] halt\n"
+        )
         code, out, _ = run_cli("run", corpus("twohead-anbn1.mfa"), "ab")
         assert code == 1
 
@@ -119,16 +134,26 @@ class TestRun:
         assert "error:" in err
 
     def test_invalid_machine_is_a_usage_error(self, tmp_path):
-        bad = tmp_path / "bad.wk"
-        bad.write_text(
-            "type: wk\nstates: q0\nstart: q0\nfinal:\nalphabet: a\nrho: a->a\n"
-            "trans: q0 # # -> q0 1 1\ntrans: q0 a a -> q0 1 1\ntrans: q0 $ $ -> q0 1 0\n"
+        trans = "trans: q0 # # -> q0 1 1\ntrans: q0 a a -> q0 1 1\ntrans: q0 $ $ -> q0 1 0\n"
+        wk = tmp_path / "bad.wk"
+        wk.write_text(
+            "type: wk\nstates: q0\nstart: q0\nfinal:\nalphabet: a\nrho: a->a\n" + trans
         )
-        code, out, err = run_cli("run", str(bad), "a")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "move-on-endmarker" in err
-        assert "Traceback" not in err
+        mfa = tmp_path / "bad.mfa"
+        mfa.write_text(
+            "type: mfa\nstates: q0\nstart: q0\nfinal:\nalphabet: a\nheads: 2\n" + trans
+        )
+        for argv in (
+            ("run", str(wk), "a"),
+            ("run", str(wk), "a", "--lower", "a"),
+            ("run", str(mfa), "a"),
+            ("enumerate", str(mfa), "--max-len", "2"),
+            ("compare", str(mfa), str(mfa), "--max-len", "2"),
+        ):
+            code, out, err = run_cli(*argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err == "error: machine fails validation: move-on-endmarker\n"
 
     def test_non_complementary_lower_is_a_usage_error(self):
         code, _, err = run_cli(
@@ -203,8 +228,17 @@ class TestCompare:
             "--max-len", "4", "--blocks", "--format", "tsv",
         )
         assert tsv_code == text_code == 1
-        assert any(line.startswith("len\t") for line in out.splitlines())
-        assert any(line.startswith("mismatch\tb\t") for line in out.splitlines())
+        assert out == (
+            "len\t1\t1\t1\t0\t0\n"
+            "len\t2\t4\t4\t0\t0\n"
+            "len\t3\t13\t13\t0\t0\n"
+            "len\t4\t40\t36\t0\t4\n"
+            "total\t58\t54\t0\t4\n"
+            "mismatch\tb\t*a%*\n"
+            "mismatch\tb\t*b%*\n"
+            "mismatch\tb\t*%*a\n"
+            "mismatch\tb\t*%*b\n"
+        )
 
     def test_dfa_oracle(self):
         code, _, _ = run_cli(

@@ -16,6 +16,7 @@ from wkautomata import (
     complement_strands,
     dfa_to_rwka,
     existential_acceptor,
+    mfa_acceptor,
     run_deterministic,
     run_mfa,
 )
@@ -203,11 +204,33 @@ class TestInvalidMachines:
         },
     )
 
+    # Its two-head twin: head 1 moves off the right end marker.
+    MFA_MOVES_ON_END = MultiHeadAutomaton(
+        states=("q0",),
+        alphabet=("a",),
+        head_count=2,
+        start="q0",
+        finals=set(),
+        delta={
+            ("q0", ("#", "#")): ("q0", (1, 1)),
+            ("q0", ("a", "a")): ("q0", (1, 1)),
+            ("q0", ("$", "$")): ("q0", (1, 0)),
+        },
+    )
+
     def test_engines_refuse_a_machine_that_fails_validation(self):
         with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
             accepts_existential(self.MOVES_ON_END, "a")
         with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
             existential_acceptor(self.MOVES_ON_END)
+        with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
+            run_deterministic(self.MOVES_ON_END, "a", "a")
+        with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
+            accepts_existential_bruteforce(self.MOVES_ON_END, "a")
+        with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
+            run_mfa(self.MFA_MOVES_ON_END, "a")
+        with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
+            mfa_acceptor(self.MFA_MOVES_ON_END)
 
 
 class TestBruteForce:
@@ -240,6 +263,13 @@ class TestRunMfa:
         accept = existential_acceptor(identity_rho)
         for word in enumerate_words(("a", "b"), 7):
             assert run_mfa(twohead, word).accepted == accept(word)
+
+    def test_acceptor_matches_run_mfa(self, twohead):
+        accept = mfa_acceptor(twohead)
+        for word in enumerate_words(("a", "b"), 7):
+            assert accept(word) == run_mfa(twohead, word).accepted
+        with pytest.raises(UnknownSymbolError):
+            accept("ac")
 
     def test_no_transitions_rejects_at_start_unless_final(self):
         base = dict(

@@ -15,7 +15,12 @@ from wkautomata import (
     theorem2_member,
 )
 from wkautomata.machines import UnknownSymbolError
-from wkautomata.oracle import AcceptorFailure, theorem2_blocks, theorem2_witnesses
+from wkautomata.oracle import (
+    BLOCK_ALPHABET,
+    AcceptorFailure,
+    theorem2_blocks,
+    theorem2_witnesses,
+)
 
 
 class TestDfaAccepts:
@@ -154,6 +159,15 @@ class TestEnumerateBlockStrings:
         words = set(enumerate_block_strings(5, 2))
         assert tuple("a*%*b") in words
         assert tuple("*%*") in words
+
+    def test_matches_the_filtered_universe_in_order(self):
+        parsed = [
+            (word, theorem2_blocks(word))
+            for word in enumerate_words(BLOCK_ALPHABET, 8)
+        ]
+        for cap in range(1, 5):
+            expected = [w for w, blocks in parsed if blocks and len(blocks) <= cap]
+            assert list(enumerate_block_strings(8, cap)) == expected
 
 
 class TestDifferentialCompare:
