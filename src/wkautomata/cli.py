@@ -9,6 +9,7 @@ machines that do not satisfy an operation's precondition).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -172,7 +173,7 @@ def _cmd_compare(args) -> int:
         words = oracle.enumerate_words(alphabet, args.max_len)
 
     report = oracle.differential_compare(accept_a, accept_b, words)
-    render = lambda word: fileformat.render_word(word, alphabet)  # noqa: E731
+    render = fileformat.word_separator(alphabet).join
     print(report.to_tsv(render) if args.format == "tsv" else report.to_text(render))
     return 0 if report.total_mismatches == 0 else 1
 
@@ -180,13 +181,20 @@ def _cmd_compare(args) -> int:
 def _cmd_enumerate(args) -> int:
     machine = _load(args.file)
     accept, alphabet = _acceptor(machine)
+    render = fileformat.word_separator(alphabet).join
     for word in oracle.enumerate_words(alphabet, args.max_len):
         if accept(word):
-            print(fileformat.render_word(word, alphabet))
+            print(render(word))
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call.
+
+    ``parse_args`` returns a fresh namespace and leaves the parser as it
+    was, so calls that share it stay independent.
+    """
     parser = argparse.ArgumentParser(
         prog="wka",
         description="Check, run, construct, translate, and compare two-strand "
@@ -240,6 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one ``wka`` command and return its exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -187,9 +187,11 @@ def run_deterministic(
     return run((w1, w2), keep_trace)
 
 
-def _mfa_tapes(machine: MultiHeadAutomaton, word: Sequence[str]) -> tuple[Word, ...]:
+def _mfa_tapes(
+    machine: MultiHeadAutomaton, word: Sequence[str], alphabet: frozenset[str]
+) -> tuple[Word, ...]:
     w = tuple(word)
-    _require_symbols(w, set(machine.alphabet), "alphabet")
+    _require_symbols(w, alphabet, "alphabet")
     return (w,) * machine.head_count
 
 
@@ -197,14 +199,16 @@ def run_mfa(
     machine: MultiHeadAutomaton, word: Sequence[str], *, keep_trace: bool = False
 ) -> RunOutcome:
     """Run the k-head machine, with the same halt/loop classification."""
-    return _run_loop(machine)(_mfa_tapes(machine, word), keep_trace)
+    tapes = _mfa_tapes(machine, word, frozenset(machine.alphabet))
+    return _run_loop(machine)(tapes, keep_trace)
 
 
 def mfa_acceptor(machine: MultiHeadAutomaton) -> Callable[[Sequence[str]], bool]:
     """The verdict of ``run_mfa`` as a predicate that validates the machine
-    once, not once per word."""
+    and builds its alphabet set once, not once per word."""
     run = _run_loop(machine)
-    return lambda word: run(_mfa_tapes(machine, word), False).accepted
+    alphabet = frozenset(machine.alphabet)
+    return lambda word: run(_mfa_tapes(machine, word, alphabet), False).accepted
 
 
 @dataclass(frozen=True)

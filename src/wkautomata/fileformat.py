@@ -22,7 +22,6 @@ serialized machine returns an equal machine and serializing is idempotent.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Sequence
 
 from .machines import (
@@ -67,10 +66,15 @@ def _directive_lines(text: str):
         name, sep, rest = raw.partition(":")
         if not sep or name != name.strip() or not name:
             raise ParseError("expected 'directive: ...'", number, 1)
+        # A token holds no whitespace and only whitespace precedes it, so
+        # its first occurrence past the previous token is where it starts.
         offset = len(name) + 1
-        tokens = [
-            (m.group(), offset + m.start() + 1) for m in re.finditer(r"\S+", rest)
-        ]
+        tokens = []
+        end = 0
+        for tok in rest.split():
+            start = rest.index(tok, end)
+            tokens.append((tok, offset + start + 1))
+            end = start + len(tok)
         yield number, name, tokens
 
 
@@ -316,10 +320,8 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     """
     if text == "":
         return ()
-    if all(len(sym) == 1 for sym in alphabet):
-        word = tuple(text)
-    else:
-        word = tuple(text.split(","))
+    separator = word_separator(alphabet)
+    word = tuple(text.split(separator)) if separator else tuple(text)
     allowed = set(alphabet)
     for sym in word:
         if sym not in allowed:
@@ -327,8 +329,12 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     return word
 
 
+def word_separator(alphabet: Sequence[str]) -> str:
+    """The symbol separator of a command-line word: none when every
+    alphabet token is a single character, a comma otherwise."""
+    return "" if all(len(sym) == 1 for sym in alphabet) else ","
+
+
 def render_word(word: Sequence[str], alphabet: Sequence[str]) -> str:
     """Inverse of ``parse_word`` under the same alphabet convention."""
-    if all(len(sym) == 1 for sym in alphabet):
-        return "".join(word)
-    return ",".join(word)
+    return word_separator(alphabet).join(word)

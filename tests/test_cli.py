@@ -1,7 +1,14 @@
 """End-to-end command-line behavior, exit codes included."""
 
-import pytest
+import os
+import subprocess
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wkautomata import cli
 from wkautomata.fileformat import parse_machine
 from conftest import CORPUS_DIR, run_cli
 
@@ -295,3 +302,101 @@ class TestUsage:
     def test_help_exits_zero(self):
         code, _, _ = run_cli("--help")
         assert code == 0
+
+
+class TestOneParserPerProcess:
+    SEQUENCE = (
+        ("run", corpus("example1-rwka.wk"), "aba", "--lower", "a_1,b_2,a_1", "--trace"),
+        ("run", corpus("example1-rwka.wk"), "aba", "--lower", "a_1,b_2,a_1"),
+        (
+            "compare", corpus("theorem2.wk"), "--oracle", "theorem2",
+            "--max-len", "4", "--blocks", "--format", "tsv",
+        ),
+        ("compare", corpus("theorem2.wk"), "--oracle", "theorem2", "--max-len", "4", "--blocks"),
+        ("check", corpus("theorem2.wk"), "--frobnicate"),
+        ("check", corpus("theorem2.wk")),
+        ("--help",),
+    )
+
+    def test_calls_sharing_the_parser_stay_independent(self, monkeypatch):
+        assert cli._build_parser() is cli._build_parser()
+        first = [run_cli(*argv) for argv in self.SEQUENCE]
+        second = [run_cli(*argv) for argv in self.SEQUENCE]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run_cli(*argv) for argv in self.SEQUENCE]
+        assert first == second == fresh
+        assert first[1] == (0, "accept\n", "")
+        assert first[3][1] != first[2][1]
+        code, out, err = first[4]
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --frobnicate" in err
+        assert first[6][0] == 0 and first[6][1].startswith("usage: wka")
+
+    def test_fresh_process_matches_in_process(self):
+        src = str(CORPUS_DIR.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wkautomata", "check", corpus("theorem2.wk")],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_cli("check", corpus("theorem2.wk"))[1]
+
+
+_STATES = ("q0", "q1", "qf")
+_CHARS = st.characters(blacklist_categories=("Cs",))
+
+
+@st.composite
+def machine_texts(draw):
+    """Machine files of every kind that mostly parse, with arbitrary lines
+    mixed in."""
+    kind = draw(st.sampled_from(("wk", "mfa", "dfa")))
+    heads = {"wk": 2, "mfa": draw(st.integers(1, 3)), "dfa": 1}[kind]
+    finals = draw(st.lists(st.sampled_from(_STATES), unique=True))
+    lines = [
+        f"type: {kind}", "states: " + " ".join(_STATES), "start: q0",
+        "final: " + " ".join(finals), "alphabet: a b",
+    ]
+    upper = ("a", "b") if kind == "dfa" else ("a", "b", "#", "$")
+    columns = [st.sampled_from(upper)] * heads
+    if kind == "wk":
+        rho = {draw(st.sampled_from(("a->a", "a->a_1"))), draw(st.sampled_from(("b->b", "b->a")))}
+        rho |= set(draw(st.lists(st.sampled_from(("a->b", "b->a_1")))))
+        lines.append("rho: " + " ".join(sorted(rho)))
+        columns[1] = st.sampled_from(sorted({p[3:] for p in rho} | {"#", "$"}))
+    if kind == "mfa":
+        lines.append(f"heads: {heads}")
+    moves = 0 if kind == "dfa" else heads
+    keys = set()
+    for _ in range(draw(st.integers(0, 8))):
+        source, target = draw(st.sampled_from(_STATES)), draw(st.sampled_from(_STATES))
+        reads = " ".join(draw(column) for column in columns)
+        ds = " ".join(draw(st.lists(st.sampled_from("01"), min_size=moves, max_size=moves)))
+        if (source, reads) not in keys:
+            keys.add((source, reads))
+            lines.append(f"trans: {source} {reads} -> {target} {ds}".rstrip())
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(_CHARS, max_size=20)))
+    return "\n".join(lines) + "\n"
+
+
+@given(
+    text=st.one_of(machine_texts(), st.text(_CHARS)),
+    word=st.one_of(st.text("ab", max_size=6), st.text("ab_1,#$-", max_size=6)),
+)
+@settings(max_examples=150, deadline=None)
+def test_cli_never_raises(tmp_path_factory, text, word):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.wk"
+    path.write_text(text, encoding="utf-8")
+    f = str(path)
+    for argv in (("check", f), ("run", f, word), ("run", f, word, "--trace")):
+        code, _, err = run_cli(*argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert sum("error: " in line for line in err.splitlines()) == 1, err
+        else:
+            assert err == ""

@@ -1,6 +1,7 @@
 """Parsing, canonical serialization, and the word conventions."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from wkautomata import (
 )
 from wkautomata.fileformat import (
     ParseError,
+    _directive_lines,
     parse_machine,
     parse_word,
     render_word,
@@ -107,6 +109,18 @@ class TestParse:
         with pytest.raises(ParseError, match=message):
             parse_machine(text)
 
+    @pytest.mark.parametrize(
+        "text,line,col",
+        [
+            ("type: dfa\nstates: q\nstart: q\nfinal:\tq\t ghost\nalphabet: a\n", 4, 11),
+            ("type: dfa\nstates: q\nstart: q\nalphabet: a\ntrans:\tqq a -> qq\n", 5, 8),
+        ],
+    )
+    def test_columns_count_characters_after_tabs(self, text, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse_machine(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+
     def test_unknown_symbol_references(self):
         text = (
             "type: wk\nstates: q\nstart: q\nfinal:\nalphabet: a\nrho: a->x\n"
@@ -114,6 +128,28 @@ class TestParse:
         )
         with pytest.raises(ParseError, match="unknown lower symbol 'y'"):
             parse_machine(text)
+
+
+_GAPS = st.text(" \t\u00a0\u3000", min_size=1, max_size=3)
+_TOKENS = st.sampled_from(("q", "qq", "q0", "a", "a->a", "->", "#", "$", "\u00e9"))
+_UNBROKEN = st.characters(
+    blacklist_categories=("Cs",), blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+)
+
+
+@given(
+    rest=st.one_of(
+        st.tuples(st.lists(st.tuples(_GAPS, _TOKENS)), _GAPS).map(
+            lambda parts: "".join(g + t for g, t in parts[0]) + parts[1]
+        ),
+        st.text(_UNBROKEN),
+    )
+)
+@settings(max_examples=300)
+def test_tokens_and_columns_match_the_regex_tokenizer(rest):
+    offset = len("trans") + 1
+    expected = [(m.group(), offset + m.start() + 1) for m in re.finditer(r"\S+", rest)]
+    assert list(_directive_lines("trans:" + rest)) == [(1, "trans", expected)]
 
 
 class TestSerialize:
