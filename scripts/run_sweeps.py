@@ -88,16 +88,18 @@ def sweep_blocks(cfg: SweepConfig) -> bool:
     machine = theorem2_machine()
     accept = existential_acceptor(machine)
     words = list(enumerate_block_strings(cfg.max_block_len, cfg.max_blocks))
-    unsound = [w for w in words if accept(w) and not theorem2_member(w)]
-    detectable = [
-        w for w in words if any(i >= 2 for i, _ in theorem2_witnesses(w))
-    ]
-    missed = [w for w in detectable if not accept(w)]
-    block1_only = [
-        w
-        for w in words
-        if theorem2_member(w) and all(i == 1 for i, _ in theorem2_witnesses(w))
-    ]
+    unsound, detectable, missed, block1_only = [], [], [], []
+    for w in words:
+        indices = [i for i, _ in theorem2_witnesses(w)]
+        accepted = accept(w)
+        if accepted and not indices:
+            unsound.append(w)
+        if any(i >= 2 for i in indices):
+            detectable.append(w)
+            if not accepted:
+                missed.append(w)
+        elif indices:
+            block1_only.append(w)
     probe = tuple("ab*a%ab*b")
     print(
         f"block words (len <= {cfg.max_block_len}, blocks <= {cfg.max_blocks}): {len(words)}"

@@ -15,14 +15,19 @@ position at a time and explores the finite graph of
 (state, upper position, lower position, committed symbol) nodes.
 
 Sweeps use ``existential_acceptor``, which searches the same graph in
-stages and shares them between words.  Both heads are one-way, so a node
-whose positions are both <= k depends only on the length-k prefix of the
-word.  Stage j explores exactly the reached nodes with a head at position
-j and hands stage j + 1 a frontier: the nodes whose upper head moved to
-j + 1, and the (target, upper position) pairs whose lower head moves onto
-j + 1.  Each call keeps the stages of the longest prefix it shares with the
-previous word, so an acceptor carries state between calls and belongs to
-one thread at a time; machines themselves stay immutable.
+stages and memoises them as the states of a lazily built DFA.  Both heads
+are one-way, so a node whose positions are both <= k depends only on the
+length-k prefix of the word.  Stage j explores exactly the reached nodes
+with a head at position j and hands stage j + 1 a frontier: the nodes whose
+upper head moved to j + 1, and the (target, upper position) pairs whose
+lower head moves onto j + 1.  A stage only compares positions with each
+other and with j, so a frontier shifted down to its lowest head position,
+together with the upper symbols from there to j, determines every later
+stage.  Each such normalised frontier is interned once with a move table
+from upper symbol to next state, and a call runs a stage only on a move
+missing from the memo.  The memo is cleared when it outgrows
+``_MEMO_STATES``.  An acceptor carries the memo between calls and belongs
+to one thread at a time; machines themselves stay immutable.
 
 Every engine refuses a machine that fails ``validate`` with an
 ``InvalidMachineError``.
@@ -32,7 +37,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterator, Sequence
+import weakref
+from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from operator import add, getitem
@@ -352,37 +358,61 @@ def accepts_existential(
     return SearchResult(accepted, witness, explored)
 
 
+# An acceptor that holds more interned frontiers than this clears its memo at
+# the start of its next call.  The compiled DFAs of the regular sweeps intern
+# at most a dozen each, but the block-language machine interns about 17,000
+# over the 132,854 words of up to 11 symbols and 6 blocks, because its lower
+# head lags a block behind and windows grow to 10 symbols; held at once they
+# would add about 12 MiB.
+_MEMO_STATES = 1024
+
+
+def _forget(memo: dict) -> None:
+    """Empty an acceptor's memo and the move tables of its states."""
+    for _, _, moves in memo.values():
+        moves.clear()
+    memo.clear()
+
+
 def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool]:
     """A precompiled acceptance predicate for sweeping many words.
 
     The predicate decides what ``accepts_existential`` decides, but it
-    searches in stages and keeps the stages of the previous word.  Both
-    heads are one-way, so a node whose positions are both <= k depends only
-    on the length-k prefix.  Stage j explores exactly the reached nodes with
-    a head at position j.  It hands stage j + 1 a frontier of two kinds:
-    *heads*, the nodes whose upper head moved to j + 1, and *commits*, the
-    (target, p1) pairs whose lower head moves onto j + 1, which stage j + 1
-    expands over the images of its symbol.  Nodes of different stages are
-    disjoint, so each stage deduplicates with a set of its own, and no
-    visited set outlives its stage.  Acceptance found at stage j holds for
-    every extension of the prefix, and so does rejection once a stage hands
-    on nothing.  Raises ``InvalidMachineError`` for a machine that fails
-    ``validate``.
+    searches in stages and runs them as the moves of a lazily built DFA.
+    Both heads are one-way, so a node whose positions are both <= k depends
+    only on the length-k prefix.  Stage j explores exactly the reached nodes
+    with a head at position j.  It hands stage j + 1 a frontier of two
+    kinds: *heads*, the nodes whose upper head moved to j + 1, and
+    *commits*, the (target, p1) pairs whose lower head moves onto j + 1,
+    which stage j + 1 expands over the images of its symbol.  Nodes of
+    different stages are disjoint, so each stage deduplicates with a set of
+    its own, and no visited set outlives its stage.  Acceptance found at
+    stage j holds for every extension of the prefix, and so does rejection
+    once a stage hands on nothing.  Raises ``InvalidMachineError`` for a
+    machine that fails ``validate``.
 
-    A call drops the stages after the longest prefix it shares with the
-    previous word, extends one stage per new position and closes with a
-    stage on the right end marker, which is never kept.  Shortest-first
-    lexicographic sweeps share most of each word with the one before; in
-    any other order each call simply runs every stage.  The predicate
-    carries these stages from call to call, so use it from one thread at a
-    time; the machine itself is not touched.
+    A stage only compares positions with each other and with j, and reads
+    the upper symbols from its frontier's lowest head position ``base`` on.
+    So a frontier is normalised by subtracting ``base`` from every position
+    and keeping only the window of upper symbols from ``base`` to j; one
+    stage run on the window gives the same result at any offset.  Each
+    normalised frontier is interned once, as a DFA state with a move table
+    from upper symbol to the next state, ``True`` or ``False``.  A call walks
+    from the start state over the word and the right end marker, and runs
+    a stage only on a move missing from the memo, so any word order costs
+    the same.  When the memo holds more than ``_MEMO_STATES`` states it is
+    cleared at the start of the next call.  The predicate carries the memo
+    from call to call, so use it from one thread at a time; the machine
+    itself is not touched.
     """
     compiled = _compile_wk(machine)
     upper_index = compiled.upper_index
+    upper_symbols = upper_index.keys()
     delta = compiled.delta
     finals = compiled.finals
     right = compiled.right
     images = {**compiled.images, right: (right,)}
+    index = {**upper_index, RIGHT_END: right}
 
     # live[x][q][u]: the images of x the lower head may commit in state q
     # over upper symbol u.  An image that leaves a non-final q stuck is left
@@ -397,7 +427,7 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
                 table[q][u] += (s,)
         live[x] = table
 
-    def stage(ups: list[int], frontier: tuple[set, set]):
+    def stage(ups: Sequence[int], frontier: tuple[Collection, Collection]):
         """Run stage ``j = len(ups) - 1`` on the frontier of stage j - 1.
 
         Returns True on acceptance, False when nothing reaches position
@@ -450,35 +480,60 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
             return next_heads, next_commits
         return False
 
-    # ups[i] is the symbol at position i of the previous word (0 is the left
-    # marker) and frontiers[i] what its stage i handed on.
-    ups = [compiled.left]
-    frontiers = [stage(ups, ({(compiled.start, 0, 0, compiled.left)}, set()))]
+    memo: dict = {}  # (window, frontier) -> (window, frontier, moves)
+
+    def intern(ups: Sequence[int], result):
+        """The state for what stage ``len(ups) - 1`` returned on ``ups``."""
+        if result is True or result is False:
+            return result
+        heads, commits = result
+        base = len(ups)  # every head has p1 == len(ups)
+        for _, _, p2, _ in heads:
+            if p2 < base:
+                base = p2
+        for _, p1 in commits:
+            if p1 < base:
+                base = p1
+        if base:
+            heads = [(q, p1 - base, p2 - base, s) for q, p1, p2, s in heads]
+            commits = [(t, p1 - base) for t, p1 in commits]
+        key = (tuple(ups[base:]), (tuple(sorted(heads)), tuple(sorted(commits))))
+        state = memo.get(key)
+        if state is None:
+            state = memo[key] = (*key, {})
+        return state
+
+    def step(state, x: str):
+        """Run the stage for the move on ``x`` and store its result."""
+        window, frontier, moves = state
+        ups = (*window, index[x])
+        result = stage(ups, frontier)
+        moves[x] = nxt = result is True if x == RIGHT_END else intern(ups, result)
+        return nxt
+
+    first = stage((compiled.left,), (((compiled.start, 0, 0, compiled.left),), ()))
+    start = intern((compiled.left,), first)
 
     def accepts(word: Sequence[str]) -> bool:
-        try:
-            w = [upper_index[x] for x in word]
-        except KeyError as exc:
-            raise UnknownSymbolError(
-                f"symbol {exc.args[0]!r} is not in the upper alphabet"
-            ) from None
-        k = 0
-        shared = min(len(w), len(frontiers) - 1)
-        while k < shared and w[k] == ups[k + 1]:
-            k += 1
-        del frontiers[k + 1 :], ups[k + 1 :]
-        frontier = frontiers[k]
-        for x in w[k:]:
-            if isinstance(frontier, bool):
-                return frontier
-            ups.append(x)
-            frontier = stage(ups, frontier)
-            frontiers.append(frontier)
-        if isinstance(frontier, bool):
-            return frontier
-        ups.append(right)  # dropped again by the next call
-        return stage(ups, frontier) is True
+        nonlocal start
+        word = tuple(word)  # read an iterator once
+        if not upper_symbols >= set(word):
+            bad = next(x for x in word if x not in upper_index)
+            raise UnknownSymbolError(f"symbol {bad!r} is not in the upper alphabet")
+        if len(memo) > _MEMO_STATES:
+            _forget(memo)
+            start = intern((compiled.left,), first)
+        state = start
+        for x in (*word, RIGHT_END):
+            if state is True or state is False:
+                return state
+            nxt = state[2].get(x)
+            state = step(state, x) if nxt is None else nxt
+        return state
 
+    # States that move to each other form reference cycles; unlink them as
+    # soon as the predicate is dropped, not at the next full collection.
+    weakref.finalize(accepts, _forget, memo)
     return accepts
 
 

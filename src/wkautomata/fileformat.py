@@ -153,9 +153,7 @@ def parse_machine(text: str) -> Machine:
     if kind == "dfa":
         delta_dfa: dict[tuple[str, str], str] = {}
         for number, tokens in trans_lines:
-            source, reads, target, moves = _split_trans(tokens, number, reads=1, moves=0)
-            _check_state(source, declared, number, tokens)
-            _check_state(target, declared, number, tokens)
+            source, reads, target, moves = _split_trans(tokens, number, declared, reads=1, moves=0)
             sym = reads[0]
             if sym not in alphabet:
                 raise ParseError(f"unknown symbol {sym!r}", number)
@@ -175,9 +173,7 @@ def parse_machine(text: str) -> Machine:
         allowed = set(alphabet) | set(END_MARKERS)
         delta_mfa: dict[tuple[str, tuple[str, ...]], tuple[str, tuple[int, ...]]] = {}
         for number, tokens in trans_lines:
-            source, reads, target, moves = _split_trans(tokens, number, reads=k, moves=k)
-            _check_state(source, declared, number, tokens)
-            _check_state(target, declared, number, tokens)
+            source, reads, target, moves = _split_trans(tokens, number, declared, reads=k, moves=k)
             for sym in reads:
                 if sym not in allowed:
                     raise ParseError(f"unknown symbol {sym!r}", number)
@@ -205,9 +201,7 @@ def parse_machine(text: str) -> Machine:
     upper = set(alphabet) | set(END_MARKERS)
     delta_wk: dict[tuple[str, str, str], tuple[str, int, int]] = {}
     for number, tokens in trans_lines:
-        source, reads, target, moves = _split_trans(tokens, number, reads=2, moves=2)
-        _check_state(source, declared, number, tokens)
-        _check_state(target, declared, number, tokens)
+        source, reads, target, moves = _split_trans(tokens, number, declared, reads=2, moves=2)
         if reads[0] not in upper:
             raise ParseError(f"unknown upper symbol {reads[0]!r}", number)
         if reads[1] not in lower:
@@ -221,7 +215,9 @@ def parse_machine(text: str) -> Machine:
     return WKAutomaton(states, alphabet, start, finals, rho, delta_wk)
 
 
-def _split_trans(tokens, number: int, reads: int, moves: int):
+def _split_trans(tokens, number: int, declared: set[str], reads: int, moves: int):
+    """Split a transition line into source, reads, target and moves, and
+    check that the source and target states are declared."""
     plain = [tok for tok, _ in tokens]
     if plain.count("->") != 1:
         raise ParseError("transition needs exactly one '->'", number)
@@ -238,13 +234,10 @@ def _split_trans(tokens, number: int, reads: int, moves: int):
     for d in rhs[1:]:
         if d not in ("0", "1"):
             raise ParseError(f"displacement must be 0 or 1, got {d!r}", number)
+    for name, col in (tokens[0], tokens[cut + 1]):
+        if name not in declared:
+            raise ParseError(f"unknown state {name!r}", number, col)
     return lhs[0], lhs[1:], rhs[0], [int(d) for d in rhs[1:]]
-
-
-def _check_state(name: str, declared: set[str], number: int, tokens) -> None:
-    if name not in declared:
-        col = next((c for t, c in tokens if t == name), None)
-        raise ParseError(f"unknown state {name!r}", number, col)
 
 
 def _read_sort_key(reads: Sequence[str]):

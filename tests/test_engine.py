@@ -1,6 +1,7 @@
 """Deterministic runs, existential search, k-head runs, and their oracles."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,10 @@ from wkautomata import (
     run_deterministic,
     run_mfa,
 )
+from wkautomata import engine
 from wkautomata.engine import SearchBoundError, StrandMismatchError
 from wkautomata.fileformat import parse_machine
-from wkautomata.machines import InvalidMachineError, UnknownSymbolError
+from wkautomata.machines import InvalidMachineError, UnknownSymbolError, validate
 from wkautomata.oracle import enumerate_words
 from wkautomata.samples import random_dfa
 from conftest import CORPUS_DIR
@@ -100,6 +102,39 @@ class TestRunDeterministic:
             run_deterministic(example1_rwka, "aba", ("a_1", "b_1"))
 
 
+@st.composite
+def wk_machines(draw):
+    """Small valid WK machines with a multi-valued relation and every kind of
+    move, including the ones that advance a single head.
+
+    Each read triple gets a transition or not, so the machines are dense
+    enough to run long.  A head reading the right end marker may not move,
+    so each transition draws its moves from those ``validate`` allows for
+    its reads: the same distribution as drawing from all four and keeping
+    the valid machines, without discarding most of them."""
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3))))
+    images = st.lists(st.sampled_from(("x", "y", "z")), min_size=1, max_size=3, unique=True)
+    rho = {u: tuple(draw(images)) for u in ("a", "b")}
+    lower = sorted({y for ys in rho.values() for y in ys})
+    delta = {}
+    for q in states:
+        for u in ("#", "a", "b", "$"):
+            for l in ("#", *lower, "$"):
+                if draw(st.booleans()):
+                    moves = [
+                        (d1, d2)
+                        for d1 in (0, 1)
+                        for d2 in (0, 1)
+                        if not (u == "$" and d1 or l == "$" and d2)
+                    ]
+                    target = draw(st.sampled_from(states))
+                    delta[(q, u, l)] = (target, *draw(st.sampled_from(moves)))
+    finals = draw(st.sets(st.sampled_from(states)))
+    machine = WKAutomaton(states, ("a", "b"), "q0", finals, ComplementarityRelation(rho), delta)
+    assert validate(machine).passed
+    return machine
+
+
 class TestAcceptsExistential:
     def test_aba_accepted_with_replayable_witness(self, example1_rwka):
         result = accepts_existential(example1_rwka, "aba")
@@ -131,13 +166,22 @@ class TestAcceptsExistential:
             )
             assert result.explored <= bound
 
+    CORPUS_BOUNDS = [
+        ("theorem2.wk", 5),
+        ("example1-rwka.wk", 7),
+        ("identity-rho.wk", 7),
+        ("loop.wk", 7),
+    ]
+
     def test_acceptor_closure_matches_rich_api(self):
-        for name, max_len in [
-            ("theorem2.wk", 5),
-            ("example1-rwka.wk", 7),
-            ("identity-rho.wk", 7),
-            ("loop.wk", 7),
-        ]:
+        for name, max_len in self.CORPUS_BOUNDS:
+            machine = parse_machine((CORPUS_DIR / name).read_text(encoding="utf-8"))
+            assert_acceptor_matches(machine, max_len, random.Random(name))
+
+    def test_acceptor_clears_its_memo_past_the_bound(self, monkeypatch):
+        # With a bound of one state every call starts from a cleared memo.
+        monkeypatch.setattr(engine, "_MEMO_STATES", 1)
+        for name, max_len in self.CORPUS_BOUNDS:
             machine = parse_machine((CORPUS_DIR / name).read_text(encoding="utf-8"))
             assert_acceptor_matches(machine, max_len, random.Random(name))
 
@@ -146,6 +190,18 @@ class TestAcceptsExistential:
     def test_acceptor_closure_matches_rich_api_on_compiled_dfas(self, seed, order):
         machine = dfa_to_rwka(random_dfa(random.Random(seed)))
         assert_acceptor_matches(machine, 5, order)
+
+    @given(
+        machine=wk_machines(),
+        order=st.randoms(use_true_random=False),
+        memo_states=st.sampled_from([engine._MEMO_STATES, 2]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_acceptor_matches_rich_api_on_arbitrary_machines(self, machine, order, memo_states):
+        # Unlike compiled DFAs, these machines move one head at a time, so
+        # the heads drift apart and frontiers are shifted before interning.
+        with mock.patch.object(engine, "_MEMO_STATES", memo_states):
+            assert_acceptor_matches(machine, 5, order)
 
     def test_witness_gaps_take_the_first_declared_image(self):
         # A machine that halts immediately in a final state accepts every
@@ -168,8 +224,8 @@ class TestAcceptsExistential:
 
 
 def assert_acceptor_matches(machine, max_len, rng):
-    """The acceptor keeps the stages of the previous word; no call order may
-    change a verdict."""
+    """The acceptor carries a memo of the frontiers earlier calls reached;
+    no call order may change a verdict."""
     words = list(enumerate_words(machine.upper_alphabet, max_len))
     expected = {
         word: accepts_existential(machine, word, want_witness=False).accepted
@@ -182,6 +238,7 @@ def assert_acceptor_matches(machine, max_len, rng):
     for word, other in zip(shuffled[:40], shuffled[1:41]):
         assert accept(word) == expected[word]
         assert accept(word) == expected[word]  # the same word twice
+        assert accept(iter(word)) == expected[word]
         for cut in reversed(range(len(word))):  # ever shorter proper prefixes
             assert accept(word[:cut]) == expected[word[:cut]]
         with pytest.raises(UnknownSymbolError):

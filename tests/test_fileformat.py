@@ -121,6 +121,25 @@ class TestParse:
             parse_machine(text)
         assert (exc.value.line, exc.value.col) == (line, col)
 
+    @pytest.mark.parametrize(
+        "text,line,col",
+        [
+            # The unknown target shares its name with a read symbol.
+            ("type: dfa\nstates: q0\nstart: q0\nalphabet: zz\ntrans: q0 zz -> zz\n", 5, 17),
+            (
+                "type: wk\nstates: q0\nstart: q0\nalphabet: a\nrho: a->q9\n"
+                "trans: q0 a q9 -> q9 1 1\n",
+                6,
+                19,
+            ),
+            ("type: dfa\nstates: q0\nstart: q0\nalphabet: a\ntrans: a a -> q0\n", 5, 8),
+        ],
+    )
+    def test_unknown_state_points_at_the_state(self, text, line, col):
+        with pytest.raises(ParseError, match="unknown state") as exc:
+            parse_machine(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+
     def test_unknown_symbol_references(self):
         text = (
             "type: wk\nstates: q\nstart: q\nfinal:\nalphabet: a\nrho: a->x\n"

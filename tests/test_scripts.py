@@ -1,0 +1,25 @@
+"""The scripts under ``scripts/`` run end to end."""
+
+import subprocess
+import sys
+
+from conftest import CORPUS_DIR
+
+SCRIPTS_DIR = CORPUS_DIR.parent / "scripts"
+
+
+def test_run_sweeps_smoke():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(SCRIPTS_DIR / "run_sweeps.py"),
+            *("regular", "twohead", "--random-dfas", "3"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    for name in ("regular", "twohead"):
+        assert any(line.startswith(f"=== {name}: ok (") for line in lines), name
