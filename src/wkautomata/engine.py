@@ -23,11 +23,13 @@ upper head moved to j + 1, and the (target, upper position) pairs whose
 lower head moves onto j + 1.  A stage only compares positions with each
 other and with j, so a frontier shifted down to its lowest head position,
 together with the upper symbols from there to j, determines every later
-stage.  Each such normalised frontier is interned once with a move table
-from upper symbol to next state, and a call runs a stage only on a move
-missing from the memo.  The memo is cleared when it outgrows
-``_MEMO_STATES``.  An acceptor carries the memo between calls and belongs
-to one thread at a time; machines themselves stay immutable.
+stage.  Each such normalised frontier is interned once, as a list of move
+slots, one per upper-symbol column and one for the right end marker,
+followed by a flat tuple of ints that encodes the frontier.  A call maps
+its word to columns once and runs a stage only on an empty slot.  The memo
+is cleared when it outgrows ``_MEMO_STATES``.  An acceptor carries the memo
+between calls and belongs to one thread at a time; machines themselves
+stay immutable.
 
 Every engine refuses a machine that fails ``validate`` with an
 ``InvalidMachineError``.
@@ -38,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from collections.abc import Callable, Collection, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from operator import add, getitem
@@ -360,17 +362,21 @@ def accepts_existential(
 
 # An acceptor that holds more interned frontiers than this clears its memo at
 # the start of its next call.  The compiled DFAs of the regular sweeps intern
-# at most a dozen each, but the block-language machine interns about 17,000
-# over the 132,854 words of up to 11 symbols and 6 blocks, because its lower
-# head lags a block behind and windows grow to 10 symbols; held at once they
-# would add about 12 MiB.
-_MEMO_STATES = 1024
+# at most a dozen each, but the block-language machine interns 16,989 over
+# the 132,854 words of up to 11 symbols and 6 blocks, because its lower head
+# lags a block behind and windows grow to 10 symbols.  A state there takes
+# about 350-400 bytes (its slot list, its flat key and the memo entry), so a
+# full memo holds about 0.8 MiB, and all of them at once would add 5.5 MiB.
+_MEMO_STATES = 2048
+
+# Ends the heads in a state's key; positions, states and symbols are >= 0.
+_SEP = -1
 
 
 def _forget(memo: dict) -> None:
-    """Empty an acceptor's memo and the move tables of its states."""
-    for _, _, moves in memo.values():
-        moves.clear()
+    """Empty an acceptor's memo and the move slots of its states."""
+    for state in memo.values():
+        state.clear()
     memo.clear()
 
 
@@ -396,29 +402,36 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     So a frontier is normalised by subtracting ``base`` from every position
     and keeping only the window of upper symbols from ``base`` to j; one
     stage run on the window gives the same result at any offset.  Each
-    normalised frontier is interned once, as a DFA state with a move table
-    from upper symbol to the next state, ``True`` or ``False``.  A call walks
-    from the start state over the word and the right end marker, and runs
-    a stage only on a move missing from the memo, so any word order costs
-    the same.  When the memo holds more than ``_MEMO_STATES`` states it is
-    cleared at the start of the next call.  The predicate carries the memo
-    from call to call, so use it from one thread at a time; the machine
-    itself is not touched.
+    normalised frontier is interned once, as a DFA state: a list with one
+    move slot per upper-symbol column and one for the right end marker,
+    each holding the next state, ``True``, ``False`` or ``None`` while not
+    yet run, followed by the state's key.  The key is one flat tuple of
+    ints: the window length, the window, the sorted shifted heads, ``_SEP``
+    and the sorted shifted commits; a stage decodes it only when it runs.
+    A call maps its word to columns once, walks from the start state over
+    them and the end marker's column, and runs a stage only on an empty
+    slot, so any word order costs the same.  When the memo holds more than
+    ``_MEMO_STATES`` states it is cleared at the start of the next call.
+    The predicate carries the memo from call to call, so use it from one
+    thread at a time; the machine itself is not touched.
     """
     compiled = _compile_wk(machine)
-    upper_index = compiled.upper_index
-    upper_symbols = upper_index.keys()
     delta = compiled.delta
     finals = compiled.finals
     right = compiled.right
     images = {**compiled.images, right: (right,)}
-    index = {**upper_index, RIGHT_END: right}
+    # Column c of a state reads symbol ups_of[c]; the last column is the
+    # right end marker, and the key sits in the slot after it.
+    column = {x: c for c, x in enumerate(compiled.upper_index)}
+    ups_of = (*compiled.upper_index.values(), right)
+    close = len(column)
+    slots = [None] * (close + 1)
 
     # live[x][q][u]: the images of x the lower head may commit in state q
     # over upper symbol u.  An image that leaves a non-final q stuck is left
     # out, since that node neither moves nor accepts.  _compile_wk numbers
     # the end markers and the upper symbols first, so u < nu.
-    nq, nu = len(machine.states), len(upper_index) + 2
+    nq, nu = len(machine.states), len(column) + 2
     live = {}
     for x, xs in images.items():
         table = [[xs if q in finals else () for _ in range(nu)] for q in range(nq)]
@@ -427,8 +440,9 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
                 table[q][u] += (s,)
         live[x] = table
 
-    def stage(ups: Sequence[int], frontier: tuple[Collection, Collection]):
-        """Run stage ``j = len(ups) - 1`` on the frontier of stage j - 1.
+    def stage(ups: tuple[int, ...], key: tuple[int, ...]):
+        """Run stage ``j = len(ups) - 1`` on the frontier of stage j - 1,
+        read from a state's ``key``, whose heads start at index j + 1.
 
         Returns True on acceptance, False when nothing reaches position
         j + 1, and otherwise the frontier for stage j + 1.
@@ -436,11 +450,14 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
         # Plain loops throughout: a comprehension would turn the names it
         # reads (j, t, np1, ...) into closure cells, slower at every node.
         j = len(ups) - 1
-        heads, commits = frontier
-        seen = set(heads)
-        if commits:
+        sep = key.index(_SEP, j + 1)
+        seen = set()
+        for i in range(j + 1, sep, 4):
+            seen.add(key[i : i + 4])
+        if sep + 1 < len(key):
             fan = live[ups[j]]
-            for t, p1 in commits:
+            for i in range(sep + 1, len(key), 2):
+                t, p1 = key[i : i + 2]
                 for s in fan[t][ups[p1]]:
                     seen.add((t, p1, j, s))
         stack = list(seen)
@@ -480,9 +497,9 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
             return next_heads, next_commits
         return False
 
-    memo: dict = {}  # (window, frontier) -> (window, frontier, moves)
+    memo: dict[tuple[int, ...], list] = {}
 
-    def intern(ups: Sequence[int], result):
+    def intern(ups: tuple[int, ...], result):
         """The state for what stage ``len(ups) - 1`` returned on ``ups``."""
         if result is True or result is False:
             return result
@@ -494,41 +511,50 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
         for _, p1 in commits:
             if p1 < base:
                 base = p1
-        if base:
-            heads = [(q, p1 - base, p2 - base, s) for q, p1, p2, s in heads]
-            commits = [(t, p1 - base) for t, p1 in commits]
-        key = (tuple(ups[base:]), (tuple(sorted(heads)), tuple(sorted(commits))))
+        key = [len(ups) - base, *ups[base:]]
+        for q, p1, p2, s in sorted(heads):
+            key += (q, p1 - base, p2 - base, s)
+        key.append(_SEP)
+        for t, p1 in sorted(commits):
+            key += (t, p1 - base)
+        key = tuple(key)
         state = memo.get(key)
         if state is None:
-            state = memo[key] = (*key, {})
+            state = memo[key] = [*slots, key]
         return state
 
-    def step(state, x: str):
-        """Run the stage for the move on ``x`` and store its result."""
-        window, frontier, moves = state
-        ups = (*window, index[x])
-        result = stage(ups, frontier)
-        moves[x] = nxt = result is True if x == RIGHT_END else intern(ups, result)
+    def step(state: list, c: int):
+        """Run the stage for the move in column ``c`` and store its result."""
+        key = state[-1]
+        ups = (*key[1 : key[0] + 1], ups_of[c])
+        result = stage(ups, key)
+        state[c] = nxt = result is True if c == close else intern(ups, result)
         return nxt
 
-    first = stage((compiled.left,), (((compiled.start, 0, 0, compiled.left),), ()))
-    start = intern((compiled.left,), first)
+    # The start node as the key of a state with an empty window, whose move
+    # on the left end marker is stage 0.
+    opening = (compiled.left,)
+    first = stage(opening, (0, compiled.start, 0, 0, compiled.left, _SEP))
+    start = intern(opening, first)
 
     def accepts(word: Sequence[str]) -> bool:
         nonlocal start
-        word = tuple(word)  # read an iterator once
-        if not upper_symbols >= set(word):
-            bad = next(x for x in word if x not in upper_index)
-            raise UnknownSymbolError(f"symbol {bad!r} is not in the upper alphabet")
+        try:
+            cols = list(map(column.__getitem__, word))
+        except KeyError as exc:
+            raise UnknownSymbolError(
+                f"symbol {exc.args[0]!r} is not in the upper alphabet"
+            ) from None
+        cols.append(close)
         if len(memo) > _MEMO_STATES:
             _forget(memo)
-            start = intern((compiled.left,), first)
+            start = intern(opening, first)
         state = start
-        for x in (*word, RIGHT_END):
+        for c in cols:
             if state is True or state is False:
                 return state
-            nxt = state[2].get(x)
-            state = step(state, x) if nxt is None else nxt
+            nxt = state[c]
+            state = step(state, c) if nxt is None else nxt
         return state
 
     # States that move to each other form reference cycles; unlink them as

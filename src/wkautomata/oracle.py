@@ -19,6 +19,7 @@ Word = tuple[str, ...]
 
 BLOCK_ALPHABET = ("a", "b", "*", "%")
 _BLOCK_CONTENT = ("a", "b")
+_BLOCK_SYMBOLS = frozenset(BLOCK_ALPHABET)
 
 
 class AcceptorFailure(Exception):
@@ -32,7 +33,7 @@ class AcceptorFailure(Exception):
 
 def dfa_accepts(dfa: ClassicalDFA, word: Sequence[str]) -> bool:
     """Standard DFA evaluation; a missing transition rejects."""
-    alphabet = set(dfa.alphabet)
+    alphabet = dfa.alphabet
     state = dfa.start
     for sym in word:
         if sym not in alphabet:
@@ -87,8 +88,25 @@ def theorem2_witnesses(word: Sequence[str]) -> tuple[tuple[int, int], ...]:
 
 def theorem2_member(word: Sequence[str]) -> bool:
     """Membership in the block language: some two blocks share the w part
-    but differ in the x part.  Malformed words are simply non-members."""
-    return bool(theorem2_witnesses(word))
+    but differ in the x part.  Malformed words are simply non-members.
+
+    Decides what ``bool(theorem2_witnesses(word))`` decides in one pass,
+    without building the pairs: once every symbol is one of
+    ``BLOCK_ALPHABET`` the word can be joined and split on '%' as text, and
+    with exactly one '*' per block a block is its (w, x) pair, so some w
+    has two x parts exactly when there are more distinct blocks than
+    distinct w parts.
+    """
+    if not _BLOCK_SYMBOLS.issuperset(word):
+        return False
+    ws, blocks = set(), set()
+    for block in "".join(word).split("%"):
+        w, star, x = block.partition("*")
+        if not star or "*" in x:
+            return False
+        ws.add(w)
+        blocks.add(block)
+    return len(blocks) > len(ws)
 
 
 def enumerate_words(alphabet: Sequence[str], max_len: int) -> Iterator[Word]:

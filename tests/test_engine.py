@@ -203,6 +203,43 @@ class TestAcceptsExistential:
         with mock.patch.object(engine, "_MEMO_STATES", memo_states):
             assert_acceptor_matches(machine, 5, order)
 
+    @pytest.mark.parametrize("ahead", ["upper", "lower"])
+    def test_acceptor_keeps_head_offsets_across_shifted_frontiers(self, ahead):
+        # One head runs two symbols ahead, then both compare in lockstep, so
+        # the machine accepts the words of length >= 2 with period 2.  The
+        # images of a and b differ, so a frontier shifted by one position
+        # more or less than its base compares the wrong pair of symbols.
+        # With the upper head ahead the frontiers hand on heads only; with
+        # the lower head ahead, commits only.
+        images = {"a": ("x",), "b": ("y", "z")}  # z leaves the lockstep stuck
+        lower = ("x", "y", "z")
+        lead = (1, 0) if ahead == "upper" else (0, 1)
+        delta = {("q0", "#", "#"): ("q1", *lead)}
+        for q, t in (("q1", "q2"), ("q2", "run")):
+            if ahead == "upper":
+                reads = [(u, "#") for u in ("a", "b")]
+            else:
+                reads = [("#", l) for l in lower]
+            for u, l in reads:
+                delta[(q, u, l)] = (t, *lead) if q == "q1" else (t, 1, 1)
+        for u, l in (("a", "x"), ("b", "y")):
+            delta[("run", u, l)] = ("run", 1, 1)
+            delta[("run", "$", l) if ahead == "upper" else ("run", u, "$")] = ("acc", 0, 0)
+        machine = WKAutomaton(
+            states=("q0", "q1", "q2", "run", "acc"),
+            upper_alphabet=("a", "b"),
+            start="q0",
+            finals={"acc"},
+            rho=ComplementarityRelation(images),
+            delta=delta,
+        )
+        assert validate(machine).passed
+        accept = existential_acceptor(machine)
+        for word in enumerate_words(("a", "b"), 9):
+            periodic = len(word) >= 2 and word[2:] == word[:-2]
+            assert accept(word) == periodic, word
+        assert_acceptor_matches(machine, 8, random.Random(ahead))
+
     def test_witness_gaps_take_the_first_declared_image(self):
         # A machine that halts immediately in a final state accepts every
         # word with the lower head still on the left marker; the witness is

@@ -44,6 +44,10 @@ class TestDfaAccepts:
         with pytest.raises(UnknownSymbolError):
             dfa_accepts(example1, "ax")
 
+    def test_unknown_symbol_is_named_in_the_error(self, example1):
+        with pytest.raises(UnknownSymbolError, match="^symbol 'x' is not in the alphabet$"):
+            dfa_accepts(example1, ("a", "x", "a"))
+
     def test_closed_form_for_example1(self, example1):
         # (a+b)*a holds exactly for words ending in a; at each length n >= 1
         # that is 2^(n-1) words.
@@ -78,6 +82,21 @@ class TestTheorem2Member:
         assert theorem2_witnesses("aa*a%ab*a%ab*b") == ((2, 3),)
         assert theorem2_witnesses("ab*a%ab*b") == ((1, 2),)
         assert theorem2_witnesses("a*a%a*b%a*c") == ()  # malformed: 'c'
+
+    def test_membership_agrees_with_the_witness_pairs(self):
+        for word in enumerate_words(BLOCK_ALPHABET, 7):
+            expected = bool(theorem2_witnesses(word))
+            assert theorem2_member(word) == expected, word
+            assert theorem2_member("".join(word)) == expected, word
+
+    def test_foreign_and_multi_character_symbols_are_not_split(self):
+        # Joined as text, these would read as well-formed words, the third
+        # as the member "a*a%a*b"; but each holds a symbol outside the
+        # block alphabet, so none is even well formed.
+        for word in (("a*", "b"), ("ab", "*", "a"), ("a*", "a%a*b"), "a*a%a*c", ("a", 1)):
+            assert not theorem2_witnesses(word)
+            assert not theorem2_member(word), word
+        assert theorem2_member(("a", "*", "a", "%", "a", "*", "b"))
 
     @given(st.lists(st.tuples(st.text("ab", max_size=3), st.text("ab", max_size=3)),
                     min_size=2, max_size=4))
