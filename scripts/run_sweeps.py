@@ -34,7 +34,7 @@ from wkautomata import (
     enumerate_words,
     existential_acceptor,
     mfa2_to_swk,
-    mfa_acceptor,
+    run_mfa,
     swk_to_mfa2,
     theorem2_machine,
     theorem2_member,
@@ -120,7 +120,7 @@ def sweep_twohead(cfg: SweepConfig) -> bool:
     back = swk_to_mfa2(wk)
     identical = back == mfa
     report = differential_compare(
-        mfa_acceptor(mfa),
+        lambda w: run_mfa(mfa, w).accepted,
         existential_acceptor(wk),
         enumerate_words(mfa.alphabet, cfg.max_len_random),
     )

@@ -10,7 +10,6 @@ from .engine import (
     accepts_existential_bruteforce,
     complement_strands,
     existential_acceptor,
-    mfa_acceptor,
     run_deterministic,
     run_mfa,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "enumerate_words",
     "existential_acceptor",
     "mfa2_to_swk",
-    "mfa_acceptor",
     "run_deterministic",
     "run_mfa",
     "swk_to_mfa2",

@@ -143,7 +143,8 @@ def _acceptor(machine):
     if isinstance(machine, WKAutomaton):
         return engine.existential_acceptor(machine), machine.upper_alphabet
     if isinstance(machine, MultiHeadAutomaton):
-        return engine.mfa_acceptor(machine), machine.alphabet
+        engine.run_mfa(machine, ())  # refuse an invalid machine here, not mid-sweep
+        return (lambda word: engine.run_mfa(machine, word).accepted), machine.alphabet
     return (lambda word: oracle.dfa_accepts(machine, word)), machine.alphabet
 
 

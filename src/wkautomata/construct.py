@@ -19,14 +19,13 @@ from .machines import (
     CheckReport,
     ClassicalDFA,
     ComplementarityRelation,
-    InvalidMachineError,
     MachineError,
     MultiHeadAutomaton,
     NonInjectiveRhoError,
     WKAutomaton,
     check_reversibility_mfa,
     check_strong_reversibility,
-    validate,
+    require_valid,
 )
 
 
@@ -72,9 +71,7 @@ def dfa_to_rwka(dfa: ClassicalDFA) -> WKAutomaton:
     the relation stays total; nothing ever consumes such an image, so the
     language is unaffected.
     """
-    report = validate(dfa)
-    if not report.passed:
-        raise InvalidMachineError(report, "dfa")
+    require_valid(dfa, "dfa")
 
     taken = set(dfa.states) | set(dfa.alphabet)
     start = _fresh_primed(dfa.start, taken)
@@ -135,9 +132,7 @@ def mfa2_to_swk(machine: MultiHeadAutomaton) -> WKAutomaton:
     two-strand machine; transitions are copied entry for entry."""
     if machine.head_count != 2:
         raise HeadCountError(f"need exactly 2 heads, got {machine.head_count}")
-    report = validate(machine)
-    if not report.passed:
-        raise InvalidMachineError(report, "two-head machine")
+    require_valid(machine, "two-head machine")
     reversibility = check_reversibility_mfa(machine)
     if not reversibility.passed:
         raise ReversibilityError(reversibility, "two-head machine is not reversible")
@@ -162,9 +157,7 @@ def swk_to_mfa2(machine: WKAutomaton) -> MultiHeadAutomaton:
     Each lower read is replaced by its unique preimage under the relation;
     end markers are their own preimage.
     """
-    report = validate(machine)
-    if not report.passed:
-        raise InvalidMachineError(report, "two-strand machine")
+    require_valid(machine, "two-strand machine")
     if not machine.rho.is_injective:
         raise NonInjectiveRhoError(
             "complementarity relation is not injective; lower reads have no unique preimage"

@@ -32,15 +32,20 @@ between calls and belongs to one thread at a time; machines themselves
 stay immutable.
 
 Every engine refuses a machine that fails ``validate`` with an
-``InvalidMachineError``.
+``InvalidMachineError``.  Machines are frozen, hashable values, so the
+validation, the run loop and the search's integer tables are each built
+once per machine value and kept for the ``_CACHED_MACHINES`` most recently
+used values; equal machines share them.  A refusal is never cached: a
+machine that fails validation raises on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Container, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from operator import add, getitem
@@ -49,12 +54,11 @@ from .machines import (
     LEFT_END,
     RIGHT_END,
     Entry,
-    InvalidMachineError,
     MachineError,
     MultiHeadAutomaton,
     UnknownSymbolError,
     WKAutomaton,
-    validate,
+    require_valid,
     wk_entries,
 )
 
@@ -92,7 +96,6 @@ class RunOutcome:
     verdict: Verdict
     final: Configuration
     trace: tuple[tuple[Configuration, Entry], ...] = ()
-    witness_lower: Word | None = None
 
     @property
     def accepted(self) -> bool:
@@ -106,7 +109,7 @@ class SearchResult:
     explored: int
 
 
-def _require_symbols(word: Word, allowed: frozenset[str] | set[str], what: str) -> None:
+def _require_symbols(word: Word, allowed: Container[str], what: str) -> None:
     for sym in word:
         if sym not in allowed:
             raise UnknownSymbolError(f"symbol {sym!r} is not in the {what}")
@@ -120,21 +123,23 @@ def complement_strands(machine: WKAutomaton, upper: Sequence[str]) -> Iterator[W
     one strand, the empty word itself.
     """
     w1 = tuple(upper)
-    _require_symbols(w1, set(machine.upper_alphabet), "upper alphabet")
+    _require_symbols(w1, machine.upper_alphabet, "upper alphabet")
     choices = [machine.rho.image(x) for x in w1]
     return itertools.product(*choices)
 
 
-def _require_valid(machine: WKAutomaton | MultiHeadAutomaton) -> None:
-    report = validate(machine)
-    if not report.passed:
-        raise InvalidMachineError(report)
+# How many machine values keep their validation, run loop and search tables:
+# more than the five runnable corpus machines, and a sweep needs only one.
+_CACHED_MACHINES = 8
+
+_require_valid = functools.lru_cache(maxsize=_CACHED_MACHINES)(require_valid)
 
 
+@functools.lru_cache(maxsize=_CACHED_MACHINES)
 def _run_loop(
     machine: WKAutomaton | MultiHeadAutomaton,
 ) -> Callable[[Sequence[Word], bool], RunOutcome]:
-    """Validate ``machine`` once and return its deterministic run loop.
+    """Validate ``machine`` and return its deterministic run loop.
 
     The loop takes one word per head, which it end-marks as that head's
     tape, and whether to keep the trace.  A two-strand transition's read
@@ -145,7 +150,7 @@ def _run_loop(
         delta = {(q, reads): (t, moves) for q, reads, t, moves in wk_entries(machine)}
     else:
         delta = machine.delta
-    start, finals = machine.start, machine.finals
+    step, start, finals = delta.get, machine.start, machine.finals
 
     def run(words: Sequence[Word], keep_trace: bool) -> RunOutcome:
         tapes = [(LEFT_END, *w, RIGHT_END) for w in words]
@@ -155,7 +160,7 @@ def _run_loop(
         while (state, positions) not in seen:
             seen.add((state, positions))
             reads = tuple(map(getitem, tapes, positions))
-            found = delta.get((state, reads))
+            found = step((state, reads))
             if found is None:
                 verdict = Verdict.ACCEPT_HALT if state in finals else Verdict.REJECT_HALT
                 return RunOutcome(verdict, Configuration(state, positions), tuple(trace))
@@ -182,7 +187,7 @@ def run_deterministic(
     """
     run = _run_loop(machine)
     w1, w2 = tuple(upper), tuple(lower)
-    _require_symbols(w1, set(machine.upper_alphabet), "upper alphabet")
+    _require_symbols(w1, machine.upper_alphabet, "upper alphabet")
     if len(w2) != len(w1):
         raise StrandMismatchError(
             f"lower strand length {len(w2)} differs from upper strand length {len(w1)}"
@@ -195,28 +200,13 @@ def run_deterministic(
     return run((w1, w2), keep_trace)
 
 
-def _mfa_tapes(
-    machine: MultiHeadAutomaton, word: Sequence[str], alphabet: frozenset[str]
-) -> tuple[Word, ...]:
-    w = tuple(word)
-    _require_symbols(w, alphabet, "alphabet")
-    return (w,) * machine.head_count
-
-
 def run_mfa(
     machine: MultiHeadAutomaton, word: Sequence[str], *, keep_trace: bool = False
 ) -> RunOutcome:
     """Run the k-head machine, with the same halt/loop classification."""
-    tapes = _mfa_tapes(machine, word, frozenset(machine.alphabet))
-    return _run_loop(machine)(tapes, keep_trace)
-
-
-def mfa_acceptor(machine: MultiHeadAutomaton) -> Callable[[Sequence[str]], bool]:
-    """The verdict of ``run_mfa`` as a predicate that validates the machine
-    and builds its alphabet set once, not once per word."""
-    run = _run_loop(machine)
-    alphabet = frozenset(machine.alphabet)
-    return lambda word: run(_mfa_tapes(machine, word, alphabet), False).accepted
+    w = tuple(word)
+    _require_symbols(w, machine.alphabet, "alphabet")
+    return _run_loop(machine)((w,) * machine.head_count, keep_trace)
 
 
 @dataclass(frozen=True)
@@ -233,6 +223,7 @@ class _CompiledWK:
     token_of: tuple[str, ...]
 
 
+@functools.lru_cache(maxsize=_CACHED_MACHINES)
 def _compile_wk(machine: WKAutomaton) -> _CompiledWK:
     _require_valid(machine)
     sym_index: dict[str, int] = {}
@@ -413,7 +404,10 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     slot, so any word order costs the same.  When the memo holds more than
     ``_MEMO_STATES`` states it is cleared at the start of the next call.
     The predicate carries the memo from call to call, so use it from one
-    thread at a time; the machine itself is not touched.
+    thread at a time.  Each call returns a fresh predicate with an empty
+    memo; the integer tables it reads are the ``_compile_wk`` tables of the
+    machine's value, shared with every other search on an equal machine
+    and never mutated.
     """
     compiled = _compile_wk(machine)
     delta = compiled.delta

@@ -30,14 +30,15 @@ from .machines import (
     RIGHT_END,
     ClassicalDFA,
     ComplementarityRelation,
-    InvalidMachineError,
     Machine,
     MachineError,
     MultiHeadAutomaton,
     UnknownSymbolError,
     WKAutomaton,
     is_valid_token,
-    validate,
+    mfa_entries,
+    require_valid,
+    wk_entries,
 )
 
 Word = tuple[str, ...]
@@ -253,54 +254,32 @@ def _read_sort_key(reads: Sequence[str]):
 
 def serialize_machine(machine: Machine) -> str:
     """Canonical text for a validated machine; round-trips exactly."""
-    report = validate(machine)
-    if not report.passed:
-        raise InvalidMachineError(report, "machine to serialize")
+    require_valid(machine, "machine to serialize")
 
     state_index = {q: i for i, q in enumerate(machine.states)}
-    lines = []
-    if isinstance(machine, WKAutomaton):
-        lines.append("type: wk")
-    elif isinstance(machine, MultiHeadAutomaton):
-        lines.append("type: mfa")
-    else:
-        lines.append("type: dfa")
-    lines.append("states: " + " ".join(machine.states))
-    lines.append("start: " + machine.start)
     finals = sorted(machine.finals, key=state_index.__getitem__)
-    lines.append(("final: " + " ".join(finals)).rstrip())
-
     if isinstance(machine, WKAutomaton):
-        lines.append("alphabet: " + " ".join(machine.upper_alphabet))
-        pairs = [
-            f"{x}->{y}" for x in machine.upper_alphabet for y in machine.rho.image(x)
-        ]
-        lines.append(("rho: " + " ".join(pairs)).rstrip())
-        entries = sorted(
-            machine.delta.items(),
-            key=lambda kv: (state_index[kv[0][0]], _read_sort_key(kv[0][1:])),
-        )
-        for (q, u, l), (t, d1, d2) in entries:
-            lines.append(f"trans: {q} {u} {l} -> {t} {d1} {d2}")
+        kind, alphabet, entries = "wk", machine.upper_alphabet, wk_entries(machine)
     elif isinstance(machine, MultiHeadAutomaton):
-        lines.append("alphabet: " + " ".join(machine.alphabet))
-        lines.append(f"heads: {machine.head_count}")
-        entries = sorted(
-            machine.delta.items(),
-            key=lambda kv: (state_index[kv[0][0]], _read_sort_key(kv[0][1])),
-        )
-        for (q, reads), (t, moves) in entries:
-            lines.append(
-                f"trans: {q} {' '.join(reads)} -> {t} {' '.join(str(d) for d in moves)}"
-            )
+        kind, alphabet, entries = "mfa", machine.alphabet, mfa_entries(machine)
     else:
-        lines.append("alphabet: " + " ".join(machine.alphabet))
-        entries = sorted(
-            machine.delta.items(),
-            key=lambda kv: (state_index[kv[0][0]], _read_sort_key((kv[0][1],))),
-        )
-        for (q, x), t in entries:
-            lines.append(f"trans: {q} {x} -> {t}")
+        kind, alphabet = "dfa", machine.alphabet
+        entries = [(q, (x,), t, ()) for (q, x), t in machine.delta.items()]
+    lines = [
+        f"type: {kind}",
+        "states: " + " ".join(machine.states),
+        "start: " + machine.start,
+        ("final: " + " ".join(finals)).rstrip(),
+        "alphabet: " + " ".join(alphabet),
+    ]
+    if isinstance(machine, WKAutomaton):
+        pairs = [f"{x}->{y}" for x in alphabet for y in machine.rho.image(x)]
+        lines.append(("rho: " + " ".join(pairs)).rstrip())
+    elif isinstance(machine, MultiHeadAutomaton):
+        lines.append(f"heads: {machine.head_count}")
+    entries.sort(key=lambda e: (state_index[e[0]], _read_sort_key(e[1])))
+    for q, reads, t, moves in entries:
+        lines.append(" ".join(("trans:", q, *reads, "->", t, *map(str, moves))))
     return "\n".join(lines) + "\n"
 
 

@@ -15,8 +15,11 @@ checked, named C1 and C2 throughout:
   read symbol tuples are pairwise distinct (the table is backward
   deterministic).
 
-All values are immutable after construction and every function here is
-pure, so machines can be shared freely across threads.
+Machines are values: every table (a ``delta`` and the relation's
+``images``) is a read-only ``FrozenDict``, so a machine cannot change after
+construction, equal machines hash equal, and a machine can key a cache.
+Every function here is pure, so machines can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -55,6 +58,33 @@ class InvalidMachineError(MachineError):
         super().__init__(f"{context} fails validation: {rules}")
 
 
+class FrozenDict(dict):
+    """A read-only dict that hashes by its items.
+
+    Every mutator raises ``TypeError``; reads cost what they cost on a
+    plain dict.  The hash is computed on first use and kept, since the
+    items never change.
+    """
+
+    __slots__ = ("_hash",)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.items()))
+            return self._hash
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 def is_valid_token(token: str) -> bool:
     """True if ``token`` may name a state or an alphabet symbol."""
     if not token or "->" in token:
@@ -70,13 +100,11 @@ class ComplementarityRelation:
     list; image lists never contain duplicates.
     """
 
-    images: dict[str, tuple[str, ...]]
+    images: FrozenDict[str, tuple[str, ...]]
 
     def __post_init__(self):
-        deduped = {
-            x: tuple(dict.fromkeys(ys)) for x, ys in dict(self.images).items()
-        }
-        object.__setattr__(self, "images", deduped)
+        deduped = {x: tuple(dict.fromkeys(ys)) for x, ys in self.images.items()}
+        object.__setattr__(self, "images", FrozenDict(deduped))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> ComplementarityRelation:
@@ -136,19 +164,19 @@ class WKAutomaton:
     start: str
     finals: frozenset[str]
     rho: ComplementarityRelation
-    delta: dict[tuple[str, str, str], tuple[str, int, int]]
+    delta: FrozenDict[tuple[str, str, str], tuple[str, int, int]]
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "upper_alphabet", tuple(self.upper_alphabet))
         object.__setattr__(self, "finals", frozenset(self.finals))
         if not isinstance(self.rho, ComplementarityRelation):
-            object.__setattr__(self, "rho", ComplementarityRelation(dict(self.rho)))
+            object.__setattr__(self, "rho", ComplementarityRelation(self.rho))
         delta = {
             (q, u, l): (t, int(d1), int(d2))
-            for (q, u, l), (t, d1, d2) in dict(self.delta).items()
+            for (q, u, l), (t, d1, d2) in self.delta.items()
         }
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", FrozenDict(delta))
 
     @property
     def lower_alphabet(self) -> tuple[str, ...]:
@@ -165,7 +193,7 @@ class MultiHeadAutomaton:
     head_count: int
     start: str
     finals: frozenset[str]
-    delta: dict[tuple[str, tuple[str, ...]], tuple[str, tuple[int, ...]]]
+    delta: FrozenDict[tuple[str, tuple[str, ...]], tuple[str, tuple[int, ...]]]
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
@@ -173,9 +201,9 @@ class MultiHeadAutomaton:
         object.__setattr__(self, "finals", frozenset(self.finals))
         delta = {
             (q, tuple(reads)): (t, tuple(int(d) for d in moves))
-            for (q, reads), (t, moves) in dict(self.delta).items()
+            for (q, reads), (t, moves) in self.delta.items()
         }
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", FrozenDict(delta))
 
 
 @dataclass(frozen=True)
@@ -189,13 +217,13 @@ class ClassicalDFA:
     alphabet: tuple[str, ...]
     start: str
     finals: frozenset[str]
-    delta: dict[tuple[str, str], str]
+    delta: FrozenDict[tuple[str, str], str]
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "delta", dict(self.delta))
+        object.__setattr__(self, "delta", FrozenDict(self.delta))
 
 
 Machine = WKAutomaton | MultiHeadAutomaton | ClassicalDFA
@@ -264,14 +292,12 @@ def _name_violations(kind: str, names: Iterable[str]) -> list[Violation]:
     return out
 
 
-def _membership_violations(
-    states: tuple[str, ...], start: str, finals: frozenset[str]
-) -> list[Violation]:
-    out = []
-    declared = set(states)
-    if start not in declared:
-        out.append(Violation("unknown-state", (), f"start state {start!r} is not declared"))
-    for q in sorted(finals - declared):
+def _declaration_violations(machine: Machine, alphabet: tuple[str, ...]) -> list[Violation]:
+    out = _name_violations("state", machine.states) + _name_violations("symbol", alphabet)
+    declared = set(machine.states)
+    if machine.start not in declared:
+        out.append(Violation("unknown-state", (), f"start state {machine.start!r} is not declared"))
+    for q in sorted(machine.finals - declared):
         out.append(Violation("unknown-state", (), f"final state {q!r} is not declared"))
     return out
 
@@ -316,11 +342,7 @@ def _entry_violations(entries: list[Entry], states: set[str], reads_ok) -> list[
 
 
 def _validate_wk(machine: WKAutomaton) -> CheckReport:
-    violations = []
-    violations += _name_violations("state", machine.states)
-    violations += _name_violations("symbol", machine.upper_alphabet)
-    violations += _membership_violations(machine.states, machine.start, machine.finals)
-
+    violations = _declaration_violations(machine, machine.upper_alphabet)
     upper = set(machine.upper_alphabet)
     for x, ys in machine.rho.images.items():
         if x not in upper:
@@ -349,10 +371,7 @@ def _validate_wk(machine: WKAutomaton) -> CheckReport:
 
 
 def _validate_mfa(machine: MultiHeadAutomaton) -> CheckReport:
-    violations = []
-    violations += _name_violations("state", machine.states)
-    violations += _name_violations("symbol", machine.alphabet)
-    violations += _membership_violations(machine.states, machine.start, machine.finals)
+    violations = _declaration_violations(machine, machine.alphabet)
     if machine.head_count < 1:
         violations.append(
             Violation("bad-head-count", (), f"head count {machine.head_count} must be at least 1")
@@ -379,10 +398,7 @@ def _validate_mfa(machine: MultiHeadAutomaton) -> CheckReport:
 
 
 def _validate_dfa(machine: ClassicalDFA) -> CheckReport:
-    violations = []
-    violations += _name_violations("state", machine.states)
-    violations += _name_violations("symbol", machine.alphabet)
-    violations += _membership_violations(machine.states, machine.start, machine.finals)
+    violations = _declaration_violations(machine, machine.alphabet)
     states = set(machine.states)
     alphabet = set(machine.alphabet)
     for (q, x), t in machine.delta.items():
@@ -407,6 +423,13 @@ def validate(machine: Machine) -> CheckReport:
     if isinstance(machine, ClassicalDFA):
         return _validate_dfa(machine)
     raise TypeError(f"not a machine: {machine!r}")
+
+
+def require_valid(machine: Machine, context: str = "machine") -> None:
+    """Raise ``InvalidMachineError`` unless ``machine`` passes ``validate``."""
+    report = validate(machine)
+    if not report.passed:
+        raise InvalidMachineError(report, context)
 
 
 def _reversibility_report(entries: list[Entry]) -> CheckReport:

@@ -34,14 +34,14 @@ class AcceptorFailure(Exception):
 def dfa_accepts(dfa: ClassicalDFA, word: Sequence[str]) -> bool:
     """Standard DFA evaluation; a missing transition rejects."""
     alphabet = dfa.alphabet
+    step = dfa.delta.get
     state = dfa.start
     for sym in word:
         if sym not in alphabet:
             raise UnknownSymbolError(f"symbol {sym!r} is not in the alphabet")
-        found = dfa.delta.get((state, sym))
-        if found is None:
+        state = step((state, sym))
+        if state is None:
             return False
-        state = found
     return state in dfa.finals
 
 

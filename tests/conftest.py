@@ -25,6 +25,27 @@ CORPUS_FILES = (
 
 
 @pytest.fixture
+def validations(monkeypatch) -> list:
+    """Every machine passed to ``validate`` during the test, which starts
+    from empty engine caches."""
+    from wkautomata import cli, engine, machines
+
+    for cached in (engine._require_valid, engine._run_loop, engine._compile_wk):
+        cached.cache_clear()
+    calls = []
+    real = machines.validate
+
+    def counting(machine):
+        calls.append(machine)
+        return real(machine)
+
+    for module in (machines, engine, cli):
+        if getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate", counting)
+    return calls
+
+
+@pytest.fixture
 def corpus_dir() -> Path:
     return CORPUS_DIR
 

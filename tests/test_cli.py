@@ -107,6 +107,12 @@ class TestRun:
             "  [qf @ 4 4] halt\n"
         )
 
+    def test_trace_of_an_existential_run_validates_once(self, validations):
+        code, out, _ = run_cli("run", corpus("theorem2.wk"), "aa*a%ab*a%ab*b", "--trace")
+        assert code == 0
+        assert out.splitlines()[0] == "accept"
+        assert len(validations) == 1
+
     def test_loop_verdict(self):
         code, out, _ = run_cli(
             "run", corpus("loop.wk"), "a", "--lower", "a", "--trace"

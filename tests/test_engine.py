@@ -1,5 +1,6 @@
 """Deterministic runs, existential search, k-head runs, and their oracles."""
 
+import dataclasses
 import random
 from unittest import mock
 
@@ -17,13 +18,12 @@ from wkautomata import (
     complement_strands,
     dfa_to_rwka,
     existential_acceptor,
-    mfa_acceptor,
     run_deterministic,
     run_mfa,
 )
 from wkautomata import engine
 from wkautomata.engine import SearchBoundError, StrandMismatchError
-from wkautomata.fileformat import parse_machine
+from wkautomata.fileformat import parse_machine, serialize_machine
 from wkautomata.machines import InvalidMachineError, UnknownSymbolError, validate
 from wkautomata.oracle import enumerate_words
 from wkautomata.samples import random_dfa
@@ -313,18 +313,36 @@ class TestInvalidMachines:
     )
 
     def test_engines_refuse_a_machine_that_fails_validation(self):
-        with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
-            accepts_existential(self.MOVES_ON_END, "a")
-        with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
-            existential_acceptor(self.MOVES_ON_END)
-        with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
-            run_deterministic(self.MOVES_ON_END, "a", "a")
-        with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
-            accepts_existential_bruteforce(self.MOVES_ON_END, "a")
-        with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
-            run_mfa(self.MFA_MOVES_ON_END, "a")
-        with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
-            mfa_acceptor(self.MFA_MOVES_ON_END)
+        # Twice each: a refusal must not be cached as if it were a machine.
+        for _ in range(2):
+            with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
+                accepts_existential(self.MOVES_ON_END, "a")
+            with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
+                existential_acceptor(self.MOVES_ON_END)
+            with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
+                run_deterministic(self.MOVES_ON_END, "a", "a")
+            with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
+                accepts_existential_bruteforce(self.MOVES_ON_END, "a")
+            with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
+                run_mfa(self.MFA_MOVES_ON_END, "a")
+
+
+class TestValidateOnce:
+    def test_runs_on_one_machine_validate_once(self, example1_rwka, validations):
+        for _ in range(100):
+            run_deterministic(example1_rwka, "aba", ("a_1", "b_2", "a_1"))
+        assert validations == [example1_rwka]
+
+    def test_engines_share_one_validation_per_machine_value(
+        self, example1_rwka, validations
+    ):
+        twin = dataclasses.replace(example1_rwka)
+        assert twin is not example1_rwka
+        assert accepts_existential(example1_rwka, "aba").accepted
+        assert existential_acceptor(twin)("aba")
+        assert run_deterministic(twin, "aba", ("a_1", "b_2", "a_1")).accepted
+        assert accepts_existential_bruteforce(example1_rwka, "aba")
+        assert validations == [example1_rwka]
 
 
 class TestBruteForce:
@@ -358,12 +376,17 @@ class TestRunMfa:
         for word in enumerate_words(("a", "b"), 7):
             assert run_mfa(twohead, word).accepted == accept(word)
 
-    def test_acceptor_matches_run_mfa(self, twohead):
-        accept = mfa_acceptor(twohead)
+    def test_runs_repeat_on_an_equal_machine(self, twohead):
+        twin = parse_machine(serialize_machine(twohead))
+        assert twin is not twohead and twin == twohead
         for word in enumerate_words(("a", "b"), 7):
-            assert accept(word) == run_mfa(twohead, word).accepted
+            first = run_mfa(twohead, word)
+            assert run_mfa(twin, word, keep_trace=True).verdict is first.verdict
+            assert run_mfa(twin, word).final == first.final
         with pytest.raises(UnknownSymbolError):
-            accept("ac")
+            run_mfa(twohead, "ac")
+        with pytest.raises(UnknownSymbolError):
+            run_mfa(twin, "ac")
 
     def test_no_transitions_rejects_at_start_unless_final(self):
         base = dict(

@@ -1,7 +1,11 @@
 """Types, structural validation, and the C1/C2 reversibility checkers."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +21,10 @@ from wkautomata import (
     swk_to_mfa2,
     validate,
 )
+from wkautomata.fileformat import parse_machine, serialize_machine
 from wkautomata.machines import is_valid_token
 from wkautomata.samples import random_dfa
+from conftest import CORPUS_DIR, CORPUS_FILES
 
 
 def wk(delta, states, finals, alphabet=("a", "b"), rho=None, start=None):
@@ -31,6 +37,50 @@ def wk(delta, states, finals, alphabet=("a", "b"), rho=None, start=None):
         rho=rho,
         delta=delta,
     )
+
+
+def _assert_read_only(table):
+    key, value = next(iter(table.items()))
+    before = dict(table)
+    with pytest.raises(TypeError):
+        table[key] = value
+    with pytest.raises(TypeError):
+        del table[key]
+    with pytest.raises(TypeError):
+        table.clear()
+    with pytest.raises(TypeError):
+        table.pop(key)
+    with pytest.raises(TypeError):
+        table.popitem()
+    with pytest.raises(TypeError):
+        table.setdefault(key, value)
+    with pytest.raises(TypeError):
+        table.update({key: value})
+    with pytest.raises(TypeError):
+        table |= {key: value}
+    assert table == before
+
+
+class TestFrozenValues:
+    def test_tables_are_read_only(self, theorem2, twohead, example1):
+        for table in (theorem2.delta, theorem2.rho.images, twohead.delta, example1.delta):
+            _assert_read_only(table)
+
+    def test_pickle_and_deepcopy_give_equal_values(self, theorem2, twohead, example1):
+        for machine in (theorem2, twohead, example1):
+            for twin in (pickle.loads(pickle.dumps(machine)), copy.deepcopy(machine)):
+                assert twin is not machine
+                assert twin == machine
+                assert hash(twin) == hash(machine)
+                _assert_read_only(twin.delta)
+
+    def test_corpus_machines_hash_equal_to_their_round_trip(self):
+        for name in CORPUS_FILES:
+            machine = parse_machine((CORPUS_DIR / name).read_text(encoding="utf-8"))
+            twin = parse_machine(serialize_machine(machine))
+            assert twin == machine, name
+            assert hash(twin) == hash(machine), name
+            assert {machine: name}[twin] == name
 
 
 class TestTokens:
@@ -154,6 +204,10 @@ class TestReversibilityWK:
                 )
                 assert check_reversibility_wk(shuffled).passed == expected
                 assert validate(shuffled).passed == validate(machine).passed
+                # Only the state order tells the two apart, not the entry order.
+                reordered = dataclasses.replace(shuffled, states=machine.states)
+                assert reordered == machine
+                assert hash(reordered) == hash(machine)
 
 
 def _c2_violating():
