@@ -148,9 +148,19 @@ def _acceptor(machine):
     return (lambda word: oracle.dfa_accepts(machine, word)), machine.alphabet
 
 
+def _require_words(max_len: int, max_blocks: int | None = None) -> None:
+    """Refuse bounds under which a sweep would cover no word at all."""
+    least_len = 0 if max_blocks is None else 1  # a block word has its '*'
+    if max_len < least_len:
+        raise MachineError(f"--max-len must be at least {least_len}, got {max_len}")
+    if max_blocks is not None and max_blocks < 1:
+        raise MachineError(f"--max-blocks must be at least 1, got {max_blocks}")
+
+
 def _cmd_compare(args) -> int:
     if (args.file_b is None) == (args.oracle is None):
         raise MachineError("compare needs either FILE_B or --oracle, not both")
+    _require_words(args.max_len, args.max_blocks if args.blocks else None)
     machine_a = _load(args.file_a)
     accept_a, alphabet = _acceptor(machine_a)
 
@@ -173,13 +183,21 @@ def _cmd_compare(args) -> int:
     else:
         words = oracle.enumerate_words(alphabet, args.max_len)
 
-    report = oracle.differential_compare(accept_a, accept_b, words)
+    try:
+        report = oracle.differential_compare(accept_a, accept_b, words)
+    except oracle.AcceptorFailure as exc:
+        # A word one side cannot read, such as a symbol outside B's
+        # alphabet, is unusable input; any other failure is a bug.
+        if not isinstance(exc.__cause__, MachineError):
+            raise
+        raise MachineError(str(exc)) from exc
     render = fileformat.word_separator(alphabet).join
     print(report.to_tsv(render) if args.format == "tsv" else report.to_text(render))
     return 0 if report.total_mismatches == 0 else 1
 
 
 def _cmd_enumerate(args) -> int:
+    _require_words(args.max_len)
     machine = _load(args.file)
     accept, alphabet = _acceptor(machine)
     render = fileformat.word_separator(alphabet).join

@@ -23,13 +23,15 @@ upper head moved to j + 1, and the (target, upper position) pairs whose
 lower head moves onto j + 1.  A stage only compares positions with each
 other and with j, so a frontier shifted down to its lowest head position,
 together with the upper symbols from there to j, determines every later
-stage.  Each such normalised frontier is interned once, as a list of move
-slots, one per upper-symbol column and one for the right end marker,
-followed by a flat tuple of ints that encodes the frontier.  A call maps
-its word to columns once and runs a stage only on an empty slot.  The memo
-is cleared when it outgrows ``_MEMO_STATES``.  An acceptor carries the memo
-between calls and belongs to one thread at a time; machines themselves
-stay immutable.
+stage.  Such a normalised frontier is keyed by a string with one code
+point per int, and interned once, as a list of move slots, one per
+upper-symbol column and one for the right end marker, followed by its key.
+A frontier that only ends words is not interned: its key and verdict stay
+in its parent's move slot until a longer word passes through it.  A call
+maps its word to columns once and runs a stage only on an empty slot.
+The memo is cleared when it outgrows ``_MEMO_STATES``.  An acceptor
+carries the memo between calls and belongs to one thread at a time;
+machines themselves stay immutable.
 
 Every engine refuses a machine that fails ``validate`` with an
 ``InvalidMachineError``.  Machines are frozen, hashable values, so the
@@ -353,15 +355,17 @@ def accepts_existential(
 
 # An acceptor that holds more interned frontiers than this clears its memo at
 # the start of its next call.  The compiled DFAs of the regular sweeps intern
-# at most a dozen each, but the block-language machine interns 16,989 over
-# the 132,854 words of up to 11 symbols and 6 blocks, because its lower head
-# lags a block behind and windows grow to 10 symbols.  A state there takes
-# about 350-400 bytes (its slot list, its flat key and the memo entry), so a
-# full memo holds about 0.8 MiB, and all of them at once would add 5.5 MiB.
-_MEMO_STATES = 2048
+# at most a dozen each.  The block-language machine reaches 16,989 frontiers
+# over the 132,854 words of up to 11 symbols and 6 blocks, because its lower
+# head lags a block behind and windows grow to 10 symbols.  8,282 of them are
+# reached only by a word's last symbol and stay in their parent's move slot,
+# so the sweep interns 8,707 and never clears the memo.  An interned state
+# takes about 200 bytes (its slot list, its string key and the memo entry) and
+# a key left in a slot about 70, so the whole sweep's memo holds 2.2 MiB.
+_MEMO_STATES = 16_384
 
-# Ends the heads in a state's key; positions, states and symbols are >= 0.
-_SEP = -1
+# The last character of a key left in a move slot: the frontier's verdict.
+_ACCEPTS, _REJECTS = "\x01", "\x00"
 
 
 def _forget(memo: dict) -> None:
@@ -392,22 +396,26 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     the upper symbols from its frontier's lowest head position ``base`` on.
     So a frontier is normalised by subtracting ``base`` from every position
     and keeping only the window of upper symbols from ``base`` to j; one
-    stage run on the window gives the same result at any offset.  Each
-    normalised frontier is interned once, as a DFA state: a list with one
-    move slot per upper-symbol column and one for the right end marker,
-    each holding the next state, ``True``, ``False`` or ``None`` while not
-    yet run, followed by the state's key.  The key is one flat tuple of
-    ints: the window length, the window, the sorted shifted heads, ``_SEP``
-    and the sorted shifted commits; a stage decodes it only when it runs.
-    A call maps its word to columns once, walks from the start state over
-    them and the end marker's column, and runs a stage only on an empty
-    slot, so any word order costs the same.  When the memo holds more than
-    ``_MEMO_STATES`` states it is cleared at the start of the next call.
-    The predicate carries the memo from call to call, so use it from one
-    thread at a time.  Each call returns a fresh predicate with an empty
-    memo; the integer tables it reads are the ``_compile_wk`` tables of the
-    machine's value, shared with every other search on an equal machine
-    and never mutated.
+    stage run on the window gives the same result at any offset.  The key
+    of a normalised frontier is a ``str`` with one code point per int: the
+    window length, the window, the number of heads, the sorted shifted
+    heads and the sorted shifted commits; a stage decodes it only when it
+    runs.  A frontier is interned as a DFA state: a list with one move slot
+    per upper-symbol column and one for the right end marker, followed by
+    its key.  A slot holds the next state, ``True`` or ``False`` for every
+    extension, ``None`` while not yet run, or the key of a frontier that is
+    not interned, followed by ``_ACCEPTS`` or ``_REJECTS``.  A frontier
+    first reached by a word's last symbol is not interned: the end marker's
+    stage runs on it directly and its key and verdict stay in the slot, so
+    a longer word interns it later without running its stage again.  A
+    call maps its word to columns once, walks from the start state over
+    them, and runs a stage only on an empty slot, so any word order costs
+    the same.  When the memo holds more than ``_MEMO_STATES`` states it is
+    cleared at the start of the next call.  The predicate carries the memo
+    from call to call, so use it from one thread at a time.  Each call
+    returns a fresh predicate with an empty memo; the integer tables it
+    reads are the ``_compile_wk`` tables of the machine's value, shared
+    with every other search on an equal machine and never mutated.
     """
     compiled = _compile_wk(machine)
     delta = compiled.delta
@@ -434,9 +442,9 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
                 table[q][u] += (s,)
         live[x] = table
 
-    def stage(ups: tuple[int, ...], key: tuple[int, ...]):
-        """Run stage ``j = len(ups) - 1`` on the frontier of stage j - 1,
-        read from a state's ``key``, whose heads start at index j + 1.
+    def stage(ups: tuple[int, ...], heads, commits):
+        """Run stage ``j = len(ups) - 1`` on the ``heads`` and ``commits``
+        that stage j - 1 handed on, whose positions index ``ups``.
 
         Returns True on acceptance, False when nothing reaches position
         j + 1, and otherwise the frontier for stage j + 1.
@@ -444,16 +452,10 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
         # Plain loops throughout: a comprehension would turn the names it
         # reads (j, t, np1, ...) into closure cells, slower at every node.
         j = len(ups) - 1
-        sep = key.index(_SEP, j + 1)
-        seen = set()
-        for i in range(j + 1, sep, 4):
-            seen.add(key[i : i + 4])
-        if sep + 1 < len(key):
-            fan = live[ups[j]]
-            for i in range(sep + 1, len(key), 2):
-                t, p1 = key[i : i + 2]
-                for s in fan[t][ups[p1]]:
-                    seen.add((t, p1, j, s))
+        seen = set(heads)
+        for t, p1 in commits:
+            for s in live[ups[j]][t][ups[p1]]:
+                seen.add((t, p1, j, s))
         stack = list(seen)
         next_heads = set()
         next_commits = set()
@@ -491,13 +493,8 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
             return next_heads, next_commits
         return False
 
-    memo: dict[tuple[int, ...], list] = {}
-
-    def intern(ups: tuple[int, ...], result):
-        """The state for what stage ``len(ups) - 1`` returned on ``ups``."""
-        if result is True or result is False:
-            return result
-        heads, commits = result
+    def encode(ups: tuple[int, ...], heads, commits) -> str:
+        """The key of the frontier that stage ``len(ups) - 1`` handed on."""
         base = len(ups)  # every head has p1 == len(ups)
         for _, _, p2, _ in heads:
             if p2 < base:
@@ -505,31 +502,67 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
         for _, p1 in commits:
             if p1 < base:
                 base = p1
-        key = [len(ups) - base, *ups[base:]]
+        key = [len(ups) - base, *ups[base:], len(heads)]
         for q, p1, p2, s in sorted(heads):
             key += (q, p1 - base, p2 - base, s)
-        key.append(_SEP)
         for t, p1 in sorted(commits):
             key += (t, p1 - base)
-        key = tuple(key)
+        return "".join(map(chr, key))
+
+    memo: dict[str, list] = {}
+
+    def intern(key: str) -> list:
         state = memo.get(key)
         if state is None:
             state = memo[key] = [*slots, key]
         return state
 
-    def step(state: list, c: int):
-        """Run the stage for the move in column ``c`` and store its result."""
-        key = state[-1]
-        ups = (*key[1 : key[0] + 1], ups_of[c])
-        result = stage(ups, key)
-        state[c] = nxt = result is True if c == close else intern(ups, result)
+    def step(state: list, c: int, last: bool):
+        """What the move in column ``c`` of ``state``, not yet run or
+        holding a key, leads to: an interned state, or a verdict.  On the
+        ``last`` symbol of a word, where the slot holds no key, a frontier
+        the memo does not hold is closed as it stands and left in the slot,
+        and the word's verdict is returned.  The end marker's column always
+        leads to a verdict.
+        """
+        nxt = state[c]
+        if nxt is None:
+            # Decode the state's key and run the stage from its frontier.
+            ints = list(map(ord, state[-1]))
+            n = ints[0]
+            h = n + 2 + 4 * ints[n + 1]
+            ups = (*ints[1 : n + 1], ups_of[c])
+            flat = iter(ints[n + 2 : h])
+            heads = zip(flat, flat, flat, flat)
+            flat = iter(ints[h:])
+            result = stage(ups, heads, zip(flat, flat))
+            if result is True or result is False:
+                state[c] = result
+                return result
+            key = encode(ups, *result)
+            if last and key not in memo:
+                verdict = stage((*ups, right), *result) is True
+                state[c] = key + (_ACCEPTS if verdict else _REJECTS)
+                return verdict
+            state[c] = nxt = intern(key)
+        elif nxt.__class__ is str:
+            verdict = nxt[-1] == _ACCEPTS
+            state[c] = nxt = intern(nxt[:-1])
+            nxt[close] = verdict
         return nxt
 
-    # The start node as the key of a state with an empty window, whose move
-    # on the left end marker is stage 0.
+    # The start node, as the sole head of stage 0 on the left end marker.
     opening = (compiled.left,)
-    first = stage(opening, (0, compiled.start, 0, 0, compiled.left, _SEP))
-    start = intern(opening, first)
+    start_heads = ((compiled.start, 0, 0, compiled.left),)
+
+    def begin():
+        """The start state, or the verdict of every word."""
+        result = stage(opening, start_heads, ())
+        if result is True or result is False:
+            return result
+        return intern(encode(opening, *result))
+
+    start = begin()
 
     def accepts(word: Sequence[str]) -> bool:
         nonlocal start
@@ -539,17 +572,34 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
             raise UnknownSymbolError(
                 f"symbol {exc.args[0]!r} is not in the upper alphabet"
             ) from None
-        cols.append(close)
         if len(memo) > _MEMO_STATES:
             _forget(memo)
-            start = intern(opening, first)
+            start = begin()
         state = start
-        for c in cols:
-            if state is True or state is False:
-                return state
-            nxt = state[c]
-            state = step(state, c) if nxt is None else nxt
-        return state
+        if state is True or state is False:
+            return state
+        if cols:
+            end = cols.pop()
+            for c in cols:
+                nxt = state[c]
+                if nxt.__class__ is not list:
+                    if nxt is None or nxt.__class__ is str:
+                        nxt = step(state, c, False)
+                    if nxt is True or nxt is False:
+                        return nxt
+                state = nxt
+            nxt = state[end]
+            if nxt is None:
+                nxt = step(state, end, True)
+            elif nxt.__class__ is str:
+                return nxt[-1] == _ACCEPTS
+            if nxt is True or nxt is False:
+                return nxt
+            state = nxt
+        verdict = state[close]
+        if verdict is None:
+            verdict = step(state, close, True)
+        return verdict
 
     # States that move to each other form reference cycles; unlink them as
     # soon as the predicate is dropped, not at the next full collection.

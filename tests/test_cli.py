@@ -275,6 +275,17 @@ class TestCompare:
         )
         assert code == 2
 
+    def test_symbol_outside_b_is_a_usage_error(self):
+        # theorem2's first word of length 1 is '%', which example1 cannot read.
+        code, out, err = run_cli(
+            "compare", corpus("theorem2.wk"), corpus("example1-rwka.wk"), "--max-len", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: acceptor b failed on word ('%',): "
+            "symbol '%' is not in the upper alphabet\n"
+        )
+
 
 class TestEnumerate:
     def test_accepted_words_in_order(self):
@@ -308,6 +319,37 @@ class TestUsage:
     def test_help_exits_zero(self):
         code, _, _ = run_cli("--help")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("compare", corpus("example1-rwka.wk"), corpus("identity-rho.wk"), "--max-len", "-1"),
+             "--max-len must be at least 0, got -1"),
+            (("enumerate", corpus("example1-rwka.wk"), "--max-len", "-2"),
+             "--max-len must be at least 0, got -2"),
+            (("compare", corpus("theorem2.wk"), "--oracle", "theorem2", "--blocks",
+              "--max-len", "5", "--max-blocks", "0"),
+             "--max-blocks must be at least 1, got 0"),
+            (("compare", corpus("theorem2.wk"), "--oracle", "theorem2", "--blocks",
+              "--max-len", "0"),
+             "--max-len must be at least 1, got 0"),
+        ],
+    )
+    def test_bounds_that_sweep_no_word_are_usage_errors(self, argv, message):
+        assert run_cli(*argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compare", corpus("example1-rwka.wk"), corpus("example1-dfa.dfa"), "--max-len", "0"),
+            ("compare", corpus("theorem2.wk"), "--oracle", "theorem2", "--blocks",
+             "--max-len", "1", "--max-blocks", "1"),
+        ],
+    )
+    def test_smallest_bounds_still_sweep_a_word(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        assert "\n total        1        1 " in out
 
 
 class TestOneParserPerProcess:
@@ -399,7 +441,17 @@ def test_cli_never_raises(tmp_path_factory, text, word):
     path = tmp_path_factory.getbasetemp() / "fuzzed.wk"
     path.write_text(text, encoding="utf-8")
     f = str(path)
-    for argv in (("check", f), ("run", f, word), ("run", f, word, "--trace")):
+    calls = (
+        ("check", f),
+        ("run", f, word),
+        ("run", f, word, "--trace"),
+        ("enumerate", f, "--max-len", "2"),
+        ("compare", f, f, "--max-len", "2"),
+        # theorem2's words hold '*' and '%', which no fuzzed machine reads.
+        ("compare", corpus("theorem2.wk"), f, "--max-len", "1"),
+        ("compare", f, "--oracle", "theorem2", "--blocks", "--max-len", "2"),
+    )
+    for argv in calls:
         code, _, err = run_cli(*argv)
         assert code in (0, 1, 2), argv
         if code == 2:

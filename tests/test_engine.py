@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wkautomata import (
+    ClassicalDFA,
     ComplementarityRelation,
     MultiHeadAutomaton,
     Verdict,
@@ -25,7 +26,7 @@ from wkautomata import engine
 from wkautomata.engine import SearchBoundError, StrandMismatchError
 from wkautomata.fileformat import parse_machine, serialize_machine
 from wkautomata.machines import InvalidMachineError, UnknownSymbolError, validate
-from wkautomata.oracle import enumerate_words
+from wkautomata.oracle import dfa_accepts, enumerate_words
 from wkautomata.samples import random_dfa
 from conftest import CORPUS_DIR
 
@@ -240,6 +241,45 @@ class TestAcceptsExistential:
             assert accept(word) == periodic, word
         assert_acceptor_matches(machine, 8, random.Random(ahead))
 
+    def test_a_word_may_end_on_a_frontier_no_word_ended_on_yet(self):
+        # The compiled machine of a DFA that accepts a* hands on the start
+        # state's frontier again after each a, so the first call on "a"
+        # finds its last frontier interned, with its end marker not yet run.
+        dfa = ClassicalDFA(("s",), ("a",), "s", {"s"}, {("s", "a"): "s"})
+        accept = existential_acceptor(dfa_to_rwka(dfa))
+        assert [accept("a"), accept(""), accept("aa")] == [True, True, True]
+
+    def test_acceptor_decides_long_words_on_compiled_dfas(self):
+        # Complete DFAs, so no word is rejected early by a missing move.
+        rng = random.Random(1000)
+        verdicts = []
+        for _ in range(10):
+            dfa = random_dfa(rng, max_states=8, density=1.0)
+            accept = existential_acceptor(dfa_to_rwka(dfa))
+            for _ in range(20):
+                word = rng.choices(dfa.alphabet, k=1000)
+                verdicts.append(dfa_accepts(dfa, word))
+                assert accept(word) == verdicts[-1]
+        assert 40 < sum(verdicts) < 160
+
+    def test_acceptor_decides_long_block_words(self, theorem2):
+        # The lower head lags a block behind, so with blocks of 601 symbols
+        # windows, and the code points of their keys, run past 255.
+        rng = random.Random(600)
+
+        def part(n):
+            return "".join(rng.choices("ab", k=n))
+
+        accept = existential_acceptor(theorem2)
+        verdicts = []
+        for i in range(6):
+            w = part(300)
+            second = w if i % 2 else part(300)
+            word = tuple(f"{part(5)}*{part(5)}%{w}*{part(300)}%{second}*{part(300)}")
+            verdicts.append(accept(word))
+            assert verdicts[-1] == accepts_existential(theorem2, word).accepted
+        assert verdicts == [False, True] * 3
+
     def test_witness_gaps_take_the_first_declared_image(self):
         # A machine that halts immediately in a final state accepts every
         # word with the lower head still on the left marker; the witness is
@@ -262,15 +302,20 @@ class TestAcceptsExistential:
 
 def assert_acceptor_matches(machine, max_len, rng):
     """The acceptor carries a memo of the frontiers earlier calls reached;
-    no call order may change a verdict."""
+    no call order may change a verdict.  Shortest first, each word's last
+    frontier waits in a move slot until a longer word interns it; longest
+    first, words end on frontiers that longer words interned already."""
     words = list(enumerate_words(machine.upper_alphabet, max_len))
     expected = {
         word: accepts_existential(machine, word, want_witness=False).accepted
         for word in words
     }
-    accept = existential_acceptor(machine)
     shuffled = rng.sample(words, len(words))
-    for word in words + shuffled:  # lexicographic, then shuffled
+    for order in (words, words[::-1], shuffled):
+        accept = existential_acceptor(machine)
+        for word in order:
+            assert accept(word) == expected[word], word
+    for word in shuffled:  # again, over a memo that holds every frontier
         assert accept(word) == expected[word], word
     for word, other in zip(shuffled[:40], shuffled[1:41]):
         assert accept(word) == expected[word]
