@@ -48,7 +48,6 @@ import itertools
 import math
 import weakref
 from collections.abc import Callable, Container, Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from operator import add, getitem
 
@@ -58,6 +57,7 @@ from .machines import (
     Entry,
     MachineError,
     MultiHeadAutomaton,
+    Record,
     UnknownSymbolError,
     WKAutomaton,
     require_valid,
@@ -81,8 +81,7 @@ class Verdict(Enum):
     INFINITE_LOOP = "loop"
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
     """A machine snapshot: current state plus one position per head.
 
     Positions run from 0 (the left end marker) to n+1 (the right end
@@ -93,8 +92,7 @@ class Configuration:
     positions: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(Record):
     verdict: Verdict
     final: Configuration
     trace: tuple[tuple[Configuration, Entry], ...] = ()
@@ -104,8 +102,7 @@ class RunOutcome:
         return self.verdict is Verdict.ACCEPT_HALT
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     accepted: bool
     witness_lower: Word | None
     explored: int
@@ -211,8 +208,7 @@ def run_mfa(
     return _run_loop(machine)((w,) * machine.head_count, keep_trace)
 
 
-@dataclass(frozen=True)
-class _CompiledWK:
+class _CompiledWK(Record):
     """Integer-indexed tables for the existential search hot path."""
 
     start: int

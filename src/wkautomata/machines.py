@@ -15,18 +15,20 @@ checked, named C1 and C2 throughout:
   read symbol tuples are pairwise distinct (the table is backward
   deterministic).
 
-Machines are values: every table (a ``delta`` and the relation's
-``images``) is a read-only ``FrozenDict``, so a machine cannot change after
-construction, equal machines hash equal, and a machine can key a cache.
-Every function here is pure, so machines can be shared freely across
-threads.
+Machines are values.  Each is a ``Record``: a frozen, hashable record with
+named fields, built without ``dataclasses`` so that importing the package
+stays cheap; a changed copy is built with the constructor.  Every table (a
+``delta`` and the relation's ``images``) is a read-only ``FrozenDict``, so a
+machine cannot change after construction, equal machines hash equal, and a
+machine can key a cache.  Every function here is pure, so machines can be
+shared freely across threads.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 LEFT_END = "#"
 RIGHT_END = "$"
@@ -85,6 +87,111 @@ class FrozenDict(dict):
         return type(self), (dict(self),)
 
 
+_set_field = object.__setattr__
+
+
+def _tuple_getter(getter, names: tuple[str, ...]):
+    """``getter(*names)``, returning a 1-tuple for a single name too."""
+    get = getter(*names)
+    return get if len(names) > 1 else lambda source: (get(source),)
+
+
+class Record:
+    """A frozen record whose fields are its class's annotated names.
+
+    A subclass declares its fields as annotations, in order, each with an
+    optional default as the class attribute; an inherited record's fields
+    come first.  Construction takes the fields positionally or by keyword,
+    then calls ``__post_init__`` if the class has one, which may normalise
+    a field with ``object.__setattr__``.  A record equals only a record of
+    the same class with equal fields, hashes as the tuple of its fields,
+    reprs as ``Name(field=value, ...)``, refuses assignment and deletion,
+    and pickles and copies through its constructor.
+
+    Each subclass gets its own ``__init__``, ``__eq__`` and ``__hash__``,
+    closed over its field names and attribute getters: a generic method
+    would look those up on the class at every call.  The hash is computed on
+    first use and kept, like a ``FrozenDict``'s, since the engines' caches
+    hash the same machine on every call.
+    """
+
+    _hash = None  # an instance's own hash, kept by its first ``hash()``
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        fields = getattr(cls, "_fields", ()) + own
+        defaults = dict(getattr(cls, "_defaults", {}))
+        defaults.update((name, cls.__dict__[name]) for name in own if name in cls.__dict__)
+        values = _tuple_getter(attrgetter, fields)
+        by_name = _tuple_getter(itemgetter, fields)
+        post_init = getattr(cls, "__post_init__", None)
+        n = len(fields)
+
+        def bind(args: tuple, kwargs: dict):
+            """The field values of a call that does not pass every field
+            positionally, or the ``TypeError`` a function would raise."""
+            if not args and len(kwargs) == n:
+                try:
+                    return by_name(kwargs)
+                except KeyError:
+                    pass  # an unknown keyword, which the checks below name
+            if len(args) > n:
+                raise TypeError(
+                    f"{cls.__name__}() takes {n} positional arguments but {len(args)} were given"
+                )
+            bound = list(args)
+            for field in fields[len(args):]:
+                if field in kwargs:
+                    bound.append(kwargs.pop(field))
+                elif field in defaults:
+                    bound.append(defaults[field])
+                else:
+                    raise TypeError(f"{cls.__name__}() missing required argument: {field!r}")
+            for key in kwargs:
+                problem = "multiple values for" if key in fields else "an unexpected keyword"
+                raise TypeError(f"{cls.__name__}() got {problem} argument {key!r}")
+            return bound
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != n:
+                args = bind(args, kwargs)
+            # map() sets the fields without a bytecode loop; each set returns None.
+            any(map(_set_field.__get__(self), fields, args))
+            if post_init is not None:
+                post_init(self)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        def __hash__(self) -> int:
+            cached = self._hash
+            if cached is None:
+                cached = hash(values(self))
+                _set_field(self, "_hash", cached)
+            return cached
+
+        def __reduce__(self):
+            return cls, values(self)
+
+        cls._fields = fields
+        cls._defaults = defaults
+        cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
+        cls.__reduce__ = __reduce__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def is_valid_token(token: str) -> bool:
     """True if ``token`` may name a state or an alphabet symbol."""
     if not token or "->" in token:
@@ -92,8 +199,7 @@ def is_valid_token(token: str) -> bool:
     return not any(ch in _RESERVED_CHARS for ch in token)
 
 
-@dataclass(frozen=True)
-class ComplementarityRelation:
+class ComplementarityRelation(Record):
     """Multi-valued map from upper-strand symbols to lower-strand symbols.
 
     ``images`` preserves declaration order of the domain and of each image
@@ -148,8 +254,7 @@ class ComplementarityRelation:
         return {ys[0]: x for x, ys in self.images.items()}
 
 
-@dataclass(frozen=True)
-class WKAutomaton:
+class WKAutomaton(Record):
     """A one-way two-strand (Watson-Crick) automaton.
 
     ``delta`` maps ``(state, upper_read, lower_read)`` to
@@ -184,8 +289,7 @@ class WKAutomaton:
         return self.rho.lower_symbols
 
 
-@dataclass(frozen=True)
-class MultiHeadAutomaton:
+class MultiHeadAutomaton(Record):
     """A one-way deterministic automaton with k heads on one end-marked tape."""
 
     states: tuple[str, ...]
@@ -206,8 +310,7 @@ class MultiHeadAutomaton:
         object.__setattr__(self, "delta", FrozenDict(delta))
 
 
-@dataclass(frozen=True)
-class ClassicalDFA:
+class ClassicalDFA(Record):
     """A deterministic finite automaton with a possibly partial delta.
 
     A missing transition rejects; there is no implicit sink state.
@@ -238,8 +341,7 @@ def format_entry(entry: Entry) -> str:
     return f"{q} ({' '.join(reads)}) -> {t} ({' '.join(str(d) for d in moves)})"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     rule: str
     entries: tuple[Entry, ...]
     note: str
@@ -251,8 +353,7 @@ class Violation:
         return text
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Outcome of a static check; passing means no violations.
 
     ``notes`` carry informational remarks that never affect the verdict.

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
-from .machines import ClassicalDFA, UnknownSymbolError
+from .machines import ClassicalDFA, FrozenDict, Record, UnknownSymbolError
 
 Word = tuple[str, ...]
 
@@ -142,27 +141,30 @@ def enumerate_block_strings(max_total_len: int, max_blocks: int) -> Iterator[Wor
                 stack.append((prefix + ("a",), blocks, starred))
 
 
-@dataclass(frozen=True)
-class LengthStats:
+class LengthStats(Record):
     words: int
     agreements: int
     a_only: int
     b_only: int
 
 
-@dataclass(frozen=True)
-class DiffReport:
+class DiffReport(Record):
     """Per-length agreement counts plus a capped list of mismatches.
 
     ``mismatches`` holds (word, side) pairs where side names the acceptor
     that accepted; totals stay exact even when the list is truncated.
+    ``per_length`` is a read-only ``FrozenDict``, so a report hashes and
+    its cached ``totals`` always match its rows.
     """
 
     max_len: int
-    per_length: dict[int, LengthStats]
+    per_length: FrozenDict[int, LengthStats]
     mismatches: tuple[tuple[Word, str], ...]
     truncated: bool
     cap: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "per_length", FrozenDict(self.per_length))
 
     @cached_property
     def totals(self) -> LengthStats:

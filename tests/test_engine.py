@@ -1,6 +1,5 @@
 """Deterministic runs, existential search, k-head runs, and their oracles."""
 
-import dataclasses
 import random
 from unittest import mock
 
@@ -381,7 +380,8 @@ class TestValidateOnce:
     def test_engines_share_one_validation_per_machine_value(
         self, example1_rwka, validations
     ):
-        twin = dataclasses.replace(example1_rwka)
+        m = example1_rwka
+        twin = WKAutomaton(m.states, m.upper_alphabet, m.start, m.finals, m.rho, m.delta)
         assert twin is not example1_rwka
         assert accepts_existential(example1_rwka, "aba").accepted
         assert existential_acceptor(twin)("aba")

@@ -1,9 +1,11 @@
 """Types, structural validation, and the C1/C2 reversibility checkers."""
 
 import copy
-import dataclasses
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,10 @@ from wkautomata import (
     swk_to_mfa2,
     validate,
 )
+from wkautomata.engine import Configuration, RunOutcome, SearchResult, Verdict, _CompiledWK
 from wkautomata.fileformat import parse_machine, serialize_machine
-from wkautomata.machines import is_valid_token
+from wkautomata.machines import CheckReport, ClassicalDFA, Violation, is_valid_token
+from wkautomata.oracle import DiffReport, LengthStats
 from wkautomata.samples import random_dfa
 from conftest import CORPUS_DIR, CORPUS_FILES
 
@@ -61,7 +65,170 @@ def _assert_read_only(table):
     assert table == before
 
 
+def _records():
+    """One value of every record class, its field names in order, and the
+    repr it had as a dataclass."""
+    rho = ComplementarityRelation({"a": ("x", "x")})
+    compiled = _CompiledWK(
+        start=0,
+        finals=frozenset({1}),
+        left=0,
+        right=1,
+        upper_index={"a": 2},
+        images={2: (3,)},
+        delta={(0, 2, 3): (1, 1, 1)},
+        token_of=("#", "$", "a", "x"),
+    )
+    cases = [
+        (
+            rho,
+            ("images",),
+            "ComplementarityRelation(images={'a': ('x',)})",
+        ),
+        (
+            WKAutomaton(("q",), ("a",), "q", {"q"}, rho, {("q", "a", "x"): ("q", 1, 1)}),
+            ("states", "upper_alphabet", "start", "finals", "rho", "delta"),
+            "WKAutomaton(states=('q',), upper_alphabet=('a',), start='q',"
+            " finals=frozenset({'q'}), rho=ComplementarityRelation(images={'a': ('x',)}),"
+            " delta={('q', 'a', 'x'): ('q', 1, 1)})",
+        ),
+        (
+            MultiHeadAutomaton(("q",), ("a",), 2, "q", (), {("q", ("a", "a")): ("q", (1, 1))}),
+            ("states", "alphabet", "head_count", "start", "finals", "delta"),
+            "MultiHeadAutomaton(states=('q',), alphabet=('a',), head_count=2, start='q',"
+            " finals=frozenset(), delta={('q', ('a', 'a')): ('q', (1, 1))})",
+        ),
+        (
+            ClassicalDFA(("q",), ("a",), "q", {"q"}, {("q", "a"): "q"}),
+            ("states", "alphabet", "start", "finals", "delta"),
+            "ClassicalDFA(states=('q',), alphabet=('a',), start='q',"
+            " finals=frozenset({'q'}), delta={('q', 'a'): 'q'})",
+        ),
+        (
+            Violation("C1", (("q", ("a",), "q", (1,)),), "note"),
+            ("rule", "entries", "note"),
+            "Violation(rule='C1', entries=(('q', ('a',), 'q', (1,)),), note='note')",
+        ),
+        (
+            CheckReport([Violation("C2", (), "x")], ["n"]),
+            ("violations", "notes"),
+            "CheckReport(violations=(Violation(rule='C2', entries=(), note='x'),),"
+            " notes=('n',))",
+        ),
+        (
+            Configuration("q", (0, 1)),
+            ("state", "positions"),
+            "Configuration(state='q', positions=(0, 1))",
+        ),
+        (
+            RunOutcome(Verdict.ACCEPT_HALT, Configuration("q", (1,))),
+            ("verdict", "final", "trace"),
+            "RunOutcome(verdict=<Verdict.ACCEPT_HALT: 'accept'>,"
+            " final=Configuration(state='q', positions=(1,)), trace=())",
+        ),
+        (
+            SearchResult(True, ("x",), 3),
+            ("accepted", "witness_lower", "explored"),
+            "SearchResult(accepted=True, witness_lower=('x',), explored=3)",
+        ),
+        (
+            compiled,
+            ("start", "finals", "left", "right", "upper_index", "images", "delta", "token_of"),
+            "_CompiledWK(start=0, finals=frozenset({1}), left=0, right=1,"
+            " upper_index={'a': 2}, images={2: (3,)}, delta={(0, 2, 3): (1, 1, 1)},"
+            " token_of=('#', '$', 'a', 'x'))",
+        ),
+        (
+            LengthStats(1, 1, 0, 0),
+            ("words", "agreements", "a_only", "b_only"),
+            "LengthStats(words=1, agreements=1, a_only=0, b_only=0)",
+        ),
+        (
+            DiffReport(1, {1: LengthStats(2, 1, 1, 0)}, ((("a",), "a"),), False, 100),
+            ("max_len", "per_length", "mismatches", "truncated", "cap"),
+            "DiffReport(max_len=1, per_length={1: LengthStats(words=2, agreements=1,"
+            " a_only=1, b_only=0)}, mismatches=((('a',), 'a'),), truncated=False, cap=100)",
+        ),
+    ]
+    return [pytest.param(*case, id=type(case[0]).__name__) for case in cases]
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
 class TestFrozenValues:
+    @pytest.mark.parametrize("record, fields, text", _records())
+    def test_records_are_frozen_values(self, record, fields, text):
+        cls = type(record)
+        values = tuple(getattr(record, name) for name in fields)
+        assert repr(record) == text
+        # The hash is the field tuple's, so set and dict orders stay put; a
+        # record with a dict field is unhashable, like its field tuple.
+        assert _hash_or_error(record) == _hash_or_error(values)
+
+        assert cls(*values) == record
+        assert cls(**dict(zip(fields, values))) == record
+        assert cls(values[0], **dict(zip(fields[1:], values[1:]))) == record
+        assert record != values
+        twin_class = type("Twin", (cls,), {})
+        assert twin_class(*values) != record
+        assert record != twin_class(*values)
+
+        for name in (fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, fields[0])
+        assert tuple(getattr(record, name) for name in fields) == values
+
+        for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(twin) is cls
+            assert twin is not record
+            assert twin == record
+            assert _hash_or_error(twin) == _hash_or_error(record)
+
+        with pytest.raises(TypeError):
+            cls(*values, bogus=1)
+        with pytest.raises(TypeError):
+            cls(*values, values[0])
+        with pytest.raises(TypeError):
+            cls(*values, **{fields[0]: values[0]})
+        if cls is not CheckReport:
+            with pytest.raises(TypeError):
+                cls()
+
+    def test_defaults(self):
+        final = Configuration("q", (1,))
+        assert RunOutcome(Verdict.REJECT_HALT, final).trace == ()
+        assert RunOutcome(verdict=Verdict.REJECT_HALT, final=final) == RunOutcome(
+            Verdict.REJECT_HALT, final, ()
+        )
+        assert CheckReport() == CheckReport((), ()) == CheckReport(notes=())
+        assert CheckReport().passed
+        assert CheckReport(notes=["n"]).notes == ("n",)
+        with pytest.raises(TypeError):
+            RunOutcome(Verdict.REJECT_HALT)
+
+    def test_importing_the_package_loads_no_dataclasses(self):
+        # -S keeps site hooks out, so only the package's own imports count.
+        probe = (
+            "import sys, wkautomata, wkautomata.cli;"
+            " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        src = str(CORPUS_DIR.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
     def test_tables_are_read_only(self, theorem2, twohead, example1):
         for table in (theorem2.delta, theorem2.rho.images, twohead.delta, example1.delta):
             _assert_read_only(table)
@@ -205,7 +372,14 @@ class TestReversibilityWK:
                 assert check_reversibility_wk(shuffled).passed == expected
                 assert validate(shuffled).passed == validate(machine).passed
                 # Only the state order tells the two apart, not the entry order.
-                reordered = dataclasses.replace(shuffled, states=machine.states)
+                reordered = WKAutomaton(
+                    states=machine.states,
+                    upper_alphabet=shuffled.upper_alphabet,
+                    start=shuffled.start,
+                    finals=shuffled.finals,
+                    rho=shuffled.rho,
+                    delta=shuffled.delta,
+                )
                 assert reordered == machine
                 assert hash(reordered) == hash(machine)
 

@@ -18,6 +18,7 @@ from wkautomata.machines import UnknownSymbolError
 from wkautomata.oracle import (
     BLOCK_ALPHABET,
     AcceptorFailure,
+    LengthStats,
     theorem2_blocks,
     theorem2_witnesses,
 )
@@ -252,6 +253,25 @@ class TestDifferentialCompare:
             mirrored = backward.per_length[length]
             assert (stats.a_only, stats.b_only) == (mirrored.b_only, mirrored.a_only)
             assert stats.agreements == mirrored.agreements
+
+    def test_reports_are_hashable_and_their_rows_read_only(self, example1):
+        accept = lambda w: dfa_accepts(example1, w)  # noqa: E731
+        reject = lambda w: not dfa_accepts(example1, w)  # noqa: E731
+        words = list(enumerate_words(("a", "b"), 3))
+        first = differential_compare(accept, reject, words)
+        second = differential_compare(accept, reject, words)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert first.totals.words == 15
+        row = first.per_length[2]
+        with pytest.raises(TypeError):
+            first.per_length[2] = LengthStats(1, 1, 0, 0)
+        with pytest.raises(TypeError):
+            del first.per_length[2]
+        with pytest.raises(TypeError):
+            first.per_length.update({2: row})
+        assert first.per_length[2] is row
+        assert first.totals.words == sum(s.words for s in first.per_length.values())
 
     def test_report_serialization_is_deterministic(self, example1):
         accept = lambda w: dfa_accepts(example1, w)  # noqa: E731
