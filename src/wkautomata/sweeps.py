@@ -1,0 +1,103 @@
+"""The bounded sweeps that check the paper's claims, each defined once.
+
+* ``compiled_dfa``: a DFA against its compiled two-strand machine.
+* ``strands_vs_heads``: a strongly reversible two-strand machine against
+  its two-head twin.
+* ``block_language``: the fixed block-language machine against direct
+  membership, counted in the classes that the machine's block-1
+  restriction calls for.
+
+Each takes its machines and bounds as arguments: the acceptance suite
+calls them with its tier-1 bounds and ``scripts/run_sweeps.py`` with its
+own, and both read the same results.  The package and the CLI do not
+import this module, so a cold ``wka`` call does not compile it.
+"""
+
+from __future__ import annotations
+
+import random
+from collections.abc import Sequence
+
+from .construct import dfa_to_rwka
+from .engine import existential_acceptor, run_mfa
+from .machines import ClassicalDFA, MultiHeadAutomaton, Record, WKAutomaton
+from .oracle import (
+    DiffReport,
+    dfa_accepts,
+    differential_compare,
+    enumerate_block_strings,
+    enumerate_words,
+    theorem2_member,
+)
+from .samples import random_dfa
+
+
+def seeded_dfas(seed: int, count: int) -> list[ClassicalDFA]:
+    """The first ``count`` DFAs of ``samples.random_dfa`` under ``seed``."""
+    rng = random.Random(seed)
+    return [random_dfa(rng) for _ in range(count)]
+
+
+def compiled_dfa(dfa: ClassicalDFA, max_len: int) -> DiffReport:
+    """``dfa`` (side a) against ``dfa_to_rwka(dfa)`` (side b) on every word
+    up to ``max_len``."""
+    return differential_compare(
+        lambda w: dfa_accepts(dfa, w),
+        existential_acceptor(dfa_to_rwka(dfa)),
+        enumerate_words(dfa.alphabet, max_len),
+    )
+
+
+def strands_vs_heads(wk: WKAutomaton, mfa: MultiHeadAutomaton, max_len: int) -> DiffReport:
+    """The two-strand ``wk`` (side a) against the two-head ``mfa`` (side b)
+    on every word up to ``max_len`` over ``wk``'s upper alphabet."""
+    return differential_compare(
+        existential_acceptor(wk),
+        lambda w: run_mfa(mfa, w).accepted,
+        enumerate_words(wk.upper_alphabet, max_len),
+    )
+
+
+class BlockCounts(Record):
+    """One block sweep's words, split by membership and detectability.
+
+    ``unsound`` counts accepted non-members, ``missed`` rejected detectable
+    members, and ``block1_only`` members that are not detectable, which the
+    machine need not accept.
+    """
+
+    words: int
+    unsound: int
+    detectable: int
+    missed: int
+    block1_only: int
+
+
+def detectable(word: Sequence[str]) -> bool:
+    """Whether ``word`` has a witness pair (i, j) with i >= 2.
+
+    Such a pair lies in blocks 2 to n, which are the blocks after the
+    first '%'; and a well-formed word's later blocks form a well-formed
+    word.  So the word is detectable exactly when it and its part after
+    the first '%' are both members.  A member has two blocks, so it has
+    a '%'.
+    """
+    return theorem2_member(word) and theorem2_member(word[word.index("%") + 1 :])
+
+
+def block_language(machine: WKAutomaton, max_len: int, max_blocks: int) -> BlockCounts:
+    """``machine`` against ``theorem2_member`` on every block word of
+    ``enumerate_block_strings(max_len, max_blocks)``."""
+    accept = existential_acceptor(machine)
+    words = unsound = detected = missed = block1_only = 0
+    for word in enumerate_block_strings(max_len, max_blocks):
+        words += 1
+        accepted = accept(word)
+        if not theorem2_member(word):
+            unsound += accepted
+        elif detectable(word):
+            detected += 1
+            missed += not accepted
+        else:
+            block1_only += 1
+    return BlockCounts(words, unsound, detected, missed, block1_only)

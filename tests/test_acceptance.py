@@ -5,8 +5,8 @@ lines.  Every criterion carries its runtime budget; the budgets are part of
 the assertions.
 """
 
-import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 from wkautomata import (
@@ -18,12 +18,10 @@ from wkautomata import (
     check_reversibility_wk,
     dfa_accepts,
     dfa_to_rwka,
-    enumerate_block_strings,
     enumerate_words,
     existential_acceptor,
     mfa2_to_swk,
     run_deterministic,
-    run_mfa,
     swk_to_mfa2,
     theorem2_machine,
     theorem2_member,
@@ -33,9 +31,15 @@ from wkautomata.oracle import theorem2_witnesses
 from wkautomata.samples import (
     example1_dfa,
     identity_rho_wk,
-    random_dfa,
     stationary_loop_wk,
     twohead_anbn1_mfa,
+)
+from wkautomata.sweeps import (
+    BlockCounts,
+    block_language,
+    compiled_dfa,
+    seeded_dfas,
+    strands_vs_heads,
 )
 from conftest import CORPUS_DIR, CORPUS_FILES, run_cli
 
@@ -57,11 +61,6 @@ def criterion(number: int, name: str, budget_seconds: float):
     assert elapsed < budget_seconds, f"criterion {number} took {elapsed:.2f}s, budget {budget_seconds}s"
 
 
-def seeded_dfas():
-    rng = random.Random(SEED)
-    return [random_dfa(rng) for _ in range(RANDOM_DFA_COUNT)]
-
-
 def test_criterion_1_golden_construction():
     with criterion(1, "golden-construction", 1.0):
         machine = dfa_to_rwka(example1_dfa())
@@ -76,29 +75,22 @@ def test_criterion_1_golden_construction():
 def test_criterion_2_bounded_equivalence():
     with criterion(2, "bounded-equivalence", 30.0):
         dfa = example1_dfa()
-        accept = existential_acceptor(dfa_to_rwka(dfa))
-        per_length_accepted = {}
-        words = 0
-        for word in enumerate_words(dfa.alphabet, 12):
-            words += 1
-            expected = dfa_accepts(dfa, word)
-            assert accept(word) == expected
-            if expected:
-                per_length_accepted[len(word)] = per_length_accepted.get(len(word), 0) + 1
-        assert words == 8191
-        for n in range(1, 13):
-            assert per_length_accepted[n] == 2 ** (n - 1)
+        report = compiled_dfa(dfa, 12)
+        assert (report.total_words, report.total_mismatches) == (8191, 0)
+        accepted = Counter(
+            len(w) for w in enumerate_words(dfa.alphabet, 12) if dfa_accepts(dfa, w)
+        )
+        assert accepted == {n: 2 ** (n - 1) for n in range(1, 13)}
 
-        for dfa in seeded_dfas():
-            accept = existential_acceptor(dfa_to_rwka(dfa))
-            for word in enumerate_words(dfa.alphabet, 8):
-                assert accept(word) == dfa_accepts(dfa, word)
+        for dfa in seeded_dfas(SEED, RANDOM_DFA_COUNT):
+            report = compiled_dfa(dfa, 8)
+            assert (report.total_words, report.total_mismatches) == (511, 0)
 
 
 def test_criterion_3_reversibility_preservation():
     with criterion(3, "reversibility-preservation", 5.0):
         machines = [dfa_to_rwka(example1_dfa())]
-        machines += [dfa_to_rwka(dfa) for dfa in seeded_dfas()]
+        machines += [dfa_to_rwka(dfa) for dfa in seeded_dfas(SEED, RANDOM_DFA_COUNT)]
         assert all(check_reversibility_wk(m).passed for m in machines)
         multi_final = [m for m in machines if len(m.finals) > 1]
         assert multi_final, "the seeded batch must exercise the per-final-sink case"
@@ -140,45 +132,25 @@ def test_criterion_4_engine_oracle_equivalence():
 def test_criterion_5_block_language_differential():
     with criterion(5, "block-language-differential", 120.0):
         machine = theorem2_machine()
-        accept = existential_acceptor(machine)
-        unsound = 0
-        missed_detectable = 0
-        detectable_total = 0
-        for word in enumerate_block_strings(12, 3):
-            accepted = accept(word)
-            if accepted and not theorem2_member(word):
-                unsound += 1
-            if any(i >= 2 for i, _ in theorem2_witnesses(word)):
-                detectable_total += 1
-                if not accepted:
-                    missed_detectable += 1
-        assert unsound == 0
-        assert missed_detectable == 0
-        assert detectable_total > 0
+        assert block_language(machine, 12, 3) == BlockCounts(
+            words=364_803, unsound=0, detectable=25_502, missed=0, block1_only=50_836
+        )
 
         probe = tuple("ab*a%ab*b")
         assert theorem2_member(probe)
         assert theorem2_witnesses(probe) == ((1, 2),)
-        assert not accept(probe), "known block-1 discrepancy, not a failure"
+        assert not existential_acceptor(machine)(probe), "known block-1 discrepancy, not a failure"
 
 
 def test_criterion_6_twohead_round_trip():
     with criterion(6, "twohead-round-trip", 30.0):
         mfa = twohead_anbn1_mfa()
-        round_tripped = swk_to_mfa2(mfa2_to_swk(mfa))
-        assert round_tripped == mfa
         wk_twin = mfa2_to_swk(mfa)
-        accept_twin = existential_acceptor(wk_twin)
-        for word in enumerate_words(mfa.alphabet, 8):
-            original = run_mfa(mfa, word).accepted
-            assert accept_twin(word) == original
-            assert run_mfa(round_tripped, word).accepted == original
-
+        assert swk_to_mfa2(wk_twin) == mfa
         swk = identity_rho_wk()
-        translated = swk_to_mfa2(swk)
-        accept_swk = existential_acceptor(swk)
-        for word in enumerate_words(swk.upper_alphabet, 8):
-            assert accept_swk(word) == run_mfa(translated, word).accepted
+        for wk, heads in ((wk_twin, mfa), (swk, swk_to_mfa2(swk))):
+            report = strands_vs_heads(wk, heads, 8)
+            assert (report.total_words, report.total_mismatches) == (511, 0)
 
 
 def test_criterion_7_loop_handling():

@@ -217,6 +217,8 @@ class TestFrozenValues:
         # -S keeps site hooks out, so only the package's own imports count.
         probe = (
             "import sys, wkautomata, wkautomata.cli;"
+            " print('wkautomata.sweeps' in sys.modules);"
+            " import wkautomata.sweeps;"
             " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
         )
         src = str(CORPUS_DIR.parent / "src")
@@ -227,7 +229,7 @@ class TestFrozenValues:
             timeout=60,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "False\n[]\n")
 
     def test_tables_are_read_only(self, theorem2, twohead, example1):
         for table in (theorem2.delta, theorem2.rho.images, twohead.delta, example1.delta):

@@ -22,6 +22,7 @@ from wkautomata.oracle import (
     theorem2_blocks,
     theorem2_witnesses,
 )
+from wkautomata.sweeps import detectable
 
 
 class TestDfaAccepts:
@@ -86,9 +87,10 @@ class TestTheorem2Member:
 
     def test_membership_agrees_with_the_witness_pairs(self):
         for word in enumerate_words(BLOCK_ALPHABET, 7):
-            expected = bool(theorem2_witnesses(word))
-            assert theorem2_member(word) == expected, word
-            assert theorem2_member("".join(word)) == expected, word
+            witnesses = theorem2_witnesses(word)
+            assert theorem2_member(word) == bool(witnesses), word
+            assert theorem2_member("".join(word)) == bool(witnesses), word
+            assert detectable(word) == any(i >= 2 for i, _ in witnesses), word
 
     def test_foreign_and_multi_character_symbols_are_not_split(self):
         # Joined as text, these would read as well-formed words, the third
