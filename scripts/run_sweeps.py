@@ -62,8 +62,8 @@ def report_blocks(args) -> bool:
         f"  complete on index >= 2 witnesses: {counts.missed} missed of {counts.detectable}"
     )
     print(
-        f"  known discrepancy: {counts.block1_only} members detectable only via block 1 "
-        f"are machine-rejected (probe {''.join(probe)}: member="
+        f"  known discrepancy: {counts.block1_rejected} of {counts.block1_only} members "
+        f"detectable only via block 1 are machine-rejected (probe {''.join(probe)}: member="
         f"{theorem2_member(probe)}, machine={existential_acceptor(machine)(probe)})"
     )
     return not counts.unsound and not counts.missed

@@ -30,10 +30,25 @@ USAGE_ERROR = 2
 
 
 def _load(path: str):
+    """The machine in ``path``: the file is read on every call, so an edit
+    is always seen, and its text is parsed by ``_parse``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MachineError(f"cannot read {path}: {exc}") from exc
+    return _parse(text)
+
+
+@functools.lru_cache(maxsize=engine._CACHED_MACHINES)
+def _parse(text: str):
+    """The machine of ``text``, parsed once per process for the most recent
+    texts.
+
+    Parsing is a pure function of the text and machines are frozen values,
+    so a repeated call gets the very same machine, and the engine's
+    per-machine caches, which hold as many machines, hit it by identity.  A
+    ``ParseError`` propagates and is never kept.
+    """
     return fileformat.parse_machine(text)
 
 
@@ -133,8 +148,11 @@ def _translate(args, expect: type, operation, label: str) -> int:
     machine = _load(args.file)
     if not isinstance(machine, expect):
         raise MachineError(f"{label} expects a {expect.__name__} machine file")
-    produced = operation(machine)
-    Path(args.output).write_text(fileformat.serialize_machine(produced), encoding="utf-8")
+    text = fileformat.serialize_machine(operation(machine))
+    try:
+        Path(args.output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise MachineError(f"cannot write {args.output}: {exc}") from exc
     print(f"wrote {args.output}")
     return 0
 

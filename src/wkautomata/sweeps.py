@@ -62,8 +62,9 @@ class BlockCounts(Record):
     """One block sweep's words, split by membership and detectability.
 
     ``unsound`` counts accepted non-members, ``missed`` rejected detectable
-    members, and ``block1_only`` members that are not detectable, which the
-    machine need not accept.
+    members, ``block1_only`` members that are not detectable, which the
+    machine need not accept, and ``block1_rejected`` those of them that it
+    rejects.
     """
 
     words: int
@@ -71,6 +72,7 @@ class BlockCounts(Record):
     detectable: int
     missed: int
     block1_only: int
+    block1_rejected: int
 
 
 def detectable(word: Sequence[str]) -> bool:
@@ -89,7 +91,7 @@ def block_language(machine: WKAutomaton, max_len: int, max_blocks: int) -> Block
     """``machine`` against ``theorem2_member`` on every block word of
     ``enumerate_block_strings(max_len, max_blocks)``."""
     accept = existential_acceptor(machine)
-    words = unsound = detected = missed = block1_only = 0
+    words = unsound = detected = missed = block1_only = block1_rejected = 0
     for word in enumerate_block_strings(max_len, max_blocks):
         words += 1
         accepted = accept(word)
@@ -100,4 +102,5 @@ def block_language(machine: WKAutomaton, max_len: int, max_blocks: int) -> Block
             missed += not accepted
         else:
             block1_only += 1
-    return BlockCounts(words, unsound, detected, missed, block1_only)
+            block1_rejected += not accepted
+    return BlockCounts(words, unsound, detected, missed, block1_only, block1_rejected)

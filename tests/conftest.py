@@ -24,14 +24,22 @@ CORPUS_FILES = (
 )
 
 
+def clear_caches() -> None:
+    """Empty the CLI's parse memo and the engine's per-machine caches, as in
+    a fresh process."""
+    from wkautomata import cli, engine
+
+    for cached in (cli._parse, engine._require_valid, engine._run_loop, engine._compile_wk):
+        cached.cache_clear()
+
+
 @pytest.fixture
 def validations(monkeypatch) -> list:
     """Every machine passed to ``validate`` during the test, which starts
-    from empty engine caches."""
+    from empty caches."""
     from wkautomata import cli, engine, machines
 
-    for cached in (engine._require_valid, engine._run_loop, engine._compile_wk):
-        cached.cache_clear()
+    clear_caches()
     calls = []
     real = machines.validate
 

@@ -133,7 +133,8 @@ def test_criterion_5_block_language_differential():
     with criterion(5, "block-language-differential", 120.0):
         machine = theorem2_machine()
         assert block_language(machine, 12, 3) == BlockCounts(
-            words=364_803, unsound=0, detectable=25_502, missed=0, block1_only=50_836
+            words=364_803, unsound=0, detectable=25_502, missed=0, block1_only=50_836,
+            block1_rejected=50_836,
         )
 
         probe = tuple("ab*a%ab*b")

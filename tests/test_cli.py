@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wkautomata import cli
 from wkautomata.fileformat import parse_machine
-from conftest import CORPUS_DIR, run_cli
+from conftest import CORPUS_DIR, clear_caches, run_cli
 
 
 def corpus(name: str) -> str:
@@ -312,6 +312,36 @@ class TestUsage:
         assert code == 2
         assert "missing" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "{f}"),
+            ("run", "{f}", "a"),
+            ("compare", "{f}", corpus("example1-dfa.dfa"), "--max-len", "2"),
+            ("enumerate", "{f}", "--max-len", "2"),
+        ],
+    )
+    def test_non_utf8_file_is_a_usage_error(self, tmp_path, argv):
+        bad = tmp_path / "bad.dfa"
+        bad.write_bytes(b"type: dfa\n\xff\xfe\n")
+        code, out, err = run_cli(*(arg.format(f=bad) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, source",
+        [("from-dfa", "example1-dfa.dfa"), ("to-mfa", "identity-rho.wk"),
+         ("from-mfa", "twohead-anbn1.mfa")],
+    )
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, command, source):
+        target = tmp_path / "missing" / "out"
+        code, out, err = run_cli(command, corpus(source), "-o", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+        assert not target.parent.exists()
+
     def test_unknown_subcommand(self):
         code, _, _ = run_cli("frobnicate")
         assert code == 2
@@ -394,6 +424,82 @@ class TestOneParserPerProcess:
         assert proc.stdout == run_cli("check", corpus("theorem2.wk"))[1]
 
 
+class TestParseMemo:
+    """``_load`` reads the file on every call and parses each text once."""
+
+    @pytest.fixture(autouse=True)
+    def parses(self, monkeypatch) -> list:
+        """Every text passed to ``parse_machine``, from empty caches."""
+        from wkautomata import fileformat
+
+        clear_caches()
+        texts = []
+        real = fileformat.parse_machine
+
+        def counting(text):
+            texts.append(text)
+            return real(text)
+
+        monkeypatch.setattr(fileformat, "parse_machine", counting)
+        return texts
+
+    def test_unchanged_file_is_parsed_once(self, parses):
+        calls = [
+            ("check", corpus("example1-rwka.wk")),
+            ("run", corpus("example1-rwka.wk"), "aba"),
+            ("enumerate", corpus("example1-rwka.wk"), "--max-len", "3"),
+        ]
+        assert [run_cli(*argv)[0] for argv in calls] == [0, 0, 0]
+        assert parses == [(CORPUS_DIR / "example1-rwka.wk").read_text()]
+
+    def test_edited_file_is_seen(self, tmp_path):
+        path = tmp_path / "example1-dfa.dfa"
+        text = (CORPUS_DIR / "example1-dfa.dfa").read_text()
+        path.write_text(text)
+        assert run_cli("run", str(path), "ba") == (0, "accept\n", "")
+        path.write_text(text.replace("final: q1\n", "final: q0\n"))
+        assert run_cli("run", str(path), "ba") == (1, "reject\n", "")
+
+    def test_parse_errors_are_never_kept(self, tmp_path, parses):
+        path = tmp_path / "example1-dfa.dfa"
+        text = (CORPUS_DIR / "example1-dfa.dfa").read_text()
+        path.write_text(text.replace("start: q0\n", ""))
+        first = run_cli("check", str(path))
+        assert first[:2] == (2, "")
+        assert first[2].startswith("error: ") and first[2].count("\n") == 1
+        assert run_cli("check", str(path)) == first
+        assert len(parses) == 2
+        path.write_text(text)
+        assert run_cli("check", str(path)) == (0, "validate: pass\n", "")
+
+    def test_memo_holds_at_most_eight_texts(self, tmp_path, parses):
+        path = tmp_path / "example1-dfa.dfa"
+        text = (CORPUS_DIR / "example1-dfa.dfa").read_text()
+        for i in range(10):
+            path.write_text(f"# text {i}\n{text}")
+            assert run_cli("check", str(path))[0] == 0
+        assert len(parses) == 10
+        assert cli._parse.cache_info().currsize <= 8
+
+    def test_repeated_mfa_sweeps_compare_no_machines(self, monkeypatch):
+        from wkautomata.machines import MultiHeadAutomaton
+
+        compared = []
+        real = MultiHeadAutomaton.__eq__
+
+        def counting(self, other):
+            compared.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(MultiHeadAutomaton, "__eq__", counting)
+        argv = ("enumerate", corpus("twohead-anbn1.mfa"), "--max-len", "6")
+        first = run_cli(*argv)
+        assert first[0] == 0 and first[1]
+        compared.clear()
+        assert [run_cli(*argv) for _ in range(3)] == [first] * 3
+        assert compared == []
+
+
 _STATES = ("q0", "q1", "qf")
 _CHARS = st.characters(blacklist_categories=("Cs",))
 
@@ -433,15 +539,22 @@ def machine_texts(draw):
 
 
 @given(
-    text=st.one_of(machine_texts(), st.text(_CHARS)),
+    data=st.one_of(
+        machine_texts().map(str.encode), st.text(_CHARS).map(str.encode), st.binary()
+    ),
     word=st.one_of(st.text("ab", max_size=6), st.text("ab_1,#$-", max_size=6)),
 )
 @settings(max_examples=150, deadline=None)
-def test_cli_never_raises(tmp_path_factory, text, word):
-    path = tmp_path_factory.getbasetemp() / "fuzzed.wk"
-    path.write_text(text, encoding="utf-8")
-    f = str(path)
+def test_cli_never_raises(tmp_path_factory, data, word):
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzzed.wk"
+    path.write_bytes(data)
+    f, unwritable = str(path), str(base / "missing" / "out")
+    translations = tuple(
+        (command, f, "-o", unwritable) for command in ("from-dfa", "to-mfa", "from-mfa")
+    )
     calls = (
+        *translations,
         ("check", f),
         ("run", f, word),
         ("run", f, word, "--trace"),
@@ -452,8 +565,10 @@ def test_cli_never_raises(tmp_path_factory, text, word):
         ("compare", f, "--oracle", "theorem2", "--blocks", "--max-len", "2"),
     )
     for argv in calls:
-        code, _, err = run_cli(*argv)
+        code, out, err = run_cli(*argv)
         assert code in (0, 1, 2), argv
+        if argv in translations:
+            assert (code, out) == (2, ""), argv
         if code == 2:
             assert sum("error: " in line for line in err.splitlines()) == 1, err
         else:

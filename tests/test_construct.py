@@ -275,7 +275,10 @@ class TestTheorem2Machine:
         ``(%, v_m1)`` or ``(%, v_m2)``, so it halts and accepts when the
         lower strand puts a spare marker on a later separator.  Adding
         ``q3 % v_m1 -> q4 0 0`` and ``q3 % v_m2 -> q4 0 0`` turns the 539
-        into 0 and leaves the other counts unchanged."""
+        into 0 and the 18,040 rejected block-1 members into all 18,304 (264
+        of them are accepted only through that halt), and leaves the other
+        counts unchanged."""
         assert block_language(theorem2, 11, 6) == BlockCounts(
-            words=132_854, unsound=539, detectable=11_790, missed=0, block1_only=18_304
+            words=132_854, unsound=539, detectable=11_790, missed=0, block1_only=18_304,
+            block1_rejected=18_040,
         )
