@@ -39,15 +39,17 @@ def _load(path: str):
     return _parse(text)
 
 
-@functools.lru_cache(maxsize=engine._CACHED_MACHINES)
+@functools.lru_cache(maxsize=8)
 def _parse(text: str):
-    """The machine of ``text``, parsed once per process for the most recent
-    texts.
+    """The machine of ``text``, parsed once per process for the 8 most
+    recent texts.
 
     Parsing is a pure function of the text and machines are frozen values,
-    so a repeated call gets the very same machine, and the engine's
-    per-machine caches, which hold as many machines, hit it by identity.  A
-    ``ParseError`` propagates and is never kept.
+    so a repeated call gets the very same machine object, with the
+    validation, run loop and search tables the engines keep on it.  This is
+    the one bounded cache of the package: it holds more texts than the
+    corpus has machine files, and dropping a text drops its machine and
+    tables with it.  A ``ParseError`` propagates and is never kept.
     """
     return fileformat.parse_machine(text)
 
@@ -70,8 +72,6 @@ def _cmd_check(args) -> int:
     require = args.require
     if require is None:
         require = "valid" if isinstance(machine, ClassicalDFA) else "reversible"
-    if require not in ("valid", "reversible", "strong"):
-        raise MachineError(f"unknown requirement {require!r}")
     if require != "valid" and isinstance(machine, ClassicalDFA):
         raise MachineError("a dfa has no reversibility checker; use --require valid")
     if require == "strong" and not isinstance(machine, WKAutomaton):

@@ -42,18 +42,24 @@ class ReversibilityError(MachineError):
         super().__init__(f"{context}: {rules}")
 
 
-def _fresh_numbered(stem: str, index: int, taken: set[str]) -> str:
-    # Widen the separator until the name is free; the taken set is finite.
+def _fresh_numbered(stem: str, index: int | str, taken: set[str]) -> str:
+    """``stem_index``, its separator widened until the name is not in
+    ``taken``, which it then joins; ``taken`` is finite, so this ends."""
     sep = "_"
     while f"{stem}{sep}{index}" in taken:
         sep += "_"
-    return f"{stem}{sep}{index}"
+    name = f"{stem}{sep}{index}"
+    taken.add(name)
+    return name
 
 
 def _fresh_primed(stem: str, taken: set[str]) -> str:
-    name = stem + "'"
+    """``stem``, primed until the name is not in ``taken``, which it then
+    joins."""
+    name = stem
     while name in taken:
         name += "'"
+    taken.add(name)
     return name
 
 
@@ -75,7 +81,6 @@ def dfa_to_rwka(dfa: ClassicalDFA) -> WKAutomaton:
 
     taken = set(dfa.states) | set(dfa.alphabet)
     start = _fresh_primed(dfa.start, taken)
-    taken.add(start)
 
     images: dict[str, tuple[str, ...]] = {}
     simulation: list[tuple[tuple[str, str, str], tuple[str, int, int]]] = []
@@ -84,31 +89,17 @@ def dfa_to_rwka(dfa: ClassicalDFA) -> WKAutomaton:
         fresh: list[str] = []
         for i, (q, target) in enumerate(listed, start=1):
             y = _fresh_numbered(x, i, taken)
-            taken.add(y)
             fresh.append(y)
             simulation.append(((q, x, y), (target, 1, 1)))
         if not listed:
-            y = _fresh_numbered(x, 1, taken)
-            taken.add(y)
-            fresh.append(y)
+            fresh.append(_fresh_numbered(x, 1, taken))
         images[x] = tuple(fresh)
 
     final_states = [q for q in dfa.states if q in dfa.finals]
-    sinks: list[str] = []
     if len(final_states) == 1:
-        sink = "qf"
-        while sink in taken:
-            sink += "'"
-        taken.add(sink)
-        sinks.append(sink)
+        sinks = [_fresh_primed("qf", taken)]
     else:
-        for q in final_states:
-            sep = "_"
-            while f"qf{sep}{q}" in taken:
-                sep += "_"
-            sink = f"qf{sep}{q}"
-            taken.add(sink)
-            sinks.append(sink)
+        sinks = [_fresh_numbered("qf", q, taken) for q in final_states]
 
     delta: dict[tuple[str, str, str], tuple[str, int, int]] = {
         (start, LEFT_END, LEFT_END): (dfa.start, 1, 1)

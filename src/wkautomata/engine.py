@@ -34,16 +34,15 @@ carries the memo between calls and belongs to one thread at a time;
 machines themselves stay immutable.
 
 Every engine refuses a machine that fails ``validate`` with an
-``InvalidMachineError``.  Machines are frozen, hashable values, so the
-validation, the run loop and the search's integer tables are each built
-once per machine value and kept for the ``_CACHED_MACHINES`` most recently
-used values; equal machines share them.  A refusal is never cached: a
-machine that fails validation raises on every call.
+``InvalidMachineError``.  Machines are frozen, so the validation, the run
+loop and the search's integer tables are each built once per machine
+object and kept on that object, where they live and die with it; an equal
+but distinct machine, such as a copy, builds its own.  A refusal is never
+kept: a machine that fails validation raises on every call.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import weakref
@@ -127,14 +126,28 @@ def complement_strands(machine: WKAutomaton, upper: Sequence[str]) -> Iterator[W
     return itertools.product(*choices)
 
 
-# How many machine values keep their validation, run loop and search tables:
-# more than the five runnable corpus machines, and a sweep needs only one.
-_CACHED_MACHINES = 8
+def _kept(build: Callable) -> Callable:
+    """``build(machine)``, run once per machine object.
 
-_require_valid = functools.lru_cache(maxsize=_CACHED_MACHINES)(require_valid)
+    The result is kept in the machine's ``__dict__`` under the build's name,
+    so a later call on the same object returns it without hashing or
+    comparing machines.  A build that raises keeps nothing.
+    """
+    name = build.__name__
+
+    def kept(machine):
+        own = machine.__dict__
+        if name not in own:
+            object.__setattr__(machine, name, build(machine))
+        return own[name]
+
+    return kept
 
 
-@functools.lru_cache(maxsize=_CACHED_MACHINES)
+_require_valid = _kept(require_valid)
+
+
+@_kept
 def _run_loop(
     machine: WKAutomaton | MultiHeadAutomaton,
 ) -> Callable[[Sequence[Word], bool], RunOutcome]:
@@ -221,7 +234,7 @@ class _CompiledWK(Record):
     token_of: tuple[str, ...]
 
 
-@functools.lru_cache(maxsize=_CACHED_MACHINES)
+@_kept
 def _compile_wk(machine: WKAutomaton) -> _CompiledWK:
     _require_valid(machine)
     sym_index: dict[str, int] = {}
@@ -410,8 +423,8 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     cleared at the start of the next call.  The predicate carries the memo
     from call to call, so use it from one thread at a time.  Each call
     returns a fresh predicate with an empty memo; the integer tables it
-    reads are the ``_compile_wk`` tables of the machine's value, shared
-    with every other search on an equal machine and never mutated.
+    reads are the ``_compile_wk`` tables kept on the machine, shared with
+    every other search on the same machine object and never mutated.
     """
     compiled = _compile_wk(machine)
     delta = compiled.delta

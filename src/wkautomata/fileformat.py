@@ -35,6 +35,7 @@ from .machines import (
     MultiHeadAutomaton,
     UnknownSymbolError,
     WKAutomaton,
+    dfa_entries,
     is_valid_token,
     mfa_entries,
     require_valid,
@@ -263,8 +264,7 @@ def serialize_machine(machine: Machine) -> str:
     elif isinstance(machine, MultiHeadAutomaton):
         kind, alphabet, entries = "mfa", machine.alphabet, mfa_entries(machine)
     else:
-        kind, alphabet = "dfa", machine.alphabet
-        entries = [(q, (x,), t, ()) for (q, x), t in machine.delta.items()]
+        kind, alphabet, entries = "dfa", machine.alphabet, dfa_entries(machine)
     lines = [
         f"type: {kind}",
         "states: " + " ".join(machine.states),

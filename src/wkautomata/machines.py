@@ -64,11 +64,10 @@ class FrozenDict(dict):
     """A read-only dict that hashes by its items.
 
     Every mutator raises ``TypeError``; reads cost what they cost on a
-    plain dict.  The hash is computed on first use and kept, since the
-    items never change.
+    plain dict.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
     def _read_only(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__} is read-only")
@@ -77,11 +76,7 @@ class FrozenDict(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(frozenset(self.items()))
-            return self._hash
+        return hash(frozenset(self.items()))
 
     def __reduce__(self):
         return type(self), (dict(self),)
@@ -110,12 +105,10 @@ class Record:
 
     Each subclass gets its own ``__init__``, ``__eq__`` and ``__hash__``,
     closed over its field names and attribute getters: a generic method
-    would look those up on the class at every call.  The hash is computed on
-    first use and kept, like a ``FrozenDict``'s, since the engines' caches
-    hash the same machine on every call.
+    would look those up on the class at every call.  Anything else in an
+    instance's ``__dict__``, such as the tables the engines keep on a
+    machine, takes no part in equality, hashing, repr or copies.
     """
-
-    _hash = None  # an instance's own hash, kept by its first ``hash()``
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -167,11 +160,7 @@ class Record:
             return NotImplemented
 
         def __hash__(self) -> int:
-            cached = self._hash
-            if cached is None:
-                cached = hash(values(self))
-                _set_field(self, "_hash", cached)
-            return cached
+            return hash(values(self))
 
         def __reduce__(self):
             return cls, values(self)
@@ -381,6 +370,10 @@ def mfa_entries(machine: MultiHeadAutomaton) -> list[Entry]:
     return [(q, reads, t, moves) for (q, reads), (t, moves) in machine.delta.items()]
 
 
+def dfa_entries(machine: ClassicalDFA) -> list[Entry]:
+    return [(q, (x,), t, ()) for (q, x), t in machine.delta.items()]
+
+
 def _name_violations(kind: str, names: Iterable[str]) -> list[Violation]:
     out = []
     seen = set()
@@ -500,15 +493,12 @@ def _validate_mfa(machine: MultiHeadAutomaton) -> CheckReport:
 
 def _validate_dfa(machine: ClassicalDFA) -> CheckReport:
     violations = _declaration_violations(machine, machine.alphabet)
-    states = set(machine.states)
     alphabet = set(machine.alphabet)
-    for (q, x), t in machine.delta.items():
-        entry: Entry = (q, (x,), t, ())
-        for name in (q, t):
-            if name not in states:
-                violations.append(Violation("unknown-state", (entry,), f"state {name!r} is not declared"))
-        if x not in alphabet:
-            violations.append(Violation("unknown-symbol", (entry,), f"read symbol {x!r} is not available"))
+
+    def reads_ok(pos: int, r: str) -> bool:
+        return r in alphabet
+
+    violations += _entry_violations(dfa_entries(machine), set(machine.states), reads_ok)
     return CheckReport(tuple(violations))
 
 

@@ -47,6 +47,12 @@ class TestCheck:
         assert code == 2
         assert "error:" in err
 
+    def test_unknown_requirement_is_refused_by_the_parser(self):
+        code, out, err = run_cli("check", corpus("theorem2.wk"), "--require", "bogus")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: wka check")
+        assert "argument --require: invalid choice: 'bogus'" in err
+
     def test_violations_are_printed(self, tmp_path):
         bad = tmp_path / "bad.wk"
         bad.write_text(
@@ -481,22 +487,41 @@ class TestParseMemo:
         assert len(parses) == 10
         assert cli._parse.cache_info().currsize <= 8
 
-    def test_repeated_mfa_sweeps_compare_no_machines(self, monkeypatch):
+    @pytest.fixture
+    def compared(self, monkeypatch) -> list:
+        """Every machine a ``MultiHeadAutomaton`` is compared with."""
         from wkautomata.machines import MultiHeadAutomaton
 
-        compared = []
+        calls = []
         real = MultiHeadAutomaton.__eq__
 
         def counting(self, other):
-            compared.append(other)
+            calls.append(other)
             return real(self, other)
 
         monkeypatch.setattr(MultiHeadAutomaton, "__eq__", counting)
+        return calls
+
+    def test_repeated_mfa_sweeps_compare_no_machines(self, compared):
         argv = ("enumerate", corpus("twohead-anbn1.mfa"), "--max-len", "6")
         first = run_cli(*argv)
         assert first[0] == 0 and first[1]
         compared.clear()
         assert [run_cli(*argv) for _ in range(3)] == [first] * 3
+        assert compared == []
+
+    def test_a_reparsed_text_compares_no_machines(self, tmp_path, compared):
+        # The mfa text leaves the parse memo while 8 dfa texts pass through
+        # it, so the next enumerate parses a new, equal machine object.
+        argv = ("enumerate", corpus("twohead-anbn1.mfa"), "--max-len", "6")
+        first = run_cli(*argv)
+        assert first[0] == 0 and first[1]
+        path = tmp_path / "example1-dfa.dfa"
+        text = (CORPUS_DIR / "example1-dfa.dfa").read_text()
+        for i in range(8):
+            path.write_text(f"# text {i}\n{text}")
+            assert run_cli("check", str(path))[0] == 0
+        assert [run_cli(*argv) for _ in range(2)] == [first] * 2
         assert compared == []
 
 

@@ -91,6 +91,18 @@ class TestDfaToRwka:
         assert machine.delta[("q1", "$", "$")] == ("qf_q1", 0, 0)
         assert check_reversibility_wk(machine).passed
         assert compiled_dfa(dfa, 8).total_mismatches == 0
+        # A state already named like a sink widens that sink's separator.
+        taken = ClassicalDFA(
+            states=("q0", "q1", "qf_q0"),
+            alphabet=dfa.alphabet,
+            start=dfa.start,
+            finals=dfa.finals,
+            delta={**dfa.delta, ("qf_q0", "a"): "q0"},
+        )
+        machine = dfa_to_rwka(taken)
+        assert machine.finals == frozenset({"qf__q0", "qf_q1"})
+        assert machine.delta[("q0", "$", "$")] == ("qf__q0", 0, 0)
+        assert compiled_dfa(taken, 6).total_mismatches == 0
 
     def test_merged_sink_for_two_finals_breaks_backward_determinism(self):
         # The single-sink variant reads ($, $) twice into one target.
@@ -135,6 +147,8 @@ class TestDfaToRwka:
         names = set(machine.states) | set(machine.lower_alphabet)
         assert len(names) == len(machine.states) + len(machine.lower_alphabet)
         assert machine.start == "q0''"
+        assert machine.finals == frozenset({"qf'"})
+        assert machine.delta[("qf", "$", "$")] == ("qf'", 0, 0)
         assert machine.rho.image("a") == ("a__1", "a_2")
         assert compiled_dfa(dfa, 4).total_mismatches == 0
 

@@ -1,5 +1,7 @@
 """Deterministic runs, existential search, k-head runs, and their oracles."""
 
+import copy
+import pickle
 import random
 from unittest import mock
 
@@ -377,17 +379,39 @@ class TestValidateOnce:
             run_deterministic(example1_rwka, "aba", ("a_1", "b_2", "a_1"))
         assert validations == [example1_rwka]
 
-    def test_engines_share_one_validation_per_machine_value(
-        self, example1_rwka, validations
+    def test_each_machine_object_validates_once(self, example1_rwka, validations):
+        m = example1_rwka
+        twin = WKAutomaton(m.states, m.upper_alphabet, m.start, m.finals, m.rho, m.delta)
+        assert twin is not example1_rwka and twin == example1_rwka
+        for _ in range(2):
+            for machine in (example1_rwka, twin):
+                assert accepts_existential(machine, "aba").accepted
+                assert existential_acceptor(machine)("aba")
+                assert run_deterministic(machine, "aba", ("a_1", "b_2", "a_1")).accepted
+                assert accepts_existential_bruteforce(machine, "aba")
+        assert validations == [example1_rwka, twin]
+        assert validations[1] is twin
+
+    @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+    def test_kept_tables_leave_value_semantics_unchanged(
+        self, example1_rwka, validations, copy_of
     ):
         m = example1_rwka
         twin = WKAutomaton(m.states, m.upper_alphabet, m.start, m.finals, m.rho, m.delta)
-        assert twin is not example1_rwka
-        assert accepts_existential(example1_rwka, "aba").accepted
-        assert existential_acceptor(twin)("aba")
-        assert run_deterministic(twin, "aba", ("a_1", "b_2", "a_1")).accepted
-        assert accepts_existential_bruteforce(example1_rwka, "aba")
-        assert validations == [example1_rwka]
+        before = (hash(m), repr(m))
+        run_deterministic(m, "aba", ("a_1", "b_2", "a_1"))
+        assert existential_acceptor(m)("aba")
+        assert accepts_existential(m, "aba").accepted
+        assert (hash(m), repr(m)) == before
+        assert m == twin and twin == m and hash(twin) == hash(m)
+        copied = copy_of(m)
+        assert copied is not m and copied == m and hash(copied) == hash(m)
+        assert repr(copied) == repr(m)
+        assert validations == [m]
+        assert accepts_existential(copied, "aba").accepted
+        assert run_deterministic(copied, "aba", ("a_1", "b_2", "a_1")).accepted
+        assert validations == [m, copied]
+        assert validations[1] is copied
 
 
 class TestBruteForce:
