@@ -392,7 +392,11 @@ class TestValidateOnce:
         assert validations == [example1_rwka, twin]
         assert validations[1] is twin
 
-    @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+    @pytest.mark.parametrize(
+        "copy_of",
+        [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["deepcopy", "pickle"],
+    )
     def test_kept_tables_leave_value_semantics_unchanged(
         self, example1_rwka, validations, copy_of
     ):
