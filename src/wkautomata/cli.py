@@ -19,10 +19,12 @@ from .machines import (
     ClassicalDFA,
     MachineError,
     MultiHeadAutomaton,
+    UnknownSymbolError,
     WKAutomaton,
     check_reversibility_mfa,
     check_reversibility_wk,
     check_strong_reversibility,
+    kept,
     validate,
 )
 
@@ -46,10 +48,11 @@ def _parse(text: str):
 
     Parsing is a pure function of the text and machines are frozen values,
     so a repeated call gets the very same machine object, with the
-    validation, run loop and search tables the engines keep on it.  This is
-    the one bounded cache of the package: it holds more texts than the
-    corpus has machine files, and dropping a text drops its machine and
-    tables with it.  A ``ParseError`` propagates and is never kept.
+    validation, run loop and search tables the engines keep on it and its
+    ``_sweep_acceptor``.  This is the one bounded cache of the package: it
+    holds more texts than the corpus has machine files, and dropping a
+    text drops its machine, tables and acceptor with it.  A ``ParseError``
+    propagates and is never kept.
     """
     return fileformat.parse_machine(text)
 
@@ -158,12 +161,42 @@ def _translate(args, expect: type, operation, label: str) -> int:
 
 
 def _acceptor(machine):
+    """The predicate a sweep calls on each word, and the alphabet it sweeps.
+
+    A WK machine or a 2-head MFA gets its resident ``_sweep_acceptor``;
+    other MFAs run the run loop and DFAs ``dfa_accepts`` on each word.
+    """
     if isinstance(machine, WKAutomaton):
-        return engine.existential_acceptor(machine), machine.upper_alphabet
+        return _sweep_acceptor(machine), machine.upper_alphabet
     if isinstance(machine, MultiHeadAutomaton):
         engine.run_mfa(machine, ())  # refuse an invalid machine here, not mid-sweep
+        if machine.head_count == 2:
+            return _sweep_acceptor(machine), machine.alphabet
         return (lambda word: engine.run_mfa(machine, word).accepted), machine.alphabet
     return (lambda word: oracle.dfa_accepts(machine, word)), machine.alphabet
+
+
+@kept
+def _sweep_acceptor(machine):
+    """The existential acceptor of a WK machine, or of a valid 2-head MFA's
+    identity-relation twin, built once per machine object.
+
+    It lives on the machine that ``_parse`` holds, so every later sweep of
+    the same text walks the DFA the earlier ones built.  The twin decides
+    what the run loop decides; a word the MFA cannot read goes to the run
+    loop, which raises the MFA's own message.
+    """
+    if isinstance(machine, WKAutomaton):
+        return engine.existential_acceptor(machine)
+    twin = engine.existential_acceptor(construct.identity_twin(machine))
+
+    def accepts(word):
+        try:
+            return twin(word)
+        except UnknownSymbolError:
+            return engine.run_mfa(machine, word).accepted
+
+    return accepts
 
 
 def _require_words(max_len: int, max_blocks: int | None = None) -> None:
@@ -285,7 +318,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one ``wka`` command and return its exit code."""
+    """Run one ``wka`` command and return its exit code.
+
+    Call it from one thread at a time: the sweep acceptors kept on parsed
+    machines carry their memo from call to call.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

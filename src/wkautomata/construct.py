@@ -6,7 +6,8 @@
   replay the guess, which keeps it backward deterministic.
 * ``mfa2_to_swk`` / ``swk_to_mfa2`` translate between two-head reversible
   machines and strongly reversible two-strand machines (identity relation
-  one way, the relation's inverse the other way).
+  one way, the relation's inverse the other way).  ``identity_twin`` is
+  the first direction without its checks, for any valid two-head machine.
 * ``theorem2_machine`` is a fixed reversible machine with a non-injective
   relation for the block language handled by ``oracle.theorem2_member``.
 """
@@ -118,16 +119,14 @@ def dfa_to_rwka(dfa: ClassicalDFA) -> WKAutomaton:
     )
 
 
-def mfa2_to_swk(machine: MultiHeadAutomaton) -> WKAutomaton:
-    """Translate a two-head reversible machine to an identity-relation
-    two-strand machine; transitions are copied entry for entry."""
-    if machine.head_count != 2:
-        raise HeadCountError(f"need exactly 2 heads, got {machine.head_count}")
-    require_valid(machine, "two-head machine")
-    reversibility = check_reversibility_mfa(machine)
-    if not reversibility.passed:
-        raise ReversibilityError(reversibility, "two-head machine is not reversible")
+def identity_twin(machine: MultiHeadAutomaton) -> WKAutomaton:
+    """The identity-relation two-strand machine with the transitions of the
+    two-head ``machine``, copied entry for entry.
 
+    With the identity relation the lower strand is the input itself, so the
+    twin accepts what ``machine`` accepts.  The caller checks that
+    ``machine`` is a valid two-head machine.
+    """
     delta = {
         (q, reads[0], reads[1]): (t, moves[0], moves[1])
         for (q, reads), (t, moves) in machine.delta.items()
@@ -140,6 +139,18 @@ def mfa2_to_swk(machine: MultiHeadAutomaton) -> WKAutomaton:
         rho=ComplementarityRelation.identity(machine.alphabet),
         delta=delta,
     )
+
+
+def mfa2_to_swk(machine: MultiHeadAutomaton) -> WKAutomaton:
+    """Translate a two-head reversible machine to its identity-relation
+    two-strand twin."""
+    if machine.head_count != 2:
+        raise HeadCountError(f"need exactly 2 heads, got {machine.head_count}")
+    require_valid(machine, "two-head machine")
+    reversibility = check_reversibility_mfa(machine)
+    if not reversibility.passed:
+        raise ReversibilityError(reversibility, "two-head machine is not reversible")
+    return identity_twin(machine)
 
 
 def swk_to_mfa2(machine: WKAutomaton) -> MultiHeadAutomaton:

@@ -59,6 +59,7 @@ from .machines import (
     Record,
     UnknownSymbolError,
     WKAutomaton,
+    kept,
     require_valid,
     wk_entries,
 )
@@ -126,28 +127,10 @@ def complement_strands(machine: WKAutomaton, upper: Sequence[str]) -> Iterator[W
     return itertools.product(*choices)
 
 
-def _kept(build: Callable) -> Callable:
-    """``build(machine)``, run once per machine object.
-
-    The result is kept in the machine's ``__dict__`` under the build's name,
-    so a later call on the same object returns it without hashing or
-    comparing machines.  A build that raises keeps nothing.
-    """
-    name = build.__name__
-
-    def kept(machine):
-        own = machine.__dict__
-        if name not in own:
-            object.__setattr__(machine, name, build(machine))
-        return own[name]
-
-    return kept
+_require_valid = kept(require_valid)
 
 
-_require_valid = _kept(require_valid)
-
-
-@_kept
+@kept
 def _run_loop(
     machine: WKAutomaton | MultiHeadAutomaton,
 ) -> Callable[[Sequence[Word], bool], RunOutcome]:
@@ -234,7 +217,7 @@ class _CompiledWK(Record):
     token_of: tuple[str, ...]
 
 
-@_kept
+@kept
 def _compile_wk(machine: WKAutomaton) -> _CompiledWK:
     _require_valid(machine)
     sym_index: dict[str, int] = {}

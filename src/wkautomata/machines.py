@@ -27,7 +27,7 @@ shared freely across threads.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from operator import attrgetter, itemgetter
 
 LEFT_END = "#"
@@ -179,6 +179,25 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def kept(build: Callable) -> Callable:
+    """``build(record)``, run once per record object.
+
+    The result is kept in the record's ``__dict__`` under the build's name,
+    so a later call on the same object returns it without hashing or
+    comparing records, and it lives and dies with the object.  A build that
+    raises keeps nothing.
+    """
+    name = build.__name__
+
+    def get(record):
+        own = record.__dict__
+        if name not in own:
+            object.__setattr__(record, name, build(record))
+        return own[name]
+
+    return get
 
 
 def is_valid_token(token: str) -> bool:

@@ -26,8 +26,8 @@ CORPUS_FILES = (
 
 def clear_caches() -> None:
     """Empty the CLI's parse memo, as in a fresh process.  The engines keep
-    their tables on each machine object, so a fresh machine starts with
-    none."""
+    their tables, and the CLI its sweep acceptors, on each machine object,
+    so a fresh machine starts with none."""
     from wkautomata import cli
 
     cli._parse.cache_clear()

@@ -1,15 +1,18 @@
 """End-to-end command-line behavior, exit codes included."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkautomata import cli
-from wkautomata.fileformat import parse_machine
+from wkautomata import MultiHeadAutomaton, cli, engine, validate
+from wkautomata.fileformat import parse_machine, serialize_machine
+from wkautomata.oracle import enumerate_words
 from conftest import CORPUS_DIR, clear_caches, run_cli
 
 
@@ -281,16 +284,23 @@ class TestCompare:
         )
         assert code == 2
 
-    def test_symbol_outside_b_is_a_usage_error(self):
-        # theorem2's first word of length 1 is '%', which example1 cannot read.
-        code, out, err = run_cli(
-            "compare", corpus("theorem2.wk"), corpus("example1-rwka.wk"), "--max-len", "1"
-        )
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: acceptor b failed on word ('%',): "
-            "symbol '%' is not in the upper alphabet\n"
-        )
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # theorem2's first word of length 1 is '%', which example1 cannot read.
+            (("compare", corpus("theorem2.wk"), corpus("example1-rwka.wk"), "--max-len", "1"),
+             "acceptor b failed on word ('%',): symbol '%' is not in the upper alphabet"),
+            # An MFA names its alphabet, though its sweep runs a WK twin.
+            (("compare", corpus("theorem2.wk"), corpus("twohead-anbn1.mfa"), "--max-len", "1"),
+             "acceptor b failed on word ('%',): symbol '%' is not in the alphabet"),
+            (("compare", corpus("twohead-anbn1.mfa"), "--oracle", "theorem2", "--blocks",
+              "--max-len", "2"),
+             "acceptor a failed on word ('*',): symbol '*' is not in the alphabet"),
+        ],
+        ids=["wk", "mfa-b", "mfa-a"],
+    )
+    def test_symbol_outside_one_side_is_a_usage_error(self, argv, error):
+        assert run_cli(*argv) == (2, "", f"error: {error}\n")
 
 
 class TestEnumerate:
@@ -523,6 +533,136 @@ class TestParseMemo:
             assert run_cli("check", str(path))[0] == 0
         assert [run_cli(*argv) for _ in range(2)] == [first] * 2
         assert compared == []
+
+
+class TestSweepAcceptor:
+    """``compare`` and ``enumerate`` keep one acceptor per WK machine and
+    2-head MFA; other MFAs and DFAs decide each word on its own."""
+
+    MFA = (CORPUS_DIR / "twohead-anbn1.mfa").read_text()
+    WK = (CORPUS_DIR / "theorem2.wk").read_text()
+    SWEEPS = (
+        ("enumerate", corpus("twohead-anbn1.mfa"), "--max-len", "6"),
+        ("enumerate", corpus("theorem2.wk"), "--max-len", "5"),
+        ("compare", corpus("theorem2.wk"), "--oracle", "theorem2", "--blocks", "--max-len", "6"),
+        ("compare", corpus("twohead-anbn1.mfa"), corpus("identity-rho.wk"), "--max-len", "6"),
+    )
+
+    def test_each_machine_builds_one_acceptor(self, monkeypatch):
+        clear_caches()
+        built = []
+        real = engine.existential_acceptor
+
+        def counting(machine):
+            built.append(machine)
+            return real(machine)
+
+        monkeypatch.setattr(engine, "existential_acceptor", counting)
+        first = [run_cli(*argv) for argv in self.SWEEPS]
+        assert [run_cli(*argv) for argv in self.SWEEPS] == first
+        # The MFA's twin, theorem2 and identity-rho.
+        assert len(built) == 3
+
+    def test_repeated_sweeps_survive_a_cleared_memo(self, monkeypatch):
+        clear_caches()
+        expected = [run_cli(*argv) for argv in self.SWEEPS]
+        clear_caches()
+        monkeypatch.setattr(engine, "_MEMO_STATES", 1)
+        first = [run_cli(*argv) for argv in self.SWEEPS]
+        assert first == expected
+        for _ in range(3):
+            assert [run_cli(*argv) for argv in self.SWEEPS] == first
+
+    def test_acceptors_die_with_their_machines(self, tmp_path):
+        clear_caches()
+        for argv in self.SWEEPS[:2]:
+            assert run_cli(*argv)[0] == 0
+        machines = [cli._parse(self.MFA), cli._parse(self.WK)]
+        refs = [weakref.ref(m) for m in machines]
+        refs += [weakref.ref(cli._sweep_acceptor(m)) for m in machines]
+        del machines
+        path = tmp_path / "example1-dfa.dfa"
+        text = (CORPUS_DIR / "example1-dfa.dfa").read_text()
+        for i in range(8):
+            path.write_text(f"# text {i}\n{text}")
+            assert run_cli("check", str(path))[0] == 0
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4
+
+    @pytest.mark.parametrize(
+        "machine",
+        [
+            # An even number of a's, one head.
+            MultiHeadAutomaton(
+                states=("s", "e", "o", "f"), alphabet=("a", "b"), head_count=1,
+                start="s", finals={"f"},
+                delta={
+                    ("s", ("#",)): ("e", (1,)),
+                    ("e", ("a",)): ("o", (1,)), ("o", ("a",)): ("e", (1,)),
+                    ("e", ("b",)): ("e", (1,)), ("o", ("b",)): ("o", (1,)),
+                    ("e", ("$",)): ("f", (0,)),
+                },
+            ),
+            # a^n b^n for n >= 1, three heads; the third never leaves '#'.
+            MultiHeadAutomaton(
+                states=("s", "p", "q", "f"), alphabet=("a", "b"), head_count=3,
+                start="s", finals={"f"},
+                delta={
+                    ("s", ("#", "#", "#")): ("p", (1, 0, 0)),
+                    ("p", ("a", "#", "#")): ("p", (1, 0, 0)),
+                    ("p", ("b", "#", "#")): ("q", (0, 1, 0)),
+                    ("q", ("b", "a", "#")): ("q", (1, 1, 0)),
+                    ("q", ("$", "b", "#")): ("f", (0, 0, 0)),
+                },
+            ),
+        ],
+        ids=["one-head", "three-head"],
+    )
+    def test_other_head_counts_run_each_word(self, tmp_path, machine):
+        path = tmp_path / "machine.mfa"
+        path.write_text(serialize_machine(machine))
+        code, out, err = run_cli("enumerate", str(path), "--max-len", "6")
+        accepted = [
+            "".join(w) for w in enumerate_words(machine.alphabet, 6)
+            if engine.run_mfa(machine, w).accepted
+        ]
+        assert (code, err) == (0, "")
+        assert accepted and out.splitlines() == accepted
+
+
+@st.composite
+def two_head_machines(draw):
+    """Valid 2-head MFAs over {a, b}, reversible or not: each state and read
+    pair, end markers included on either head, gets a transition or not,
+    with any moves ``validate`` allows, stationary ones included."""
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3))))
+    delta = {}
+    for q in states:
+        for r1 in ("#", "a", "b", "$"):
+            for r2 in ("#", "a", "b", "$"):
+                if draw(st.booleans()):
+                    moves = [
+                        (d1, d2)
+                        for d1 in (0, 1)
+                        for d2 in (0, 1)
+                        if not (r1 == "$" and d1 or r2 == "$" and d2)
+                    ]
+                    target = draw(st.sampled_from(states))
+                    delta[(q, (r1, r2))] = (target, draw(st.sampled_from(moves)))
+    finals = draw(st.sets(st.sampled_from(states)))
+    machine = MultiHeadAutomaton(states, ("a", "b"), 2, "q0", finals, delta)
+    assert validate(machine).passed
+    return machine
+
+
+@given(machine=two_head_machines(), order=st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_a_two_head_sweep_decides_what_the_run_loop_decides(machine, order):
+    accept, alphabet = cli._acceptor(machine)
+    words = list(enumerate_words(alphabet, 6))
+    order.shuffle(words)
+    assert [accept(w) for w in words] == [engine.run_mfa(machine, w).accepted for w in words]
+    assert cli._acceptor(machine)[0] is accept
 
 
 _STATES = ("q0", "q1", "qf")
