@@ -26,8 +26,7 @@ together with the upper symbols from there to j, determines every later
 stage.  Such a normalised frontier is keyed by a string with one code
 point per int, and interned once, as a list of move slots, one per
 upper-symbol column and one for the right end marker, followed by its key.
-A frontier that only ends words is not interned: its key and verdict stay
-in its parent's move slot until a longer word passes through it.  A call
+A slot holds nothing yet, a verdict, or the next interned state, so a call
 maps its word to columns once and runs a stage only on an empty slot.
 The memo is cleared when it outgrows ``_MEMO_STATES``.  An acceptor
 carries the memo between calls and belongs to one thread at a time;
@@ -347,17 +346,13 @@ def accepts_existential(
 
 # An acceptor that holds more interned frontiers than this clears its memo at
 # the start of its next call.  The compiled DFAs of the regular sweeps intern
-# at most a dozen each.  The block-language machine reaches 16,989 frontiers
+# at most a dozen each.  The block-language machine interns 16,989 frontiers
 # over the 132,854 words of up to 11 symbols and 6 blocks, because its lower
-# head lags a block behind and windows grow to 10 symbols.  8,282 of them are
-# reached only by a word's last symbol and stay in their parent's move slot,
-# so the sweep interns 8,707 and never clears the memo.  An interned state
-# takes about 200 bytes (its slot list, its string key and the memo entry) and
-# a key left in a slot about 70, so the whole sweep's memo holds 2.2 MiB.
-_MEMO_STATES = 16_384
-
-# The last character of a key left in a move slot: the frontier's verdict.
-_ACCEPTS, _REJECTS = "\x01", "\x00"
+# head lags a block behind and windows grow to 10 symbols, so the sweep never
+# clears the memo.  An interned state takes about 200 bytes (its slot list,
+# its string key and the memo entry), so the whole sweep's memo holds about
+# 3.2 MiB.
+_MEMO_STATES = 32_768
 
 
 def _forget(memo: dict) -> None:
@@ -395,19 +390,17 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     runs.  A frontier is interned as a DFA state: a list with one move slot
     per upper-symbol column and one for the right end marker, followed by
     its key.  A slot holds the next state, ``True`` or ``False`` for every
-    extension, ``None`` while not yet run, or the key of a frontier that is
-    not interned, followed by ``_ACCEPTS`` or ``_REJECTS``.  A frontier
-    first reached by a word's last symbol is not interned: the end marker's
-    stage runs on it directly and its key and verdict stay in the slot, so
-    a longer word interns it later without running its stage again.  A
-    call maps its word to columns once, walks from the start state over
-    them, and runs a stage only on an empty slot, so any word order costs
-    the same.  When the memo holds more than ``_MEMO_STATES`` states it is
-    cleared at the start of the next call.  The predicate carries the memo
-    from call to call, so use it from one thread at a time.  Each call
-    returns a fresh predicate with an empty memo; the integer tables it
-    reads are the ``_compile_wk`` tables kept on the machine, shared with
-    every other search on the same machine object and never mutated.
+    extension, or ``None`` while not yet run.  Every frontier a stage hands
+    on is interned, so each (frontier, column) stage runs at most once per
+    memo.  A call maps its word to columns once, walks from the start state
+    over them and reads the end marker's slot, and runs a stage only on an
+    empty slot, so between clears any word order runs the same stages.
+    When the memo holds more than ``_MEMO_STATES`` states it is cleared at
+    the start of the next call.  The predicate carries the memo from call
+    to call, so use it from one thread at a time.  Each call returns a
+    fresh predicate with an empty memo; the integer tables it reads are the
+    ``_compile_wk`` tables kept on the machine, shared with every other
+    search on the same machine object and never mutated.
     """
     compiled = _compile_wk(machine)
     delta = compiled.delta
@@ -509,39 +502,25 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
             state = memo[key] = [*slots, key]
         return state
 
-    def step(state: list, c: int, last: bool):
-        """What the move in column ``c`` of ``state``, not yet run or
-        holding a key, leads to: an interned state, or a verdict.  On the
-        ``last`` symbol of a word, where the slot holds no key, a frontier
-        the memo does not hold is closed as it stands and left in the slot,
-        and the word's verdict is returned.  The end marker's column always
-        leads to a verdict.
+    def step(state: list, c: int):
+        """Run the stage behind the empty move slot in column ``c`` of
+        ``state`` and fill the slot with what it leads to: an interned
+        state, or a verdict.  The end marker's column always leads to a
+        verdict.
         """
-        nxt = state[c]
-        if nxt is None:
-            # Decode the state's key and run the stage from its frontier.
-            ints = list(map(ord, state[-1]))
-            n = ints[0]
-            h = n + 2 + 4 * ints[n + 1]
-            ups = (*ints[1 : n + 1], ups_of[c])
-            flat = iter(ints[n + 2 : h])
-            heads = zip(flat, flat, flat, flat)
-            flat = iter(ints[h:])
-            result = stage(ups, heads, zip(flat, flat))
-            if result is True or result is False:
-                state[c] = result
-                return result
-            key = encode(ups, *result)
-            if last and key not in memo:
-                verdict = stage((*ups, right), *result) is True
-                state[c] = key + (_ACCEPTS if verdict else _REJECTS)
-                return verdict
-            state[c] = nxt = intern(key)
-        elif nxt.__class__ is str:
-            verdict = nxt[-1] == _ACCEPTS
-            state[c] = nxt = intern(nxt[:-1])
-            nxt[close] = verdict
-        return nxt
+        # Decode the state's key and run the stage from its frontier.
+        ints = list(map(ord, state[-1]))
+        n = ints[0]
+        h = n + 2 + 4 * ints[n + 1]
+        ups = (*ints[1 : n + 1], ups_of[c])
+        flat = iter(ints[n + 2 : h])
+        heads = zip(flat, flat, flat, flat)
+        flat = iter(ints[h:])
+        result = stage(ups, heads, zip(flat, flat))
+        if result is not True and result is not False:
+            result = intern(encode(ups, *result))
+        state[c] = result
+        return result
 
     # The start node, as the sole head of stage 0 on the left end marker.
     opening = (compiled.left,)
@@ -570,27 +549,17 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
         state = start
         if state is True or state is False:
             return state
-        if cols:
-            end = cols.pop()
-            for c in cols:
-                nxt = state[c]
-                if nxt.__class__ is not list:
-                    if nxt is None or nxt.__class__ is str:
-                        nxt = step(state, c, False)
-                    if nxt is True or nxt is False:
-                        return nxt
-                state = nxt
-            nxt = state[end]
-            if nxt is None:
-                nxt = step(state, end, True)
-            elif nxt.__class__ is str:
-                return nxt[-1] == _ACCEPTS
-            if nxt is True or nxt is False:
-                return nxt
+        for c in cols:
+            nxt = state[c]
+            if nxt.__class__ is not list:
+                if nxt is None:
+                    nxt = step(state, c)
+                if nxt is True or nxt is False:
+                    return nxt
             state = nxt
         verdict = state[close]
         if verdict is None:
-            verdict = step(state, close, True)
+            verdict = step(state, close)
         return verdict
 
     # States that move to each other form reference cycles; unlink them as

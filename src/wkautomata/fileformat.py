@@ -169,7 +169,7 @@ def parse_machine(text: str) -> Machine:
             raise ParseError("missing 'heads:' directive")
         number, tokens = headers["heads"]
         raw = _single(tokens, number, "heads")
-        if not raw.isdigit() or int(raw) < 1:
+        if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
             raise ParseError(f"head count must be a positive integer, got {raw!r}", number)
         k = int(raw)
         allowed = set(alphabet) | set(END_MARKERS)

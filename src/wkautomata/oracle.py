@@ -12,6 +12,7 @@ import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
 
+from .fileformat import word_separator
 from .machines import ClassicalDFA, FrozenDict, Record, UnknownSymbolError
 
 Word = tuple[str, ...]
@@ -154,7 +155,9 @@ class DiffReport(Record):
     ``mismatches`` holds (word, side) pairs where side names the acceptor
     that accepted; totals stay exact even when the list is truncated.
     ``per_length`` is a read-only ``FrozenDict``, so a report hashes and
-    its cached ``totals`` always match its rows.
+    its cached ``totals`` always match its rows.  ``to_text`` and
+    ``to_tsv`` show a word with ``render``, or by default joined with
+    ``fileformat.word_separator`` as a command-line word.
     """
 
     max_len: int
@@ -186,7 +189,6 @@ class DiffReport(Record):
         return self.totals.a_only + self.totals.b_only
 
     def to_text(self, render: Callable[[Word], str] | None = None) -> str:
-        render = render or _default_render
         lines = [f"{'length':>6} {'words':>8} {'agree':>8} {'a-only':>8} {'b-only':>8}"]
         for label, s in [*sorted(self.per_length.items()), ("total", self.totals)]:
             lines.append(
@@ -199,11 +201,11 @@ class DiffReport(Record):
             suffix = f" (showing {shown} of {self.total_mismatches})" if self.truncated else ""
             lines.append(f"mismatches{suffix}:")
             for word, side in self.mismatches:
-                lines.append(f"  {side}-only: {render(word)}")
+                text = render(word) if render else word_separator(word).join(word)
+                lines.append(f"  {side}-only: {text}")
         return "\n".join(lines)
 
     def to_tsv(self, render: Callable[[Word], str] | None = None) -> str:
-        render = render or _default_render
         lines = [
             f"len\t{n}\t{s.words}\t{s.agreements}\t{s.a_only}\t{s.b_only}"
             for n, s in sorted(self.per_length.items())
@@ -211,16 +213,11 @@ class DiffReport(Record):
         t = self.totals
         lines.append(f"total\t{t.words}\t{t.agreements}\t{t.a_only}\t{t.b_only}")
         for word, side in self.mismatches:
-            lines.append(f"mismatch\t{side}\t{render(word)}")
+            text = render(word) if render else word_separator(word).join(word)
+            lines.append(f"mismatch\t{side}\t{text}")
         if self.truncated:
             lines.append(f"mismatches-truncated\t{self.total_mismatches}")
         return "\n".join(lines)
-
-
-def _default_render(word: Word) -> str:
-    if all(len(sym) == 1 for sym in word):
-        return "".join(word)
-    return ",".join(word)
 
 
 def differential_compare(

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -250,6 +251,40 @@ class TestAcceptsExistential:
         accept = existential_acceptor(dfa_to_rwka(dfa))
         assert [accept("a"), accept(""), accept("aa")] == [True, True, True]
 
+    def test_acceptor_stage_work_does_not_depend_on_word_order(self):
+        # Every frontier a stage hands on is interned, so each stage runs
+        # once per memo: shortest first, longest first and shuffled, a
+        # fresh acceptor runs the same number of stages.
+        stage = next(
+            code
+            for code in existential_acceptor.__code__.co_consts
+            if getattr(code, "co_name", None) == "stage"
+        )
+        runs = 0
+
+        def count(frame, event, arg):
+            nonlocal runs
+            if event == "call" and frame.f_code is stage:
+                runs += 1
+
+        rng = random.Random(5)
+        for _ in range(100):
+            machine = dfa_to_rwka(random_dfa(rng, max_states=8))
+            words = list(enumerate_words(machine.upper_alphabet, 7))
+            counts = []
+            for order in (words, words[::-1], rng.sample(words, len(words))):
+                accept = existential_acceptor(machine)
+                runs = 0
+                previous = sys.getprofile()
+                sys.setprofile(count)
+                try:
+                    for word in order:
+                        accept(word)
+                finally:
+                    sys.setprofile(previous)
+                counts.append(runs)
+            assert counts[0] == counts[1] == counts[2], counts
+
     def test_acceptor_decides_long_words_on_compiled_dfas(self):
         # Complete DFAs, so no word is rejected early by a missing move.
         rng = random.Random(1000)
@@ -303,9 +338,9 @@ class TestAcceptsExistential:
 
 def assert_acceptor_matches(machine, max_len, rng):
     """The acceptor carries a memo of the frontiers earlier calls reached;
-    no call order may change a verdict.  Shortest first, each word's last
-    frontier waits in a move slot until a longer word interns it; longest
-    first, words end on frontiers that longer words interned already."""
+    no call order may change a verdict.  Shortest first, a longer word
+    walks through frontiers that its prefixes interned; longest first,
+    words end on frontiers that longer words interned already."""
     words = list(enumerate_words(machine.upper_alphabet, max_len))
     expected = {
         word: accepts_existential(machine, word, want_witness=False).accepted

@@ -102,6 +102,10 @@ class TestParse:
                 "type: mfa\nstates: q\nstart: q\nalphabet: a\nheads: 0\n",
                 "positive integer",
             ),
+            (
+                "type: mfa\nstates: q\nstart: q\nalphabet: a\nheads: \u00b2\n",
+                "positive integer",
+            ),
             ("not a directive\n", "expected 'directive:"),
         ],
     )
