@@ -12,7 +12,12 @@ mfa) may come in any order, and ``trans`` lines carry the transitions:
 End markers are spelled literally ``#`` and ``$`` inside transition lines;
 comment detection only looks at a line's first character, so those tokens
 are unambiguous.  Duplicate (state, reads) keys are a parse error, which
-makes forward determinism structural.
+makes forward determinism structural.  An mfa declares 1 to 64 heads.
+
+Which symbols each read may be is not spelled out here: one loop parses
+the transition lines of every kind against ``machines.read_columns``, and
+the serializer takes a machine's kind, alphabet and rows from
+``machines.grammar``.
 
 Serialization is canonical: directives in a fixed order, transitions
 sorted by source state declaration index and then by read tokens (left
@@ -25,7 +30,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .machines import (
-    END_MARKERS,
     LEFT_END,
     RIGHT_END,
     ClassicalDFA,
@@ -35,16 +39,18 @@ from .machines import (
     MultiHeadAutomaton,
     UnknownSymbolError,
     WKAutomaton,
-    dfa_entries,
+    grammar,
     is_valid_token,
-    mfa_entries,
+    read_columns,
     require_valid,
-    wk_entries,
 )
 
 Word = tuple[str, ...]
 
 _HEADER_DIRECTIVES = ("states", "start", "final", "alphabet", "rho", "heads")
+
+# The most heads an mfa file may declare; a run keeps a tape per head.
+_MAX_HEADS = 64
 
 
 class ParseError(MachineError):
@@ -152,40 +158,19 @@ def parse_machine(text: str) -> Machine:
     if len(set(alphabet)) != len(alphabet):
         raise ParseError("duplicate symbol declaration", number)
 
-    if kind == "dfa":
-        delta_dfa: dict[tuple[str, str], str] = {}
-        for number, tokens in trans_lines:
-            source, reads, target, moves = _split_trans(tokens, number, declared, reads=1, moves=0)
-            sym = reads[0]
-            if sym not in alphabet:
-                raise ParseError(f"unknown symbol {sym!r}", number)
-            if (source, sym) in delta_dfa:
-                raise ParseError(f"duplicate transition key ({source}, {sym})", number)
-            delta_dfa[(source, sym)] = target
-        return ClassicalDFA(states, alphabet, start, finals, delta_dfa)
-
+    k = {"dfa": 1, "wk": 2}.get(kind)
     if kind == "mfa":
         if "heads" not in headers:
             raise ParseError("missing 'heads:' directive")
         number, tokens = headers["heads"]
         raw = _single(tokens, number, "heads")
-        if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+        digits = raw.lstrip("0")
+        if not (raw.isascii() and raw.isdigit() and digits):
             raise ParseError(f"head count must be a positive integer, got {raw!r}", number)
-        k = int(raw)
-        allowed = set(alphabet) | set(END_MARKERS)
-        delta_mfa: dict[tuple[str, tuple[str, ...]], tuple[str, tuple[int, ...]]] = {}
-        for number, tokens in trans_lines:
-            source, reads, target, moves = _split_trans(tokens, number, declared, reads=k, moves=k)
-            for sym in reads:
-                if sym not in allowed:
-                    raise ParseError(f"unknown symbol {sym!r}", number)
-            key = (source, tuple(reads))
-            if key in delta_mfa:
-                raise ParseError(
-                    f"duplicate transition key ({source}, {' '.join(reads)})", number
-                )
-            delta_mfa[key] = (target, tuple(moves))
-        return MultiHeadAutomaton(states, alphabet, k, start, finals, delta_mfa)
+        # Lengths first: int() refuses a string of more than 4,300 digits.
+        if len(digits) > len(str(_MAX_HEADS)) or int(digits) > _MAX_HEADS:
+            raise ParseError(f"head count must be at most {_MAX_HEADS}, got {raw!r}", number)
+        k = int(digits)
 
     pairs: list[tuple[str, str]] = []
     for number, tokens in rho_lines:
@@ -199,22 +184,28 @@ def parse_machine(text: str) -> Machine:
                 raise ParseError(f"invalid symbol name {rhs!r} in rho pair", number, col)
             pairs.append((lhs, rhs))
     rho = ComplementarityRelation.from_pairs(pairs)
-    lower = set(rho.lower_symbols) | set(END_MARKERS)
-    upper = set(alphabet) | set(END_MARKERS)
-    delta_wk: dict[tuple[str, str, str], tuple[str, int, int]] = {}
+
+    columns = read_columns(kind, alphabet, rho.lower_symbols)
+    rows: dict[tuple[str, ...], tuple] = {}
     for number, tokens in trans_lines:
-        source, reads, target, moves = _split_trans(tokens, number, declared, reads=2, moves=2)
-        if reads[0] not in upper:
-            raise ParseError(f"unknown upper symbol {reads[0]!r}", number)
-        if reads[1] not in lower:
-            raise ParseError(f"unknown lower symbol {reads[1]!r}", number)
-        key = (source, reads[0], reads[1])
-        if key in delta_wk:
-            raise ParseError(
-                f"duplicate transition key ({source}, {reads[0]}, {reads[1]})", number
-            )
-        delta_wk[key] = (target, moves[0], moves[1])
-    return WKAutomaton(states, alphabet, start, finals, rho, delta_wk)
+        source, reads, target, moves = _split_trans(
+            tokens, number, declared, reads=k, moves=0 if kind == "dfa" else k
+        )
+        for pos, sym in enumerate(reads):
+            allowed, word = columns[min(pos, len(columns) - 1)]
+            if sym not in allowed:
+                raise ParseError(f"unknown {word}symbol {sym!r}", number)
+        key = (source, *reads)
+        if key in rows:
+            raise ParseError(f"duplicate transition key ({', '.join(key)})", number)
+        rows[key] = (target, *moves)
+
+    if kind == "dfa":
+        return ClassicalDFA(states, alphabet, start, finals, {key: t for key, (t,) in rows.items()})
+    if kind == "mfa":
+        delta = {(key[0], key[1:]): (row[0], row[1:]) for key, row in rows.items()}
+        return MultiHeadAutomaton(states, alphabet, k, start, finals, delta)
+    return WKAutomaton(states, alphabet, start, finals, rho, rows)
 
 
 def _split_trans(tokens, number: int, declared: set[str], reads: int, moves: int):
@@ -257,14 +248,9 @@ def serialize_machine(machine: Machine) -> str:
     """Canonical text for a validated machine; round-trips exactly."""
     require_valid(machine, "machine to serialize")
 
+    kind, alphabet, entries, _ = grammar(machine)
     state_index = {q: i for i, q in enumerate(machine.states)}
     finals = sorted(machine.finals, key=state_index.__getitem__)
-    if isinstance(machine, WKAutomaton):
-        kind, alphabet, entries = "wk", machine.upper_alphabet, wk_entries(machine)
-    elif isinstance(machine, MultiHeadAutomaton):
-        kind, alphabet, entries = "mfa", machine.alphabet, mfa_entries(machine)
-    else:
-        kind, alphabet, entries = "dfa", machine.alphabet, dfa_entries(machine)
     lines = [
         f"type: {kind}",
         "states: " + " ".join(machine.states),
@@ -272,10 +258,10 @@ def serialize_machine(machine: Machine) -> str:
         ("final: " + " ".join(finals)).rstrip(),
         "alphabet: " + " ".join(alphabet),
     ]
-    if isinstance(machine, WKAutomaton):
+    if kind == "wk":
         pairs = [f"{x}->{y}" for x in alphabet for y in machine.rho.image(x)]
         lines.append(("rho: " + " ".join(pairs)).rstrip())
-    elif isinstance(machine, MultiHeadAutomaton):
+    elif kind == "mfa":
         lines.append(f"heads: {machine.head_count}")
     entries.sort(key=lambda e: (state_index[e[0]], _read_sort_key(e[1])))
     for q, reads, t, moves in entries:

@@ -7,6 +7,12 @@ strand of a double-stranded word.  The lower strand is never part of the
 input: it is any per-position choice from the complementarity relation
 applied to the upper strand.
 
+Each kind's transition grammar is written once, here: ``read_columns``
+says which symbols each head may read, and ``grammar`` gives a machine's
+kind name, alphabet, transitions as uniform ``Entry`` rows and read
+columns.  ``validate``, and the parser and serializer in ``fileformat``,
+read it instead of spelling out each kind.
+
 Reversibility is a property of the transition table.  Two conditions are
 checked, named C1 and C2 throughout:
 
@@ -385,12 +391,44 @@ def wk_entries(machine: WKAutomaton) -> list[Entry]:
     ]
 
 
-def mfa_entries(machine: MultiHeadAutomaton) -> list[Entry]:
-    return [(q, reads, t, moves) for (q, reads), (t, moves) in machine.delta.items()]
+# The symbols one head may read, and the word a parse error names them by.
+Column = tuple[frozenset[str], str]
 
 
-def dfa_entries(machine: ClassicalDFA) -> list[Entry]:
-    return [(q, (x,), t, ()) for (q, x), t in machine.delta.items()]
+def read_columns(
+    kind: str, alphabet: Iterable[str], lower: Iterable[str] = ()
+) -> tuple[Column, ...]:
+    """The read columns of a ``kind`` machine, one per head; the last one
+    serves every later head.
+
+    A DFA reads its alphabet.  Every head of an MFA reads the alphabet or
+    an end marker.  A WK machine's upper head reads the alphabet, its lower
+    head the ``lower`` symbols, and each may read an end marker.
+    """
+    if kind == "dfa":
+        return ((frozenset(alphabet), ""),)
+    if kind == "mfa":
+        return ((frozenset(alphabet).union(END_MARKERS), ""),)
+    return (
+        (frozenset(alphabet).union(END_MARKERS), "upper "),
+        (frozenset(lower).union(END_MARKERS), "lower "),
+    )
+
+
+def grammar(machine: Machine) -> tuple[str, tuple[str, ...], list[Entry], tuple[Column, ...]]:
+    """A machine's kind name, alphabet, transitions as ``Entry`` rows, and
+    read columns: all the validator and the serializer need of its kind."""
+    if isinstance(machine, WKAutomaton):
+        alphabet = machine.upper_alphabet
+        columns = read_columns("wk", alphabet, machine.lower_alphabet)
+        return "wk", alphabet, wk_entries(machine), columns
+    if isinstance(machine, MultiHeadAutomaton):
+        entries = [(q, reads, t, moves) for (q, reads), (t, moves) in machine.delta.items()]
+        return "mfa", machine.alphabet, entries, read_columns("mfa", machine.alphabet)
+    if isinstance(machine, ClassicalDFA):
+        entries = [(q, (x,), t, ()) for (q, x), t in machine.delta.items()]
+        return "dfa", machine.alphabet, entries, read_columns("dfa", machine.alphabet)
+    raise TypeError(f"not a machine: {machine!r}")
 
 
 def _name_violations(kind: str, names: Iterable[str]) -> list[Violation]:
@@ -419,7 +457,7 @@ def _left_marker_note(entries: list[Entry]) -> tuple[str, ...]:
     moving = sum(
         1
         for _, reads, _, moves in entries
-        if any(r == LEFT_END and d == 1 for r, d in zip(reads, moves))
+        if LEFT_END in reads and any(r == LEFT_END and d == 1 for r, d in zip(reads, moves))
     )
     if not moving:
         return ()
@@ -429,15 +467,18 @@ def _left_marker_note(entries: list[Entry]) -> tuple[str, ...]:
     )
 
 
-def _entry_violations(entries: list[Entry], states: set[str], reads_ok) -> list[Violation]:
+def _entry_violations(
+    entries: list[Entry], states: set[str], columns: tuple[Column, ...]
+) -> list[Violation]:
     out = []
+    first, later = columns[0][0], columns[-1][0]
     for entry in entries:
         q, reads, t, moves = entry
         for name in (q, t):
             if name not in states:
                 out.append(Violation("unknown-state", (entry,), f"state {name!r} is not declared"))
         for pos, r in enumerate(reads):
-            if not reads_ok(pos, r):
+            if r not in (later if pos else first):
                 out.append(Violation("unknown-symbol", (entry,), f"read symbol {r!r} is not available"))
         for d in moves:
             if d not in (0, 1):
@@ -454,85 +495,42 @@ def _entry_violations(entries: list[Entry], states: set[str], reads_ok) -> list[
     return out
 
 
-def _validate_wk(machine: WKAutomaton) -> CheckReport:
-    violations = _declaration_violations(machine, machine.upper_alphabet)
-    upper = set(machine.upper_alphabet)
-    for x, ys in machine.rho.images.items():
-        if x not in upper:
-            violations.append(
-                Violation("rho-unknown-symbol", (), f"rho maps {x!r}, which is not in the upper alphabet")
-            )
-        for y in ys:
-            if not is_valid_token(y):
-                violations.append(Violation("bad-token", (), f"symbol name {y!r} uses reserved text"))
-    for x in machine.upper_alphabet:
-        if not machine.rho.image(x):
-            violations.append(
-                Violation("rho-not-total", (), f"upper symbol {x!r} has no complementarity image")
-            )
-
-    lower = set(machine.lower_alphabet)
-    entries = wk_entries(machine)
-
-    def reads_ok(pos: int, r: str) -> bool:
-        if r in END_MARKERS:
-            return True
-        return r in upper if pos == 0 else r in lower
-
-    violations += _entry_violations(entries, set(machine.states), reads_ok)
-    return CheckReport(tuple(violations), _left_marker_note(entries))
-
-
-def _validate_mfa(machine: MultiHeadAutomaton) -> CheckReport:
-    violations = _declaration_violations(machine, machine.alphabet)
-    if machine.head_count < 1:
-        violations.append(
-            Violation("bad-head-count", (), f"head count {machine.head_count} must be at least 1")
-        )
-
-    alphabet = set(machine.alphabet)
-    entries = mfa_entries(machine)
-    for entry in entries:
-        _, reads, _, moves = entry
-        if len(reads) != machine.head_count or len(moves) != machine.head_count:
-            violations.append(
-                Violation(
-                    "head-count-mismatch",
-                    (entry,),
-                    f"transition does not carry exactly {machine.head_count} reads and moves",
-                )
-            )
-
-    def reads_ok(pos: int, r: str) -> bool:
-        return r in END_MARKERS or r in alphabet
-
-    violations += _entry_violations(entries, set(machine.states), reads_ok)
-    return CheckReport(tuple(violations), _left_marker_note(entries))
-
-
-def _validate_dfa(machine: ClassicalDFA) -> CheckReport:
-    violations = _declaration_violations(machine, machine.alphabet)
-    alphabet = set(machine.alphabet)
-
-    def reads_ok(pos: int, r: str) -> bool:
-        return r in alphabet
-
-    violations += _entry_violations(dfa_entries(machine), set(machine.states), reads_ok)
-    return CheckReport(tuple(violations))
-
-
 def validate(machine: Machine) -> CheckReport:
     """Report every violated structural invariant of ``machine``.
 
     Malformedness is the report's content, not an exception.
     """
-    if isinstance(machine, WKAutomaton):
-        return _validate_wk(machine)
-    if isinstance(machine, MultiHeadAutomaton):
-        return _validate_mfa(machine)
-    if isinstance(machine, ClassicalDFA):
-        return _validate_dfa(machine)
-    raise TypeError(f"not a machine: {machine!r}")
+    kind, alphabet, entries, columns = grammar(machine)
+    violations = _declaration_violations(machine, alphabet)
+    if kind == "wk":
+        for x, ys in machine.rho.images.items():
+            if x not in alphabet:
+                violations.append(
+                    Violation("rho-unknown-symbol", (), f"rho maps {x!r}, which is not in the upper alphabet")
+                )
+            for y in ys:
+                if not is_valid_token(y):
+                    violations.append(Violation("bad-token", (), f"symbol name {y!r} uses reserved text"))
+        for x in alphabet:
+            if not machine.rho.image(x):
+                violations.append(
+                    Violation("rho-not-total", (), f"upper symbol {x!r} has no complementarity image")
+                )
+    elif kind == "mfa":
+        k = machine.head_count
+        if k < 1:
+            violations.append(Violation("bad-head-count", (), f"head count {k} must be at least 1"))
+        for entry in entries:
+            if len(entry[1]) != k or len(entry[3]) != k:
+                violations.append(
+                    Violation(
+                        "head-count-mismatch",
+                        (entry,),
+                        f"transition does not carry exactly {k} reads and moves",
+                    )
+                )
+    violations += _entry_violations(entries, set(machine.states), columns)
+    return CheckReport(tuple(violations), _left_marker_note(entries))
 
 
 def require_valid(machine: Machine, context: str = "machine") -> None:
@@ -571,7 +569,7 @@ def check_reversibility_wk(machine: WKAutomaton) -> CheckReport:
 
 def check_reversibility_mfa(machine: MultiHeadAutomaton) -> CheckReport:
     """Check conditions C1 and C2 over the k-head transition table."""
-    return _reversibility_report(mfa_entries(machine))
+    return _reversibility_report(grammar(machine)[2])
 
 
 def check_strong_reversibility(machine: WKAutomaton) -> CheckReport:

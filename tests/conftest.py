@@ -1,10 +1,21 @@
 import io
 import contextlib
+import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from wkautomata import dfa_to_rwka, theorem2_machine
+from wkautomata import (
+    ClassicalDFA,
+    ComplementarityRelation,
+    MultiHeadAutomaton,
+    WKAutomaton,
+    check_reversibility_mfa,
+    dfa_to_rwka,
+    theorem2_machine,
+    validate,
+)
 from wkautomata.samples import (
     example1_dfa,
     identity_rho_wk,
@@ -86,6 +97,108 @@ def twohead():
 @pytest.fixture
 def loop_machine():
     return stationary_loop_wk()
+
+
+# The rules ``validate`` checks on each machine kind.
+_EVERY_KIND = ("bad-token", "duplicate-state", "duplicate-symbol", "unknown-state", "unknown-symbol")
+VALIDATION_RULES = {
+    ClassicalDFA: _EVERY_KIND,
+    MultiHeadAutomaton: _EVERY_KIND + (
+        "bad-displacement", "move-on-endmarker", "bad-head-count", "head-count-mismatch",
+    ),
+    WKAutomaton: _EVERY_KIND + (
+        "bad-displacement", "move-on-endmarker", "rho-unknown-symbol", "rho-not-total",
+    ),
+}
+
+_MOVES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _allowed(reads, moves) -> bool:
+    """No head moves while it reads the right end marker."""
+    return not any(r == "$" and d for r, d in zip(reads, moves))
+
+
+@st.composite
+def dfas(draw):
+    """Small valid DFAs over {a, b}, partial or total."""
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3))))
+    delta = {
+        (q, x): draw(st.sampled_from(states))
+        for q in states
+        for x in ("a", "b")
+        if draw(st.booleans())
+    }
+    return ClassicalDFA(states, ("a", "b"), "q0", draw(st.sets(st.sampled_from(states))), delta)
+
+
+@st.composite
+def wk_machines(draw):
+    """Small valid WK machines with a multi-valued relation and every kind of
+    move, including the ones that advance a single head.
+
+    Each read triple gets a transition or not, so the machines are dense
+    enough to run long.  A head reading the right end marker may not move,
+    so each transition draws its moves from those ``validate`` allows for
+    its reads: the same distribution as drawing from all four and keeping
+    the valid machines, without discarding most of them."""
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3))))
+    images = st.lists(st.sampled_from(("x", "y", "z")), min_size=1, max_size=3, unique=True)
+    rho = {u: tuple(draw(images)) for u in ("a", "b")}
+    lower = sorted({y for ys in rho.values() for y in ys})
+    delta = {}
+    for q in states:
+        for u in ("#", "a", "b", "$"):
+            for l in ("#", *lower, "$"):
+                if draw(st.booleans()):
+                    moves = [m for m in _MOVES if _allowed((u, l), m)]
+                    target = draw(st.sampled_from(states))
+                    delta[(q, u, l)] = (target, *draw(st.sampled_from(moves)))
+    finals = draw(st.sets(st.sampled_from(states)))
+    machine = WKAutomaton(states, ("a", "b"), "q0", finals, ComplementarityRelation(rho), delta)
+    assert validate(machine).passed
+    return machine
+
+
+@st.composite
+def mfa_machines(draw, heads: int):
+    """Valid ``heads``-head MFAs over {a, b}, reversible or not: each state
+    and read tuple, end markers included on any head, gets a transition or
+    not, with any moves ``validate`` allows, stationary ones included."""
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3))))
+    delta = {}
+    for q in states:
+        for reads in itertools.product(("#", "a", "b", "$"), repeat=heads):
+            if draw(st.booleans()):
+                moves = [m for m in itertools.product((0, 1), repeat=heads) if _allowed(reads, m)]
+                target = draw(st.sampled_from(states))
+                delta[(q, reads)] = (target, draw(st.sampled_from(moves)))
+    finals = draw(st.sets(st.sampled_from(states)))
+    machine = MultiHeadAutomaton(states, ("a", "b"), heads, "q0", finals, delta)
+    assert validate(machine).passed
+    return machine
+
+
+@st.composite
+def reversible_two_head_machines(draw):
+    """Valid reversible 2-head MFAs over {a, b}, built so by construction:
+    each target state draws one move pair (C1), and a transition is kept
+    only if its read pair is new among those into its target (C2) and its
+    moves are allowed on its reads."""
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3))))
+    moves = {t: draw(st.sampled_from(_MOVES)) for t in states}
+    delta, into = {}, set()
+    for q in states:
+        for reads in itertools.product(("#", "a", "b", "$"), repeat=2):
+            target = draw(st.sampled_from((None, *states)))
+            if target is None or (target, reads) in into or not _allowed(reads, moves[target]):
+                continue
+            into.add((target, reads))
+            delta[(q, reads)] = (target, moves[target])
+    finals = draw(st.sets(st.sampled_from(states)))
+    machine = MultiHeadAutomaton(states, ("a", "b"), 2, "q0", finals, delta)
+    assert validate(machine).passed and check_reversibility_mfa(machine).passed
+    return machine
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from wkautomata import MultiHeadAutomaton, cli, engine, validate
 from wkautomata.fileformat import parse_machine, serialize_machine
 from wkautomata.oracle import enumerate_words
-from conftest import CORPUS_DIR, clear_caches, run_cli
+from conftest import CORPUS_DIR, clear_caches, mfa_machines, run_cli
 
 
 def corpus(name: str) -> str:
@@ -320,6 +320,13 @@ class TestUsage:
         code, _, err = run_cli("check", "/nonexistent/machine.wk")
         assert code == 2
         assert "error:" in err
+
+    def test_a_huge_head_count_is_refused_before_a_run(self, tmp_path):
+        hostile = tmp_path / "heads.mfa"
+        hostile.write_text("type: mfa\nstates: q\nstart: q\nalphabet: a\nheads: 100000000\n")
+        assert run_cli("run", str(hostile), "a") == (
+            2, "", "error: line 5: head count must be at most 64, got '100000000'\n"
+        )
 
     def test_parse_errors_are_usage_errors(self, tmp_path):
         bad = tmp_path / "bad.wk"
@@ -630,32 +637,7 @@ class TestSweepAcceptor:
         assert accepted and out.splitlines() == accepted
 
 
-@st.composite
-def two_head_machines(draw):
-    """Valid 2-head MFAs over {a, b}, reversible or not: each state and read
-    pair, end markers included on either head, gets a transition or not,
-    with any moves ``validate`` allows, stationary ones included."""
-    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3))))
-    delta = {}
-    for q in states:
-        for r1 in ("#", "a", "b", "$"):
-            for r2 in ("#", "a", "b", "$"):
-                if draw(st.booleans()):
-                    moves = [
-                        (d1, d2)
-                        for d1 in (0, 1)
-                        for d2 in (0, 1)
-                        if not (r1 == "$" and d1 or r2 == "$" and d2)
-                    ]
-                    target = draw(st.sampled_from(states))
-                    delta[(q, (r1, r2))] = (target, draw(st.sampled_from(moves)))
-    finals = draw(st.sets(st.sampled_from(states)))
-    machine = MultiHeadAutomaton(states, ("a", "b"), 2, "q0", finals, delta)
-    assert validate(machine).passed
-    return machine
-
-
-@given(machine=two_head_machines(), order=st.randoms(use_true_random=False))
+@given(machine=mfa_machines(2), order=st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_a_two_head_sweep_decides_what_the_run_loop_decides(machine, order):
     accept, alphabet = cli._acceptor(machine)

@@ -1,6 +1,7 @@
 """The DFA compiler, the two-head translations, and the fixed block machine."""
 
 import pytest
+from hypothesis import given, settings
 
 from wkautomata import (
     ClassicalDFA,
@@ -28,6 +29,7 @@ from wkautomata.sweeps import (
     seeded_dfas,
     strands_vs_heads,
 )
+from conftest import reversible_two_head_machines
 
 
 class TestDfaToRwka:
@@ -197,6 +199,11 @@ class TestTwoHeadTranslations:
 
     def test_sample_machine_round_trip(self, twohead):
         assert swk_to_mfa2(mfa2_to_swk(twohead)) == twohead
+
+    @given(machine=reversible_two_head_machines())
+    @settings(max_examples=100, deadline=None)
+    def test_reversible_machines_round_trip(self, machine):
+        assert swk_to_mfa2(mfa2_to_swk(machine)) == machine
 
     def test_identity_rho_translation_is_transition_identical(self, identity_rho):
         mfa = swk_to_mfa2(identity_rho)

@@ -21,16 +21,18 @@ from wkautomata import (
     complement_strands,
     dfa_to_rwka,
     existential_acceptor,
+    mfa2_to_swk,
     run_deterministic,
     run_mfa,
+    swk_to_mfa2,
 )
 from wkautomata import engine
 from wkautomata.engine import SearchBoundError, StrandMismatchError
 from wkautomata.fileformat import parse_machine, serialize_machine
-from wkautomata.machines import InvalidMachineError, UnknownSymbolError, validate
+from wkautomata.machines import InvalidMachineError, MachineError, UnknownSymbolError, validate
 from wkautomata.oracle import dfa_accepts, enumerate_words
 from wkautomata.samples import random_dfa
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, VALIDATION_RULES, dfas, mfa_machines, wk_machines
 
 
 class TestComplementStrands:
@@ -103,39 +105,6 @@ class TestRunDeterministic:
             run_deterministic(example1_rwka, "aba", ("a_1", "a_1", "a_1"))
         with pytest.raises(StrandMismatchError):
             run_deterministic(example1_rwka, "aba", ("a_1", "b_1"))
-
-
-@st.composite
-def wk_machines(draw):
-    """Small valid WK machines with a multi-valued relation and every kind of
-    move, including the ones that advance a single head.
-
-    Each read triple gets a transition or not, so the machines are dense
-    enough to run long.  A head reading the right end marker may not move,
-    so each transition draws its moves from those ``validate`` allows for
-    its reads: the same distribution as drawing from all four and keeping
-    the valid machines, without discarding most of them."""
-    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3))))
-    images = st.lists(st.sampled_from(("x", "y", "z")), min_size=1, max_size=3, unique=True)
-    rho = {u: tuple(draw(images)) for u in ("a", "b")}
-    lower = sorted({y for ys in rho.values() for y in ys})
-    delta = {}
-    for q in states:
-        for u in ("#", "a", "b", "$"):
-            for l in ("#", *lower, "$"):
-                if draw(st.booleans()):
-                    moves = [
-                        (d1, d2)
-                        for d1 in (0, 1)
-                        for d2 in (0, 1)
-                        if not (u == "$" and d1 or l == "$" and d2)
-                    ]
-                    target = draw(st.sampled_from(states))
-                    delta[(q, u, l)] = (target, *draw(st.sampled_from(moves)))
-    finals = draw(st.sets(st.sampled_from(states)))
-    machine = WKAutomaton(states, ("a", "b"), "q0", finals, ComplementarityRelation(rho), delta)
-    assert validate(machine).passed
-    return machine
 
 
 class TestAcceptsExistential:
@@ -406,6 +375,99 @@ class TestInvalidMachines:
                 accepts_existential_bruteforce(self.MOVES_ON_END, "a")
             with pytest.raises(InvalidMachineError, match="move-on-endmarker"):
                 run_mfa(self.MFA_MOVES_ON_END, "a")
+
+
+@st.composite
+def invalid_machines(draw):
+    """WK machines, MFAs of 0-3 heads and DFAs, each built through its
+    constructor from a valid machine with one to three validation rules
+    broken on purpose."""
+    machine = draw(st.one_of(wk_machines(), *map(mfa_machines, (1, 2, 3)), dfas()))
+    cls = type(machine)
+    fields = {name: getattr(machine, name) for name in cls._fields}
+    fields["delta"] = delta = dict(machine.delta)
+    symbols = "upper_alphabet" if cls is WKAutomaton else "alphabet"
+    heads = {WKAutomaton: 2, ClassicalDFA: 1}.get(cls) or machine.head_count
+    lower = machine.lower_alphabet if cls is WKAutomaton else ()
+    rules = draw(st.lists(st.sampled_from(VALIDATION_RULES[cls]), min_size=1, max_size=3, unique=True))
+    if "bad-head-count" in rules:  # a 0-head MFA, whose transitions read nothing
+        heads = fields["head_count"] = 0
+        fields["delta"] = delta = {(q, ()): (t, ()) for (q, _), (t, _) in delta.items()}
+
+    def add(source="q0", target="q0", head=None, read=None, move=0):
+        """Add a transition whose head ``head`` reads ``read`` and moves
+        ``move``; every other head reads a valid symbol and stays."""
+        reads = [draw(st.sampled_from(("#", "a", "$") if cls is not ClassicalDFA else ("a",)))]
+        if cls is WKAutomaton:
+            reads.append(draw(st.sampled_from(("#", *lower, "$"))))
+        else:
+            reads *= heads
+        moves = [0] * len(reads)
+        if head is not None and reads:
+            head %= len(reads)
+            reads[head], moves[head] = read, move
+        if cls is WKAutomaton:
+            delta[(source, *reads)] = (target, *moves)
+        elif cls is MultiHeadAutomaton:
+            delta[(source, tuple(reads))] = (target, tuple(moves))
+        else:
+            delta[(source, reads[0])] = target
+
+    head = draw(st.integers(0, 2))
+    for rule in rules:
+        if rule == "bad-token":
+            field = draw(st.sampled_from(("states", symbols)))
+            fields[field] += (draw(st.sampled_from(("q 1", "b:", "->", "c$", "#x"))),)
+        elif rule == "duplicate-state":
+            fields["states"] += fields["states"][:1]
+        elif rule == "duplicate-symbol":
+            fields[symbols] += fields[symbols][:1]
+        elif rule == "unknown-state":
+            where = draw(st.sampled_from(("start", "final", "source", "target")))
+            if where == "start":
+                fields["start"] = "ghost"
+            elif where == "final":
+                fields["finals"] = fields["finals"] | {"ghost"}
+            else:
+                add(**{where: "ghost"})
+        elif rule == "unknown-symbol":
+            wrong = ("c", "#", "$") if cls is ClassicalDFA else ("c",)
+            add(head=head, read=draw(st.sampled_from(wrong)))
+        elif rule == "bad-displacement":
+            add(head=head, read="a", move=draw(st.sampled_from((2, -1))))
+        elif rule == "move-on-endmarker":
+            add(head=head, read="$", move=1)
+        elif rule == "head-count-mismatch":
+            moves = (0,) * draw(st.sampled_from((heads, heads + 1)))
+            delta[("q0", ("a",) * (heads + 1))] = ("q0", moves)
+        elif rule == "rho-unknown-symbol":
+            fields["rho"] = ComplementarityRelation({**machine.rho.images, "c": ("x",)})
+        elif rule == "rho-not-total":
+            fields[symbols] += ("d",)
+    return cls(**fields)
+
+
+# What refuses an invalid machine of each kind, called on one.
+_REFUSERS = {
+    WKAutomaton: (
+        lambda m: run_deterministic(m, "a", "x"),
+        lambda m: accepts_existential(m, "a"),
+        existential_acceptor,
+        lambda m: accepts_existential_bruteforce(m, "a"),
+        swk_to_mfa2,
+    ),
+    MultiHeadAutomaton: (lambda m: run_mfa(m, "ab"), mfa2_to_swk),
+    ClassicalDFA: (dfa_to_rwka,),
+}
+
+
+@given(machine=invalid_machines())
+@settings(max_examples=100, deadline=None)
+def test_invalid_machines_fail_validation_and_every_consumer_refuses_them(machine):
+    assert not validate(machine).passed
+    for refuse in _REFUSERS[type(machine)] + (serialize_machine,):
+        with pytest.raises(MachineError):
+            refuse(machine)
 
 
 class TestValidateOnce:

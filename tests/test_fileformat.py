@@ -25,7 +25,7 @@ from wkautomata.fileformat import (
 )
 from wkautomata.machines import InvalidMachineError, UnknownSymbolError
 from wkautomata.samples import random_dfa
-from conftest import CORPUS_DIR, CORPUS_FILES
+from conftest import CORPUS_DIR, CORPUS_FILES, dfas, mfa_machines, wk_machines
 
 
 class TestParse:
@@ -58,14 +58,32 @@ class TestParse:
         machine = parse_machine(text)
         assert ("s", "#", "#") in machine.delta
 
-    def test_duplicate_transition_key_is_an_error(self):
-        text = (
-            "type: wk\nstates: q0\nstart: q0\nfinal:\nalphabet: a\nrho: a->a_1\n"
-            "trans: q0 a a_1 -> q0 1 1\n"
-            "trans: q0 a a_1 -> q0 0 1\n"
-        )
-        with pytest.raises(ParseError, match="duplicate transition key"):
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "type: wk\nstates: q0\nstart: q0\nfinal:\nalphabet: a\nrho: a->a_1\n"
+                "trans: q0 a a_1 -> q0 1 1\n"
+                "trans: q0 a a_1 -> q0 0 1\n",
+                "line 8: duplicate transition key (q0, a, a_1)",
+            ),
+            (
+                "type: mfa\nstates: q1\nstart: q1\nalphabet: b\nheads: 2\n"
+                "trans: q1 $ b -> q1 0 1\n"
+                "trans: q1 $ b -> q1 0 0\n",
+                "line 7: duplicate transition key (q1, $, b)",
+            ),
+        ],
+        ids=["wk", "mfa"],
+    )
+    def test_duplicate_transition_key_is_an_error(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
             parse_machine(text)
+
+    def test_head_count_may_reach_the_bound(self):
+        text = "type: mfa\nstates: q\nstart: q\nalphabet: a\nheads: {}\n"
+        assert parse_machine(text.format("64")).head_count == 64
+        assert parse_machine(text.format("064")).head_count == 64
 
     def test_empty_input(self):
         with pytest.raises(ParseError, match="missing type"):
@@ -105,6 +123,14 @@ class TestParse:
             (
                 "type: mfa\nstates: q\nstart: q\nalphabet: a\nheads: \u00b2\n",
                 "positive integer",
+            ),
+            (
+                "type: mfa\nstates: q\nstart: q\nalphabet: a\nheads: 65\n",
+                "line 5: head count must be at most 64, got '65'",
+            ),
+            (
+                "type: mfa\nstates: q\nstart: q\nalphabet: a\nheads: 1" + "0" * 5000 + "\n",
+                "line 5: head count must be at most 64",
             ),
             ("not a directive\n", "expected 'directive:"),
         ],
@@ -230,6 +256,14 @@ def test_round_trip_on_random_machines(seed):
         text = serialize_machine(machine)
         assert parse_machine(text) == machine
         assert serialize_machine(parse_machine(text)) == text
+
+
+@given(machine=st.one_of(dfas(), wk_machines(), *map(mfa_machines, (1, 2, 3))))
+@settings(max_examples=60, deadline=None)
+def test_every_kind_round_trips(machine):
+    text = serialize_machine(machine)
+    assert parse_machine(text) == machine
+    assert serialize_machine(parse_machine(text)) == text
 
 
 class TestWords:

@@ -28,7 +28,7 @@ from wkautomata.fileformat import parse_machine, serialize_machine
 from wkautomata.machines import CheckReport, ClassicalDFA, Violation, is_valid_token
 from wkautomata.oracle import DiffReport, LengthStats
 from wkautomata.samples import random_dfa
-from conftest import CORPUS_DIR, CORPUS_FILES
+from conftest import CORPUS_DIR, CORPUS_FILES, VALIDATION_RULES
 
 
 def wk(delta, states, finals, alphabet=("a", "b"), rho=None, start=None):
@@ -330,6 +330,196 @@ class TestValidate:
             delta={("q0", ("a",)): ("q0", (1,))},
         )
         assert "head-count-mismatch" in {v.rule for v in validate(machine).violations}
+
+
+def _rule_machine(kind: str, extra=(), **fields):
+    """A small valid machine of ``kind`` over {a}, with ``fields`` replaced
+    and the transitions ``extra`` added."""
+    delta = {
+        "wk": {("q0", "#", "#"): ("q0", 1, 1), ("q0", "a", "a_1"): ("q1", 1, 1)},
+        "mfa": {("q0", ("#", "#")): ("q0", (1, 1)), ("q0", ("a", "a")): ("q1", (1, 1))},
+        "dfa": {("q0", "a"): "q1"},
+    }[kind]
+    fields = {"states": ("q0", "q1"), "start": "q0", "finals": {"q1"}, **fields}
+    fields["delta"] = {**delta, **dict(extra)}
+    if kind == "wk":
+        rho = ComplementarityRelation(fields.pop("rho", {"a": ("a_1",)}))
+        return WKAutomaton(upper_alphabet=fields.pop("alphabet", ("a",)), rho=rho, **fields)
+    fields.setdefault("alphabet", ("a",))
+    if kind == "mfa":
+        return MultiHeadAutomaton(head_count=fields.pop("head_count", 2), **fields)
+    return ClassicalDFA(**fields)
+
+
+_LEFT_NOTE = (
+    "1 transition(s) move a head that is reading the left end marker '#';"
+    " movement is pinned only on the right end marker '$'"
+)
+_UNKNOWN_STATES = dict(start="ghost", finals={"q1", "nowhere", "elsewhere"})
+_UNKNOWN_STATE_LINES = [
+    "unknown-state: start state 'ghost' is not declared",
+    "unknown-state: final state 'elsewhere' is not declared",
+    "unknown-state: final state 'nowhere' is not declared",
+]
+_ON_END = "move-on-endmarker: head may not move while reading '$' :: "
+
+# (kind, rule): a machine and its validate report's violations, in order.
+# Each WK and MFA machine moves off the left end marker once, which notes say.
+_RULE_CASES = {
+    ("wk", "bad-token"): (
+        _rule_machine("wk", states=("q0", "q1", "q 2"), rho={"a": ("a_1", "b#")}),
+        [
+            "bad-token: state name 'q 2' uses reserved text",
+            "bad-token: symbol name 'b#' uses reserved text",
+        ],
+    ),
+    ("wk", "duplicate-state"): (
+        _rule_machine("wk", states=("q0", "q1", "q0")),
+        ["duplicate-state: state 'q0' declared twice"],
+    ),
+    ("wk", "duplicate-symbol"): (
+        _rule_machine("wk", alphabet=("a", "a")),
+        ["duplicate-symbol: symbol 'a' declared twice"],
+    ),
+    ("wk", "unknown-state"): (
+        _rule_machine("wk", {("q1", "a", "a_1"): ("q9", 1, 1)}, **_UNKNOWN_STATES),
+        _UNKNOWN_STATE_LINES
+        + ["unknown-state: state 'q9' is not declared :: q1 (a a_1) -> q9 (1 1)"],
+    ),
+    ("wk", "unknown-symbol"): (
+        _rule_machine("wk", {("q1", "c", "a"): ("q1", 1, 1), ("q1", "a_1", "$"): ("q1", 1, 0)}),
+        [
+            "unknown-symbol: read symbol 'c' is not available :: q1 (c a) -> q1 (1 1)",
+            "unknown-symbol: read symbol 'a' is not available :: q1 (c a) -> q1 (1 1)",
+            "unknown-symbol: read symbol 'a_1' is not available :: q1 (a_1 $) -> q1 (1 0)",
+        ],
+    ),
+    ("wk", "bad-displacement"): (
+        _rule_machine("wk", {("q1", "a", "a_1"): ("q1", 2, -1)}),
+        [
+            "bad-displacement: displacement 2 is not 0 or 1 :: q1 (a a_1) -> q1 (2 -1)",
+            "bad-displacement: displacement -1 is not 0 or 1 :: q1 (a a_1) -> q1 (2 -1)",
+        ],
+    ),
+    ("wk", "move-on-endmarker"): (
+        _rule_machine("wk", {("q1", "$", "$"): ("q1", 1, 1), ("q1", "a", "$"): ("q1", 0, 1)}),
+        [_ON_END + "q1 ($ $) -> q1 (1 1)"] * 2 + [_ON_END + "q1 (a $) -> q1 (0 1)"],
+    ),
+    ("wk", "rho-unknown-symbol"): (
+        _rule_machine("wk", rho={"a": ("a_1",), "c": ("c_1",)}),
+        ["rho-unknown-symbol: rho maps 'c', which is not in the upper alphabet"],
+    ),
+    ("wk", "rho-not-total"): (
+        _rule_machine("wk", alphabet=("a", "b"), rho={"a": ("a_1",), "b": ()}),
+        ["rho-not-total: upper symbol 'b' has no complementarity image"],
+    ),
+    ("mfa", "bad-token"): (
+        _rule_machine("mfa", states=("q0", "q1", "q 2"), alphabet=("a", "b:")),
+        [
+            "bad-token: state name 'q 2' uses reserved text",
+            "bad-token: symbol name 'b:' uses reserved text",
+        ],
+    ),
+    ("mfa", "duplicate-state"): (
+        _rule_machine("mfa", states=("q0", "q1", "q0")),
+        ["duplicate-state: state 'q0' declared twice"],
+    ),
+    ("mfa", "duplicate-symbol"): (
+        _rule_machine("mfa", alphabet=("a", "a")),
+        ["duplicate-symbol: symbol 'a' declared twice"],
+    ),
+    ("mfa", "unknown-state"): (
+        _rule_machine("mfa", {("q9", ("a", "a")): ("q1", (1, 1))}, **_UNKNOWN_STATES),
+        _UNKNOWN_STATE_LINES
+        + ["unknown-state: state 'q9' is not declared :: q9 (a a) -> q1 (1 1)"],
+    ),
+    ("mfa", "unknown-symbol"): (
+        _rule_machine("mfa", {("q1", ("c", "a")): ("q1", (1, 1)), ("q1", ("$", "d")): ("q1", (0, 1))}),
+        [
+            "unknown-symbol: read symbol 'c' is not available :: q1 (c a) -> q1 (1 1)",
+            "unknown-symbol: read symbol 'd' is not available :: q1 ($ d) -> q1 (0 1)",
+        ],
+    ),
+    ("mfa", "bad-displacement"): (
+        _rule_machine("mfa", {("q1", ("a", "a")): ("q1", (2, -1))}),
+        [
+            "bad-displacement: displacement 2 is not 0 or 1 :: q1 (a a) -> q1 (2 -1)",
+            "bad-displacement: displacement -1 is not 0 or 1 :: q1 (a a) -> q1 (2 -1)",
+        ],
+    ),
+    ("mfa", "move-on-endmarker"): (
+        _rule_machine("mfa", {("q1", ("$", "$")): ("q1", (1, 1)), ("q1", ("a", "$")): ("q1", (0, 1))}),
+        [_ON_END + "q1 ($ $) -> q1 (1 1)"] * 2 + [_ON_END + "q1 (a $) -> q1 (0 1)"],
+    ),
+    ("mfa", "bad-head-count"): (
+        _rule_machine("mfa", head_count=0),
+        [
+            "bad-head-count: head count 0 must be at least 1",
+            "head-count-mismatch: transition does not carry exactly 0 reads and moves"
+            " :: q0 (# #) -> q0 (1 1)",
+            "head-count-mismatch: transition does not carry exactly 0 reads and moves"
+            " :: q0 (a a) -> q1 (1 1)",
+        ],
+    ),
+    ("mfa", "head-count-mismatch"): (
+        _rule_machine(
+            "mfa",
+            {
+                ("q1", ("a",)): ("q1", (1,)),
+                ("q1", ("a", "a", "a")): ("q1", (1, 1)),
+                ("q1", ("$", "a")): ("q1", (0, 1, 1)),
+            },
+        ),
+        [
+            "head-count-mismatch: transition does not carry exactly 2 reads and moves"
+            f" :: {entry}"
+            for entry in ("q1 (a) -> q1 (1)", "q1 (a a a) -> q1 (1 1)", "q1 ($ a) -> q1 (0 1 1)")
+        ],
+    ),
+    ("dfa", "bad-token"): (
+        _rule_machine("dfa", states=("q0", "q1", "q 2"), alphabet=("a", "->")),
+        [
+            "bad-token: state name 'q 2' uses reserved text",
+            "bad-token: symbol name '->' uses reserved text",
+        ],
+    ),
+    ("dfa", "duplicate-state"): (
+        _rule_machine("dfa", states=("q0", "q1", "q0")),
+        ["duplicate-state: state 'q0' declared twice"],
+    ),
+    ("dfa", "duplicate-symbol"): (
+        _rule_machine("dfa", alphabet=("a", "a")),
+        ["duplicate-symbol: symbol 'a' declared twice"],
+    ),
+    ("dfa", "unknown-state"): (
+        _rule_machine("dfa", {("q1", "a"): "q9"}, **_UNKNOWN_STATES),
+        _UNKNOWN_STATE_LINES + ["unknown-state: state 'q9' is not declared :: q1 (a) -> q9 ()"],
+    ),
+    ("dfa", "unknown-symbol"): (
+        _rule_machine("dfa", {("q1", "c"): "q1", ("q1", "$"): "q0"}),
+        [
+            "unknown-symbol: read symbol 'c' is not available :: q1 (c) -> q1 ()",
+            "unknown-symbol: read symbol '$' is not available :: q1 ($) -> q0 ()",
+        ],
+    ),
+}
+
+
+class TestValidationRules:
+    """One machine per (kind, rule): the whole report, in order, is pinned."""
+
+    def test_every_rule_of_every_kind_has_a_case(self):
+        cases = {(type(machine), rule) for (_, rule), (machine, _) in _RULE_CASES.items()}
+        assert cases == {(cls, rule) for cls, rules in VALIDATION_RULES.items() for rule in rules}
+
+    @pytest.mark.parametrize("kind,rule", list(_RULE_CASES), ids="-".join)
+    def test_report(self, kind, rule):
+        machine, lines = _RULE_CASES[kind, rule]
+        report = validate(machine)
+        assert not report.passed
+        assert report.violations[0].rule == rule
+        assert [str(v) for v in report.violations] == lines
+        assert report.notes == (() if kind == "dfa" else (_LEFT_NOTE,))
 
 
 class TestReversibilityWK:
