@@ -26,6 +26,7 @@ from .machines import (
     WKAutomaton,
     check_reversibility_mfa,
     check_strong_reversibility,
+    require_kind,
     require_valid,
 )
 
@@ -78,6 +79,7 @@ def dfa_to_rwka(dfa: ClassicalDFA) -> WKAutomaton:
     the relation stays total; nothing ever consumes such an image, so the
     language is unaffected.
     """
+    require_kind(dfa, ClassicalDFA)
     require_valid(dfa, "dfa")
 
     taken = set(dfa.states) | set(dfa.alphabet)
@@ -144,6 +146,7 @@ def identity_twin(machine: MultiHeadAutomaton) -> WKAutomaton:
 def mfa2_to_swk(machine: MultiHeadAutomaton) -> WKAutomaton:
     """Translate a two-head reversible machine to its identity-relation
     two-strand twin."""
+    require_kind(machine, MultiHeadAutomaton)
     if machine.head_count != 2:
         raise HeadCountError(f"need exactly 2 heads, got {machine.head_count}")
     require_valid(machine, "two-head machine")
@@ -159,6 +162,7 @@ def swk_to_mfa2(machine: WKAutomaton) -> MultiHeadAutomaton:
     Each lower read is replaced by its unique preimage under the relation;
     end markers are their own preimage.
     """
+    require_kind(machine, WKAutomaton)
     require_valid(machine, "two-strand machine")
     if not machine.rho.is_injective:
         raise NonInjectiveRhoError(

@@ -27,12 +27,15 @@ stage.  Such a normalised frontier is keyed by a string with one code
 point per int, and interned once, as a list of move slots, one per
 upper-symbol column and one for the right end marker, followed by its key.
 A slot holds nothing yet, a verdict, or the next interned state, so a call
-maps its word to columns once and runs a stage only on an empty slot.
-The memo is cleared when it outgrows ``_MEMO_STATES``.  An acceptor
-carries the memo between calls and belongs to one thread at a time;
-machines themselves stay immutable.
+walks its word symbol by symbol through the slots and runs a stage only on
+an empty slot.  It checks the whole word for symbols outside the upper
+alphabet only off the plain walk: before a stage runs, when a verdict ends
+the walk early, and when a lookup fails.  The memo is cleared when it
+outgrows ``_MEMO_STATES``.  An acceptor carries the memo between calls and
+belongs to one thread at a time; machines themselves stay immutable.
 
-Every engine refuses a machine that fails ``validate`` with an
+Every engine refuses a machine of another kind than it runs with a
+``WrongKindError``, and a machine that fails ``validate`` with an
 ``InvalidMachineError``.  Machines are frozen, so the validation, the run
 loop and the search's integer tables are each built once per machine
 object and kept on that object, where they live and die with it; an equal
@@ -59,6 +62,7 @@ from .machines import (
     UnknownSymbolError,
     WKAutomaton,
     kept,
+    require_kind,
     require_valid,
     wk_entries,
 )
@@ -108,9 +112,11 @@ class SearchResult(Record):
 
 
 def _require_symbols(word: Word, allowed: Container[str], what: str) -> None:
+    """Raise ``UnknownSymbolError`` naming the first symbol of ``word`` not
+    in ``allowed``, if there is one."""
     for sym in word:
         if sym not in allowed:
-            raise UnknownSymbolError(f"symbol {sym!r} is not in the {what}")
+            raise UnknownSymbolError(f"symbol {sym!r} is not in the {what}") from None
 
 
 def complement_strands(machine: WKAutomaton, upper: Sequence[str]) -> Iterator[Word]:
@@ -120,6 +126,7 @@ def complement_strands(machine: WKAutomaton, upper: Sequence[str]) -> Iterator[W
     declared in the complementarity relation; the empty word yields exactly
     one strand, the empty word itself.
     """
+    require_kind(machine, WKAutomaton)
     w1 = tuple(upper)
     _require_symbols(w1, machine.upper_alphabet, "upper alphabet")
     choices = [machine.rho.image(x) for x in w1]
@@ -129,22 +136,17 @@ def complement_strands(machine: WKAutomaton, upper: Sequence[str]) -> Iterator[W
 _require_valid = kept(require_valid)
 
 
-@kept
 def _run_loop(
-    machine: WKAutomaton | MultiHeadAutomaton,
+    delta: dict[tuple[str, tuple[str, ...]], tuple[str, tuple[int, ...]]],
+    start: str,
+    finals: frozenset[str],
 ) -> Callable[[Sequence[Word], bool], RunOutcome]:
-    """Validate ``machine`` and return its deterministic run loop.
+    """The deterministic run loop of a k-head transition table.
 
     The loop takes one word per head, which it end-marks as that head's
-    tape, and whether to keep the trace.  A two-strand transition's read
-    and move pairs serve as its 2-head read and move tuples.
+    tape, and whether to keep the trace.
     """
-    _require_valid(machine)
-    if isinstance(machine, WKAutomaton):
-        delta = {(q, reads): (t, moves) for q, reads, t, moves in wk_entries(machine)}
-    else:
-        delta = machine.delta
-    step, start, finals = delta.get, machine.start, machine.finals
+    step = delta.get
 
     def run(words: Sequence[Word], keep_trace: bool) -> RunOutcome:
         tapes = [(LEFT_END, *w, RIGHT_END) for w in words]
@@ -167,6 +169,25 @@ def _run_loop(
     return run
 
 
+@kept
+def _wk_run_loop(machine: WKAutomaton) -> Callable[[Sequence[Word], bool], RunOutcome]:
+    """Check ``machine``'s kind and validity and return its run loop; a
+    two-strand transition's read and move pairs serve as its 2-head read
+    and move tuples."""
+    require_kind(machine, WKAutomaton)
+    _require_valid(machine)
+    delta = {(q, reads): (t, moves) for q, reads, t, moves in wk_entries(machine)}
+    return _run_loop(delta, machine.start, machine.finals)
+
+
+@kept
+def _mfa_run_loop(machine: MultiHeadAutomaton) -> Callable[[Sequence[Word], bool], RunOutcome]:
+    """Check ``machine``'s kind and validity and return its run loop."""
+    require_kind(machine, MultiHeadAutomaton)
+    _require_valid(machine)
+    return _run_loop(machine.delta, machine.start, machine.finals)
+
+
 def run_deterministic(
     machine: WKAutomaton,
     upper: Sequence[str],
@@ -179,7 +200,7 @@ def run_deterministic(
     A non-complementary ``lower`` is a precondition error, distinct from a
     rejecting run.
     """
-    run = _run_loop(machine)
+    run = _wk_run_loop(machine)
     w1, w2 = tuple(upper), tuple(lower)
     _require_symbols(w1, machine.upper_alphabet, "upper alphabet")
     if len(w2) != len(w1):
@@ -198,9 +219,10 @@ def run_mfa(
     machine: MultiHeadAutomaton, word: Sequence[str], *, keep_trace: bool = False
 ) -> RunOutcome:
     """Run the k-head machine, with the same halt/loop classification."""
+    run = _mfa_run_loop(machine)
     w = tuple(word)
     _require_symbols(w, machine.alphabet, "alphabet")
-    return _run_loop(machine)((w,) * machine.head_count, keep_trace)
+    return run((w,) * machine.head_count, keep_trace)
 
 
 class _CompiledWK(Record):
@@ -218,6 +240,7 @@ class _CompiledWK(Record):
 
 @kept
 def _compile_wk(machine: WKAutomaton) -> _CompiledWK:
+    require_kind(machine, WKAutomaton)
     _require_valid(machine)
     sym_index: dict[str, int] = {}
 
@@ -392,9 +415,14 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     its key.  A slot holds the next state, ``True`` or ``False`` for every
     extension, or ``None`` while not yet run.  Every frontier a stage hands
     on is interned, so each (frontier, column) stage runs at most once per
-    memo.  A call maps its word to columns once, walks from the start state
-    over them and reads the end marker's slot, and runs a stage only on an
-    empty slot, so between clears any word order runs the same stages.
+    memo.  A call walks from the start state, reading the slot of each
+    symbol's column in turn, then the end marker's slot, and runs a stage
+    only on an empty slot, so between clears any word order runs the same
+    stages.  The walk looks each symbol up only as it reaches it; before a
+    stage runs, when a verdict ends the walk early (the start state may be
+    one) and when a lookup fails, the call checks the whole word and raises
+    ``UnknownSymbolError`` naming its first symbol outside the upper
+    alphabet.  So a word with such a symbol never runs a stage.
     When the memo holds more than ``_MEMO_STATES`` states it is cleared at
     the start of the next call.  The predicate carries the memo from call
     to call, so use it from one thread at a time.  Each call returns a
@@ -537,26 +565,28 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
 
     def accepts(word: Sequence[str]) -> bool:
         nonlocal start
-        try:
-            cols = list(map(column.__getitem__, word))
-        except KeyError as exc:
-            raise UnknownSymbolError(
-                f"symbol {exc.args[0]!r} is not in the upper alphabet"
-            ) from None
+        word = tuple(word)
         if len(memo) > _MEMO_STATES:
+            _require_symbols(word, column, "upper alphabet")
             _forget(memo)
             start = begin()
         state = start
         if state is True or state is False:
+            _require_symbols(word, column, "upper alphabet")
             return state
-        for c in cols:
-            nxt = state[c]
-            if nxt.__class__ is not list:
-                if nxt is None:
-                    nxt = step(state, c)
-                if nxt is True or nxt is False:
-                    return nxt
-            state = nxt
+        try:
+            for x in word:
+                nxt = state[column[x]]
+                if nxt.__class__ is not list:
+                    _require_symbols(word, column, "upper alphabet")
+                    if nxt is None:
+                        nxt = step(state, column[x])
+                    if nxt is True or nxt is False:
+                        return nxt
+                state = nxt
+        except KeyError:
+            _require_symbols(word, column, "upper alphabet")
+            raise
         verdict = state[close]
         if verdict is None:
             verdict = step(state, close)
@@ -572,7 +602,7 @@ def accepts_existential_bruteforce(
     machine: WKAutomaton, upper: Sequence[str], *, max_strands: int = 1_000_000
 ) -> bool:
     """Independent oracle: try every complementary strand deterministically."""
-    run = _run_loop(machine)
+    run = _wk_run_loop(machine)
     w1 = tuple(upper)
     strands = complement_strands(machine, w1)
     if math.prod(len(machine.rho.image(x)) for x in w1) > max_strands:

@@ -57,6 +57,10 @@ class NonInjectiveRhoError(MachineError):
     """The complementarity relation has no functional inverse."""
 
 
+class WrongKindError(MachineError):
+    """An operation was given a machine of another kind than it takes."""
+
+
 class InvalidMachineError(MachineError):
     """An operation's precondition (a passing validate report) was violated."""
 
@@ -204,6 +208,12 @@ def kept(build: Callable) -> Callable:
         return own[name]
 
     return get
+
+
+def require_kind(machine: object, kind: type) -> None:
+    """Raise ``WrongKindError`` unless ``machine`` is a ``kind``."""
+    if not isinstance(machine, kind):
+        raise WrongKindError(f"expected a {kind.__name__}, got a {type(machine).__name__}")
 
 
 def is_valid_token(token: str) -> bool:
@@ -391,7 +401,8 @@ def wk_entries(machine: WKAutomaton) -> list[Entry]:
     ]
 
 
-# The symbols one head may read, and the word a parse error names them by.
+# The symbols one head may read, and the word that error messages name the
+# head by ("upper ", "lower ", or none, when heads go by number).
 Column = tuple[frozenset[str], str]
 
 
@@ -483,13 +494,15 @@ def _entry_violations(
         for d in moves:
             if d not in (0, 1):
                 out.append(Violation("bad-displacement", (entry,), f"displacement {d!r} is not 0 or 1"))
-        for r, d in zip(reads, moves):
+        for pos, (r, d) in enumerate(zip(reads, moves)):
             if r == RIGHT_END and d == 1:
+                word = columns[min(pos, len(columns) - 1)][1]
+                head = f"{word}head" if word else f"head {pos + 1}"
                 out.append(
                     Violation(
                         "move-on-endmarker",
                         (entry,),
-                        f"head may not move while reading '{RIGHT_END}'",
+                        f"{head} may not move while reading '{RIGHT_END}'",
                     )
                 )
     return out
@@ -564,11 +577,13 @@ def _reversibility_report(entries: list[Entry]) -> CheckReport:
 
 def check_reversibility_wk(machine: WKAutomaton) -> CheckReport:
     """Check conditions C1 and C2 over the two-strand transition table."""
+    require_kind(machine, WKAutomaton)
     return _reversibility_report(wk_entries(machine))
 
 
 def check_reversibility_mfa(machine: MultiHeadAutomaton) -> CheckReport:
     """Check conditions C1 and C2 over the k-head transition table."""
+    require_kind(machine, MultiHeadAutomaton)
     return _reversibility_report(grammar(machine)[2])
 
 

@@ -13,7 +13,14 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
 
 from .fileformat import word_separator
-from .machines import ClassicalDFA, FrozenDict, Record, UnknownSymbolError
+from .machines import (
+    ClassicalDFA,
+    FrozenDict,
+    Record,
+    UnknownSymbolError,
+    kept,
+    require_kind,
+)
 
 Word = tuple[str, ...]
 
@@ -31,15 +38,34 @@ class AcceptorFailure(Exception):
         super().__init__(f"acceptor {side} failed on word {word!r}: {cause}")
 
 
+@kept
+def _dfa_rows(dfa: ClassicalDFA) -> dict[str, dict[str, str | None]]:
+    """``rows[q][x]``: the target of ``dfa``'s move from ``q`` on ``x``, or
+    None where there is none.  Each row holds exactly the alphabet, and
+    there is a row for every declared state, the start state and every
+    target, so the table needs no valid machine."""
+    require_kind(dfa, ClassicalDFA)
+    delta = dfa.delta
+    sources = {dfa.start, *dfa.states, *delta.values()}
+    return {q: {x: delta.get((q, x)) for x in dfa.alphabet} for q in sources}
+
+
 def dfa_accepts(dfa: ClassicalDFA, word: Sequence[str]) -> bool:
-    """Standard DFA evaluation; a missing transition rejects."""
-    alphabet = dfa.alphabet
-    step = dfa.delta.get
+    """Standard DFA evaluation; a missing transition rejects.
+
+    The walk reads ``rows[q][x]`` from the row table that the first call
+    on ``dfa`` builds and keeps on it.  A symbol outside the alphabet has
+    no entry in any row, so it raises ``UnknownSymbolError`` when the walk
+    reaches it; a missing move earlier in the word rejects first.  The DFA
+    is not validated.
+    """
+    rows = _dfa_rows(dfa)
     state = dfa.start
     for sym in word:
-        if sym not in alphabet:
-            raise UnknownSymbolError(f"symbol {sym!r} is not in the alphabet")
-        state = step((state, sym))
+        try:
+            state = rows[state][sym]
+        except (KeyError, TypeError):  # TypeError: an unhashable symbol
+            raise UnknownSymbolError(f"symbol {sym!r} is not in the alphabet") from None
         if state is None:
             return False
     return state in dfa.finals
@@ -228,37 +254,38 @@ def differential_compare(
     mismatch_cap: int = 100,
 ) -> DiffReport:
     """Evaluate both acceptors on every word and aggregate per length."""
-    counts: dict[int, list[int]] = {}
+    counts: dict[int, list[int]] = {}  # length: [words, a_only, b_only]
     mismatches: list[tuple[Word, str]] = []
     truncated = False
-    max_len = 0
+    length = row = None
     for raw in words:
         word = tuple(raw)
-        max_len = max(max_len, len(word))
-        row = counts.setdefault(len(word), [0, 0, 0, 0])
+        if len(word) != length:
+            length = len(word)
+            row = counts.get(length)
+            if row is None:
+                row = counts[length] = [0, 0, 0]
         row[0] += 1
         try:
-            in_a = bool(accept_a(word))
+            a_rejects = not accept_a(word)
         except Exception as exc:  # noqa: BLE001 - reported with the word attached
             raise AcceptorFailure("a", word, exc) from exc
         try:
-            in_b = bool(accept_b(word))
+            b_rejects = not accept_b(word)
         except Exception as exc:  # noqa: BLE001
             raise AcceptorFailure("b", word, exc) from exc
-        if in_a == in_b:
-            row[1] += 1
-        else:
-            row[2 if in_a else 3] += 1
+        if a_rejects is not b_rejects:
+            row[2 if a_rejects else 1] += 1
             if len(mismatches) < mismatch_cap:
-                mismatches.append((word, "a" if in_a else "b"))
+                mismatches.append((word, "b" if a_rejects else "a"))
             else:
                 truncated = True
     per_length = {
-        length: LengthStats(words=row[0], agreements=row[1], a_only=row[2], b_only=row[3])
-        for length, row in sorted(counts.items())
+        n: LengthStats(words=w, agreements=w - a - b, a_only=a, b_only=b)
+        for n, (w, a, b) in sorted(counts.items())
     }
     return DiffReport(
-        max_len=max_len,
+        max_len=max(counts, default=0),
         per_length=per_length,
         mismatches=tuple(mismatches),
         truncated=truncated,

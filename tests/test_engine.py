@@ -1,5 +1,6 @@
 """Deterministic runs, existential search, k-head runs, and their oracles."""
 
+import contextlib
 import copy
 import pickle
 import random
@@ -18,6 +19,9 @@ from wkautomata import (
     WKAutomaton,
     accepts_existential,
     accepts_existential_bruteforce,
+    check_reversibility_mfa,
+    check_reversibility_wk,
+    check_strong_reversibility,
     complement_strands,
     dfa_to_rwka,
     existential_acceptor,
@@ -29,7 +33,13 @@ from wkautomata import (
 from wkautomata import engine
 from wkautomata.engine import SearchBoundError, StrandMismatchError
 from wkautomata.fileformat import parse_machine, serialize_machine
-from wkautomata.machines import InvalidMachineError, MachineError, UnknownSymbolError, validate
+from wkautomata.machines import (
+    InvalidMachineError,
+    MachineError,
+    UnknownSymbolError,
+    WrongKindError,
+    validate,
+)
 from wkautomata.oracle import dfa_accepts, enumerate_words
 from wkautomata.samples import random_dfa
 from conftest import CORPUS_DIR, VALIDATION_RULES, dfas, mfa_machines, wk_machines
@@ -224,18 +234,6 @@ class TestAcceptsExistential:
         # Every frontier a stage hands on is interned, so each stage runs
         # once per memo: shortest first, longest first and shuffled, a
         # fresh acceptor runs the same number of stages.
-        stage = next(
-            code
-            for code in existential_acceptor.__code__.co_consts
-            if getattr(code, "co_name", None) == "stage"
-        )
-        runs = 0
-
-        def count(frame, event, arg):
-            nonlocal runs
-            if event == "call" and frame.f_code is stage:
-                runs += 1
-
         rng = random.Random(5)
         for _ in range(100):
             machine = dfa_to_rwka(random_dfa(rng, max_states=8))
@@ -243,16 +241,44 @@ class TestAcceptsExistential:
             counts = []
             for order in (words, words[::-1], rng.sample(words, len(words))):
                 accept = existential_acceptor(machine)
-                runs = 0
-                previous = sys.getprofile()
-                sys.setprofile(count)
-                try:
+                with counting_stages() as runs:
                     for word in order:
                         accept(word)
-                finally:
-                    sys.setprofile(previous)
-                counts.append(runs)
+                counts.append(runs[0])
             assert counts[0] == counts[1] == counts[2], counts
+
+    @pytest.mark.parametrize("memo_states", [engine._MEMO_STATES, 1])
+    @pytest.mark.parametrize("name", ["example1-rwka.wk", "theorem2.wk", "identity-rho.wk", "loop.wk"])
+    def test_acceptor_names_the_first_unknown_symbol_and_runs_no_stage(
+        self, monkeypatch, name, memo_states
+    ):
+        # The walk looks symbols up as it goes and checks the whole word
+        # only before a stage runs, on a verdict and on a failed lookup.
+        # loop.wk's start state is already a verdict.  With a bound of one
+        # state, the memo is cleared before the call walks.
+        monkeypatch.setattr(engine, "_MEMO_STATES", memo_states)
+        machine = parse_machine((CORPUS_DIR / name).read_text(encoding="utf-8"))
+        words = list(enumerate_words(machine.upper_alphabet, 4))
+        fresh, warm = existential_acceptor(machine), existential_acceptor(machine)
+        for word in words:
+            warm(word)
+        for accept in (fresh, warm):
+            for word in words[1:]:
+                for i in range(len(word)):
+                    bad = (*word[:i], "?", *word[i + 1 :], "!")
+                    for form in (bad, list(bad), iter(bad)):
+                        with counting_stages() as runs:
+                            with pytest.raises(
+                                UnknownSymbolError,
+                                match=r"^symbol '\?' is not in the upper alphabet$",
+                            ):
+                                accept(form)
+                        assert runs == [0], (bad, runs)
+        expected = existential_acceptor(machine)
+        for accept in (fresh, warm):
+            for word in words:
+                verdict = expected(word)
+                assert accept(word) == accept(list(word)) == accept(iter(word)) == verdict
 
     def test_acceptor_decides_long_words_on_compiled_dfas(self):
         # Complete DFAs, so no word is rejected early by a missing move.
@@ -303,6 +329,31 @@ class TestAcceptsExistential:
         assert result.accepted
         assert result.witness_lower == ("x", "x")
         assert run_deterministic(machine, "aa", result.witness_lower).accepted
+
+
+_STAGE = next(
+    code
+    for code in existential_acceptor.__code__.co_consts
+    if getattr(code, "co_name", None) == "stage"
+)
+
+
+@contextlib.contextmanager
+def counting_stages():
+    """Count the stage runs of every acceptor inside the block, in the one
+    item of the list it yields."""
+    runs = [0]
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is _STAGE:
+            runs[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        yield runs
+    finally:
+        sys.setprofile(previous)
 
 
 def assert_acceptor_matches(machine, max_len, rng):
@@ -468,6 +519,37 @@ def test_invalid_machines_fail_validation_and_every_consumer_refuses_them(machin
     for refuse in _REFUSERS[type(machine)] + (serialize_machine,):
         with pytest.raises(MachineError):
             refuse(machine)
+
+
+# What takes one kind of machine only, with that kind.
+_KIND_CONSUMERS = (
+    (lambda m: run_deterministic(m, "a", "a"), WKAutomaton),
+    (lambda m: accepts_existential(m, "a"), WKAutomaton),
+    (existential_acceptor, WKAutomaton),
+    (lambda m: accepts_existential_bruteforce(m, "a"), WKAutomaton),
+    (lambda m: complement_strands(m, "a"), WKAutomaton),
+    (swk_to_mfa2, WKAutomaton),
+    (check_reversibility_wk, WKAutomaton),
+    (check_strong_reversibility, WKAutomaton),
+    (lambda m: run_mfa(m, "a"), MultiHeadAutomaton),
+    (mfa2_to_swk, MultiHeadAutomaton),
+    (check_reversibility_mfa, MultiHeadAutomaton),
+    (dfa_to_rwka, ClassicalDFA),
+    (lambda m: dfa_accepts(m, "a"), ClassicalDFA),
+)
+
+
+@pytest.mark.parametrize("consume,kind", _KIND_CONSUMERS)
+def test_a_machine_of_another_kind_is_refused_by_name(consume, kind, example1, twohead):
+    machines = (dfa_to_rwka(example1), twohead, example1)
+    assert all(validate(m).passed for m in machines)
+    for machine in machines:
+        if isinstance(machine, kind):
+            continue
+        for _ in range(2):  # a refusal is not kept on the machine
+            message = f"^expected a {kind.__name__}, got a {type(machine).__name__}$"
+            with pytest.raises(WrongKindError, match=message):
+                consume(machine)
 
 
 class TestValidateOnce:

@@ -361,7 +361,7 @@ _UNKNOWN_STATE_LINES = [
     "unknown-state: final state 'elsewhere' is not declared",
     "unknown-state: final state 'nowhere' is not declared",
 ]
-_ON_END = "move-on-endmarker: head may not move while reading '$' :: "
+_ON_END = "move-on-endmarker: {} may not move while reading '$' :: "
 
 # (kind, rule): a machine and its validate report's violations, in order.
 # Each WK and MFA machine moves off the left end marker once, which notes say.
@@ -403,7 +403,11 @@ _RULE_CASES = {
     ),
     ("wk", "move-on-endmarker"): (
         _rule_machine("wk", {("q1", "$", "$"): ("q1", 1, 1), ("q1", "a", "$"): ("q1", 0, 1)}),
-        [_ON_END + "q1 ($ $) -> q1 (1 1)"] * 2 + [_ON_END + "q1 (a $) -> q1 (0 1)"],
+        [
+            _ON_END.format("upper head") + "q1 ($ $) -> q1 (1 1)",
+            _ON_END.format("lower head") + "q1 ($ $) -> q1 (1 1)",
+            _ON_END.format("lower head") + "q1 (a $) -> q1 (0 1)",
+        ],
     ),
     ("wk", "rho-unknown-symbol"): (
         _rule_machine("wk", rho={"a": ("a_1",), "c": ("c_1",)}),
@@ -449,7 +453,11 @@ _RULE_CASES = {
     ),
     ("mfa", "move-on-endmarker"): (
         _rule_machine("mfa", {("q1", ("$", "$")): ("q1", (1, 1)), ("q1", ("a", "$")): ("q1", (0, 1))}),
-        [_ON_END + "q1 ($ $) -> q1 (1 1)"] * 2 + [_ON_END + "q1 (a $) -> q1 (0 1)"],
+        [
+            _ON_END.format("head 1") + "q1 ($ $) -> q1 (1 1)",
+            _ON_END.format("head 2") + "q1 ($ $) -> q1 (1 1)",
+            _ON_END.format("head 2") + "q1 (a $) -> q1 (0 1)",
+        ],
     ),
     ("mfa", "bad-head-count"): (
         _rule_machine("mfa", head_count=0),

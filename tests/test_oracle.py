@@ -1,13 +1,16 @@
 """Brute-force ground truths: DFA evaluation, block-language membership,
 word enumeration, and differential comparison."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wkautomata import (
+    ClassicalDFA,
     dfa_accepts,
     differential_compare,
     enumerate_block_strings,
@@ -18,6 +21,7 @@ from wkautomata.machines import UnknownSymbolError
 from wkautomata.oracle import (
     BLOCK_ALPHABET,
     AcceptorFailure,
+    DiffReport,
     LengthStats,
     theorem2_blocks,
     theorem2_witnesses,
@@ -59,6 +63,85 @@ class TestDfaAccepts:
             ]
             assert all(w[-1] == "a" for w in accepted)
             assert len(accepted) == (2 ** (n - 1) if n >= 1 else 0)
+
+
+def tuple_key_dfa_accepts(dfa, word):
+    """DFA evaluation straight off the ``(state, symbol)`` table, as a
+    reference: an unknown symbol raises where it stands, a missing move
+    rejects where it stands."""
+    state = dfa.start
+    for sym in word:
+        if sym not in dfa.alphabet:
+            raise UnknownSymbolError(f"symbol {sym!r} is not in the alphabet")
+        state = dfa.delta.get((state, sym))
+        if state is None:
+            return False
+    return state in dfa.finals
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and message it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+@st.composite
+def partial_dfas(draw):
+    """DFAs over {a, b}, partial and not always valid: a transition may
+    start or end in an undeclared state or read 'c', outside the alphabet,
+    and the start state may be undeclared."""
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3))))
+    anywhere = st.sampled_from((*states, "ghost"))
+    delta = {
+        (q, x): draw(anywhere)
+        for q in (*states, "ghost")
+        for x in ("a", "b", "c")
+        if draw(st.booleans())
+    }
+    start = draw(st.sampled_from((states[0], "ghost")))
+    return ClassicalDFA(states, ("a", "b"), start, draw(st.sets(anywhere)), delta)
+
+
+class TestDfaAcceptsRows:
+    @given(
+        dfa=partial_dfas(),
+        words=st.lists(st.lists(st.sampled_from("abcz")).map(tuple), max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_row_table_walk_matches_the_tuple_key_walk(self, dfa, words):
+        for word in words:
+            expected = outcome(tuple_key_dfa_accepts, dfa, word)
+            assert outcome(dfa_accepts, dfa, word) == expected, word
+            assert outcome(dfa_accepts, dfa, iter(word)) == expected, word
+
+    def test_a_missing_move_rejects_before_a_later_unknown_symbol(self):
+        dfa = ClassicalDFA(("q0", "q1"), ("a", "b"), "q0", {"q0"}, {("q0", "a"): "q1"})
+        assert not dfa_accepts(dfa, ("a", "a", "x"))
+        with pytest.raises(UnknownSymbolError, match="^symbol 'x' is not in the alphabet$"):
+            dfa_accepts(dfa, ("a", "x", "a"))
+        # An unhashable symbol is unknown too, as in the tuple-key walk.
+        word = ("a", ["a"], "a")
+        assert outcome(dfa_accepts, dfa, word) == outcome(tuple_key_dfa_accepts, dfa, word)
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_kept_rows_leave_value_semantics_unchanged(self, example1, copy_of):
+        m = example1
+        twin = ClassicalDFA(m.states, m.alphabet, m.start, m.finals, m.delta)
+        before = (hash(m), repr(m), pickle.dumps(m))
+        assert dfa_accepts(m, "aba")
+        assert "_dfa_rows" in m.__dict__ and "_dfa_rows" not in twin.__dict__
+        assert (hash(m), repr(m), pickle.dumps(m)) == before
+        assert m == twin and twin == m and hash(twin) == hash(m)
+        copied = copy_of(m)
+        assert copied == m and hash(copied) == hash(m) and repr(copied) == repr(m)
+        assert "_dfa_rows" not in copied.__dict__
+        assert dfa_accepts(copied, "aba") and not dfa_accepts(copied, "ab")
 
 
 class TestTheorem2Member:
@@ -190,6 +273,88 @@ class TestEnumerateBlockStrings:
         for cap in range(1, 5):
             expected = [w for w, blocks in parsed if blocks and len(blocks) <= cap]
             assert list(enumerate_block_strings(8, cap)) == expected
+
+
+def reference_compare(accept_a, accept_b, words, *, mismatch_cap=100):
+    """``differential_compare`` as a plain per-word loop, as a reference."""
+    counts = {}
+    mismatches = []
+    truncated = False
+    max_len = 0
+    for raw in words:
+        word = tuple(raw)
+        max_len = max(max_len, len(word))
+        row = counts.setdefault(len(word), [0, 0, 0, 0])
+        row[0] += 1
+        try:
+            in_a = bool(accept_a(word))
+        except Exception as exc:  # noqa: BLE001
+            raise AcceptorFailure("a", word, exc) from exc
+        try:
+            in_b = bool(accept_b(word))
+        except Exception as exc:  # noqa: BLE001
+            raise AcceptorFailure("b", word, exc) from exc
+        if in_a == in_b:
+            row[1] += 1
+        else:
+            row[2 if in_a else 3] += 1
+            if len(mismatches) < mismatch_cap:
+                mismatches.append((word, "a" if in_a else "b"))
+            else:
+                truncated = True
+    per_length = {n: LengthStats(*row) for n, row in sorted(counts.items())}
+    return DiffReport(max_len, per_length, tuple(mismatches), truncated, mismatch_cap)
+
+
+# Acceptor results, true and false, that are not all bools.
+_RESULTS = (True, False, 1, 0, "", "x", [], [0], None)
+
+
+def comparison(call, *args, **kwargs):
+    """The report of ``call``, or the side, word and message it fails with."""
+    try:
+        return call(*args, **kwargs)
+    except AcceptorFailure as exc:
+        return exc.side, exc.word, str(exc)
+
+
+class TestDifferentialCompareReference:
+    @given(
+        words=st.lists(st.lists(st.sampled_from("ab"), max_size=4).map(tuple), max_size=60),
+        rng=st.randoms(use_true_random=False),
+        cap=st.sampled_from((0, 1, 5, 100)),
+        failing=st.sampled_from((None, "a", "b")),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_word_loop(self, words, rng, cap, failing):
+        # Lengths interleave, since words are drawn in any order, and an
+        # acceptor may fail on one of them.
+        results = {}
+
+        def acceptor(side):
+            def accept(word):
+                if side == failing and words and word == words[-1]:
+                    raise ValueError(f"cannot read {word}")
+                if (side, word) not in results:
+                    results[side, word] = rng.choice(_RESULTS)
+                return results[side, word]
+
+            return accept
+
+        accept_a, accept_b = acceptor("a"), acceptor("b")
+        expected = comparison(reference_compare, accept_a, accept_b, words, mismatch_cap=cap)
+        got = comparison(differential_compare, accept_a, accept_b, iter(words), mismatch_cap=cap)
+        assert got == expected
+        if isinstance(got, DiffReport):
+            assert got.to_tsv() == expected.to_tsv()
+            assert got.to_text() == expected.to_text()
+
+    @pytest.mark.parametrize("cap", [0, 1, 5, 100])
+    def test_an_empty_stream_gives_an_empty_report(self, cap):
+        report = differential_compare(bool, bool, iter(()), mismatch_cap=cap)
+        assert report == reference_compare(bool, bool, (), mismatch_cap=cap)
+        assert report.max_len == 0 and not report.per_length
+        assert report.to_tsv() == "total\t0\t0\t0\t0"
 
 
 class TestDifferentialCompare:
