@@ -12,6 +12,9 @@ force oracles, each defined in ``wkautomata.sweeps``:
   discrepancy probe for pairs involving block 1.
 * twohead: the round trip between the two-head sample and its two-strand
   twin.
+
+Each experiment ends with its wall time and the words it decided per
+second.
 """
 
 from __future__ import annotations
@@ -37,22 +40,23 @@ MAX_LEN_EXAMPLE, MAX_LEN_RANDOM = 12, 8
 MAX_BLOCK_LEN, MAX_BLOCKS = 12, 3
 
 
-def report_regular(args) -> bool:
+def report_regular(args) -> tuple[bool, int]:
     report = compiled_dfa(example1_dfa(), MAX_LEN_EXAMPLE)
     print(f"(a+b)*a vs compiled machine, length <= {MAX_LEN_EXAMPLE}:")
     print(report.to_text())
-    mismatches = sum(
-        compiled_dfa(dfa, MAX_LEN_RANDOM).total_mismatches
-        for dfa in seeded_dfas(args.seed, args.random_dfas)
-    )
+    randoms = [
+        compiled_dfa(dfa, MAX_LEN_RANDOM) for dfa in seeded_dfas(args.seed, args.random_dfas)
+    ]
+    mismatches = sum(r.total_mismatches for r in randoms)
     print(
         f"{args.random_dfas} random DFAs (seed {args.seed}), length <= {MAX_LEN_RANDOM}: "
         f"{mismatches} mismatches"
     )
-    return report.total_mismatches == 0 and mismatches == 0
+    words = report.total_words + sum(r.total_words for r in randoms)
+    return report.total_mismatches == 0 and mismatches == 0, words
 
 
-def report_blocks(args) -> bool:
+def report_blocks(args) -> tuple[bool, int]:
     machine = theorem2_machine()
     counts = block_language(machine, MAX_BLOCK_LEN, MAX_BLOCKS)
     probe = tuple("ab*a%ab*b")
@@ -66,10 +70,10 @@ def report_blocks(args) -> bool:
         f"detectable only via block 1 are machine-rejected (probe {''.join(probe)}: member="
         f"{theorem2_member(probe)}, machine={existential_acceptor(machine)(probe)})"
     )
-    return not counts.unsound and not counts.missed
+    return not counts.unsound and not counts.missed, counts.words
 
 
-def report_twohead(args) -> bool:
+def report_twohead(args) -> tuple[bool, int]:
     mfa = twohead_anbn1_mfa()
     wk = mfa2_to_swk(mfa)
     identical = swk_to_mfa2(wk) == mfa
@@ -78,7 +82,7 @@ def report_twohead(args) -> bool:
         f"two-head round trip identical: {identical}; "
         f"language agreement <= {MAX_LEN_RANDOM}: {report.total_mismatches} mismatches"
     )
-    return identical and report.total_mismatches == 0
+    return identical and report.total_mismatches == 0, report.total_words
 
 
 def main() -> int:
@@ -97,8 +101,12 @@ def main() -> int:
     for name in experiments:
         print(f"=== {name} ===")
         started = time.perf_counter()
-        ok = reports[name](args)
-        print(f"=== {name}: {'ok' if ok else 'MISMATCH'} ({time.perf_counter() - started:.1f}s)\n")
+        ok, words = reports[name](args)
+        elapsed = time.perf_counter() - started
+        print(
+            f"=== {name}: {'ok' if ok else 'MISMATCH'} "
+            f"({elapsed:.1f}s, {words / elapsed / 1000:.0f}k words/s)\n"
+        )
         all_ok &= ok
     return 0 if all_ok else 1
 

@@ -26,13 +26,15 @@ together with the upper symbols from there to j, determines every later
 stage.  Such a normalised frontier is keyed by a string with one code
 point per int, and interned once, as a list of move slots, one per
 upper-symbol column and one for the right end marker, followed by its key.
-A slot holds nothing yet, a verdict, or the next interned state, so a call
-walks its word symbol by symbol through the slots and runs a stage only on
-an empty slot.  It checks the whole word for symbols outside the upper
-alphabet only off the plain walk: before a stage runs, when a verdict ends
-the walk early, and when a lookup fails.  The memo is cleared when it
-outgrows ``_MEMO_STATES``.  An acceptor carries the memo between calls and
-belongs to one thread at a time; machines themselves stay immutable.
+A column slot holds the next state, and a move not yet run and a verdict
+reached early each lead to a sink state that every column leads back to,
+so a call first walks its word by bare subscripts and reads the end
+marker's slot.  Only when that walk ends without a verdict, or meets a
+symbol outside the upper alphabet, does the call take the careful walk,
+which checks the whole word, clears a memo that outgrew ``_MEMO_STATES``
+and runs a stage on each move not yet run.  An acceptor carries the memo
+between calls and belongs to one thread at a time; machines themselves
+stay immutable.
 
 Every engine refuses a machine of another kind than it runs with a
 ``WrongKindError``, and a machine that fails ``validate`` with an
@@ -368,13 +370,13 @@ def accepts_existential(
 
 
 # An acceptor that holds more interned frontiers than this clears its memo at
-# the start of its next call.  The compiled DFAs of the regular sweeps intern
-# at most a dozen each.  The block-language machine interns 16,989 frontiers
-# over the 132,854 words of up to 11 symbols and 6 blocks, because its lower
-# head lags a block behind and windows grow to 10 symbols, so the sweep never
-# clears the memo.  An interned state takes about 200 bytes (its slot list,
-# its string key and the memo entry), so the whole sweep's memo holds about
-# 3.2 MiB.
+# the start of its next call that leaves the fast walk, the only walk that
+# interns.  The compiled DFAs of the regular sweeps intern at most a dozen
+# each.  The block-language machine interns 16,989 frontiers over the 132,854
+# words of up to 11 symbols and 6 blocks, because its lower head lags a block
+# behind and windows grow to 10 symbols, so the sweep never clears the memo.
+# An interned state takes about 200 bytes (its slot list, its string key and
+# the memo entry), so the whole sweep's memo holds about 3.2 MiB.
 _MEMO_STATES = 32_768
 
 
@@ -412,23 +414,29 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     heads and the sorted shifted commits; a stage decodes it only when it
     runs.  A frontier is interned as a DFA state: a list with one move slot
     per upper-symbol column and one for the right end marker, followed by
-    its key.  A slot holds the next state, ``True`` or ``False`` for every
-    extension, or ``None`` while not yet run.  Every frontier a stage hands
-    on is interned, so each (frontier, column) stage runs at most once per
-    memo.  A call walks from the start state, reading the slot of each
-    symbol's column in turn, then the end marker's slot, and runs a stage
-    only on an empty slot, so between clears any word order runs the same
-    stages.  The walk looks each symbol up only as it reaches it; before a
-    stage runs, when a verdict ends the walk early (the start state may be
-    one) and when a lookup fails, the call checks the whole word and raises
+    its key.  A column slot holds the next state; the end marker's slot
+    holds the verdict, or ``None`` while not yet run.  Three sinks, states
+    whose every column slot leads back to themselves, stand for what is
+    not a frontier: a move not yet run leads to the pending sink, whose
+    verdict is ``None``, and a verdict that holds for every extension is
+    the sink whose end marker's slot holds ``True`` or ``False`` (the start
+    state may be one).  Every frontier a stage hands on is interned, so
+    each (frontier, column) stage runs at most once per memo.  A call first
+    takes the fast walk: from the start state it subscripts the slot of
+    each symbol's column in turn, then reads the end marker's slot.  When
+    that verdict is ``None`` or a symbol has no column, the call takes the
+    careful walk instead.  That walk checks the whole word and raises
     ``UnknownSymbolError`` naming its first symbol outside the upper
-    alphabet.  So a word with such a symbol never runs a stage.
-    When the memo holds more than ``_MEMO_STATES`` states it is cleared at
-    the start of the next call.  The predicate carries the memo from call
-    to call, so use it from one thread at a time.  Each call returns a
-    fresh predicate with an empty memo; the integer tables it reads are the
-    ``_compile_wk`` tables kept on the machine, shared with every other
-    search on the same machine object and never mutated.
+    alphabet, so a word with such a symbol never runs a stage; it then
+    clears the memo if it holds more than ``_MEMO_STATES`` states, and
+    walks again from the start state, running a stage on each move not yet
+    run.  Between clears any word order runs the same stages, and a word
+    whose moves are all known never leaves the fast walk.  The predicate
+    carries the memo from call to call, so use it from one thread at a
+    time.  Each call returns a fresh predicate with an empty memo; the
+    integer tables it reads are the ``_compile_wk`` tables kept on the
+    machine, shared with every other search on the same machine object and
+    never mutated.
     """
     compiled = _compile_wk(machine)
     delta = compiled.delta
@@ -440,7 +448,6 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     column = {x: c for c, x in enumerate(compiled.upper_index)}
     ups_of = (*compiled.upper_index.values(), right)
     close = len(column)
-    slots = [None] * (close + 1)
 
     # live[x][q][u]: the images of x the lower head may commit in state q
     # over upper symbol u.  An image that leaves a non-final q stuck is left
@@ -522,6 +529,17 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
             key += (t, p1 - base)
         return "".join(map(chr, key))
 
+    def sink(verdict: bool | None) -> list:
+        """A state that every column leads back to, with ``verdict`` at the
+        end marker."""
+        state = [verdict] * (close + 1)
+        state[:close] = [state] * close
+        return state
+
+    # A move not yet run leads to pending, whose verdict is not known.
+    pending = sink(None)
+    sinks = (sink(False), sink(True))
+    slots = [pending] * close + [None]
     memo: dict[str, list] = {}
 
     def intern(key: str) -> list:
@@ -531,10 +549,9 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
         return state
 
     def step(state: list, c: int):
-        """Run the stage behind the empty move slot in column ``c`` of
+        """Run the stage behind the move not yet run in column ``c`` of
         ``state`` and fill the slot with what it leads to: an interned
-        state, or a verdict.  The end marker's column always leads to a
-        verdict.
+        state or a verdict's sink, and a verdict in the end marker's column.
         """
         # Decode the state's key and run the stage from its frontier.
         ints = list(map(ord, state[-1]))
@@ -545,7 +562,10 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
         heads = zip(flat, flat, flat, flat)
         flat = iter(ints[h:])
         result = stage(ups, heads, zip(flat, flat))
-        if result is not True and result is not False:
+        if result is True or result is False:
+            if c != close:
+                result = sinks[result]
+        else:
             result = intern(encode(ups, *result))
         state[c] = result
         return result
@@ -554,42 +574,45 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     opening = (compiled.left,)
     start_heads = ((compiled.start, 0, 0, compiled.left),)
 
-    def begin():
-        """The start state, or the verdict of every word."""
+    def begin() -> list:
+        """The start state, or the sink of every word's verdict."""
         result = stage(opening, start_heads, ())
         if result is True or result is False:
-            return result
+            return sinks[result]
         return intern(encode(opening, *result))
 
     start = begin()
 
-    def accepts(word: Sequence[str]) -> bool:
+    def walk(word: Word) -> bool:
+        """The careful walk: check the word, clear an outgrown memo, and
+        run a stage on every move not yet run that the word reaches."""
         nonlocal start
-        word = tuple(word)
+        _require_symbols(word, column, "upper alphabet")
         if len(memo) > _MEMO_STATES:
-            _require_symbols(word, column, "upper alphabet")
             _forget(memo)
             start = begin()
         state = start
-        if state is True or state is False:
-            _require_symbols(word, column, "upper alphabet")
-            return state
-        try:
-            for x in word:
-                nxt = state[column[x]]
-                if nxt.__class__ is not list:
-                    _require_symbols(word, column, "upper alphabet")
-                    if nxt is None:
-                        nxt = step(state, column[x])
-                    if nxt is True or nxt is False:
-                        return nxt
-                state = nxt
-        except KeyError:
-            _require_symbols(word, column, "upper alphabet")
-            raise
+        for x in word:
+            nxt = state[column[x]]
+            if nxt is pending:
+                nxt = step(state, column[x])
+            state = nxt
         verdict = state[close]
         if verdict is None:
             verdict = step(state, close)
+        return verdict
+
+    def accepts(word: Sequence[str]) -> bool:
+        word = tuple(word)
+        state = start
+        try:
+            for x in word:
+                state = state[column[x]]
+            verdict = state[close]
+        except (KeyError, TypeError):  # a foreign or unhashable symbol
+            verdict = None
+        if verdict is None:
+            return walk(word)
         return verdict
 
     # States that move to each other form reference cycles; unlink them as

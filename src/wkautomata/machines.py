@@ -202,10 +202,13 @@ def kept(build: Callable) -> Callable:
     name = build.__name__
 
     def get(record):
-        own = record.__dict__
-        if name not in own:
-            object.__setattr__(record, name, build(record))
-        return own[name]
+        try:
+            return record.__dict__[name]
+        except KeyError:
+            pass
+        value = build(record)
+        object.__setattr__(record, name, value)
+        return value
 
     return get
 

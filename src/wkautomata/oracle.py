@@ -39,36 +39,50 @@ class AcceptorFailure(Exception):
 
 
 @kept
-def _dfa_rows(dfa: ClassicalDFA) -> dict[str, dict[str, str | None]]:
-    """``rows[q][x]``: the target of ``dfa``'s move from ``q`` on ``x``, or
-    None where there is none.  Each row holds exactly the alphabet, and
-    there is a row for every declared state, the start state and every
-    target, so the table needs no valid machine."""
+def _dfa_rows(dfa: ClassicalDFA) -> tuple[dict[str, int], list, list]:
+    """``dfa``'s moves as linked rows: the column of each alphabet symbol,
+    the start row and the dead row.
+
+    A row is a list with one slot per column, holding the row its move on
+    that symbol leads to, followed by the row's finality.  A missing move
+    leads to the dead row, whose every slot leads back to itself and which
+    is not final.  There is a row for every declared state, the start state
+    and every target, so the table needs no valid machine.
+    """
     require_kind(dfa, ClassicalDFA)
     delta = dfa.delta
-    sources = {dfa.start, *dfa.states, *delta.values()}
-    return {q: {x: delta.get((q, x)) for x in dfa.alphabet} for q in sources}
+    column = {x: c for c, x in enumerate(dfa.alphabet)}
+    width = len(dfa.alphabet)
+    dead = [False] * (width + 1)
+    dead[:width] = [dead] * width
+    rows = {q: [] for q in {dfa.start, *dfa.states, *delta.values()}}
+    for q, row in rows.items():
+        row += [rows.get(delta.get((q, x)), dead) for x in dfa.alphabet]
+        row.append(q in dfa.finals)
+    return column, rows[dfa.start], dead
 
 
 def dfa_accepts(dfa: ClassicalDFA, word: Sequence[str]) -> bool:
     """Standard DFA evaluation; a missing transition rejects.
 
-    The walk reads ``rows[q][x]`` from the row table that the first call
-    on ``dfa`` builds and keeps on it.  A symbol outside the alphabet has
-    no entry in any row, so it raises ``UnknownSymbolError`` when the walk
-    reaches it; a missing move earlier in the word rejects first.  The DFA
-    is not validated.
+    The walk follows the linked rows that the first call on ``dfa`` builds
+    and keeps on it, one subscript per symbol, and reads the finality of
+    the row it ends on.  A missing move leads to the dead row, which the
+    walk follows to the end of the word.  A symbol outside the alphabet has
+    no column, so it raises ``UnknownSymbolError`` when the walk reaches it,
+    unless the walk is already on the dead row: a missing move earlier in
+    the word rejects first.  The DFA is not validated.
     """
-    rows = _dfa_rows(dfa)
-    state = dfa.start
-    for sym in word:
-        try:
-            state = rows[state][sym]
-        except (KeyError, TypeError):  # TypeError: an unhashable symbol
-            raise UnknownSymbolError(f"symbol {sym!r} is not in the alphabet") from None
-        if state is None:
+    column, row, dead = _dfa_rows(dfa)
+    symbols = iter(word)  # a word that is not iterable raises its own TypeError here
+    try:
+        for sym in symbols:
+            row = row[column[sym]]
+    except (KeyError, TypeError):  # TypeError: an unhashable symbol
+        if row is dead:
             return False
-    return state in dfa.finals
+        raise UnknownSymbolError(f"symbol {sym!r} is not in the alphabet") from None
+    return row[-1]
 
 
 def theorem2_blocks(word: Sequence[str]) -> list[tuple[str, str]] | None:

@@ -40,7 +40,7 @@ from wkautomata.machines import (
     WrongKindError,
     validate,
 )
-from wkautomata.oracle import dfa_accepts, enumerate_words
+from wkautomata.oracle import dfa_accepts, enumerate_block_strings, enumerate_words
 from wkautomata.samples import random_dfa
 from conftest import CORPUS_DIR, VALIDATION_RULES, dfas, mfa_machines, wk_machines
 
@@ -161,7 +161,8 @@ class TestAcceptsExistential:
             assert_acceptor_matches(machine, max_len, random.Random(name))
 
     def test_acceptor_clears_its_memo_past_the_bound(self, monkeypatch):
-        # With a bound of one state every call starts from a cleared memo.
+        # With a bound of one state every call that leaves the fast walk
+        # starts from a cleared memo.
         monkeypatch.setattr(engine, "_MEMO_STATES", 1)
         for name, max_len in self.CORPUS_BOUNDS:
             machine = parse_machine((CORPUS_DIR / name).read_text(encoding="utf-8"))
@@ -241,7 +242,7 @@ class TestAcceptsExistential:
             counts = []
             for order in (words, words[::-1], rng.sample(words, len(words))):
                 accept = existential_acceptor(machine)
-                with counting_stages() as runs:
+                with counting_calls(_STAGE) as runs:
                     for word in order:
                         accept(word)
                 counts.append(runs[0])
@@ -252,10 +253,11 @@ class TestAcceptsExistential:
     def test_acceptor_names_the_first_unknown_symbol_and_runs_no_stage(
         self, monkeypatch, name, memo_states
     ):
-        # The walk looks symbols up as it goes and checks the whole word
-        # only before a stage runs, on a verdict and on a failed lookup.
-        # loop.wk's start state is already a verdict.  With a bound of one
-        # state, the memo is cleared before the call walks.
+        # The fast walk looks symbols up as it goes; a failed lookup sends
+        # the word to the careful walk, once, which checks the whole word
+        # before it clears the memo or runs a stage.  loop.wk's start state
+        # is already a verdict sink.  With a bound of one state, the
+        # careful walk would clear the memo.
         monkeypatch.setattr(engine, "_MEMO_STATES", memo_states)
         machine = parse_machine((CORPUS_DIR / name).read_text(encoding="utf-8"))
         words = list(enumerate_words(machine.upper_alphabet, 4))
@@ -267,18 +269,59 @@ class TestAcceptsExistential:
                 for i in range(len(word)):
                     bad = (*word[:i], "?", *word[i + 1 :], "!")
                     for form in (bad, list(bad), iter(bad)):
-                        with counting_stages() as runs:
+                        with counting_calls(_WALK, _STAGE) as runs:
                             with pytest.raises(
                                 UnknownSymbolError,
                                 match=r"^symbol '\?' is not in the upper alphabet$",
                             ):
                                 accept(form)
-                        assert runs == [0], (bad, runs)
+                        assert runs == [1, 0], (bad, runs)
         expected = existential_acceptor(machine)
         for accept in (fresh, warm):
             for word in words:
                 verdict = expected(word)
                 assert accept(word) == accept(list(word)) == accept(iter(word)) == verdict
+
+    @pytest.mark.parametrize("sweep", ["blocks", "compiled-dfa"])
+    def test_a_warm_sweep_never_leaves_the_fast_walk(self, theorem2, sweep):
+        # The first sweep fills every slot its words reach, and a verdict
+        # reached early is a sink that every later symbol stays in, so the
+        # second sweep only subscripts filled slots.
+        if sweep == "blocks":
+            machine, words = theorem2, list(enumerate_block_strings(8, 4))
+        else:
+            dfa = random_dfa(random.Random(0), max_states=8)
+            assert len(dfa.delta) < len(dfa.states) * len(dfa.alphabet)  # some move is missing
+            machine = dfa_to_rwka(dfa)
+            words = list(enumerate_words(dfa.alphabet, 7))
+        accept = existential_acceptor(machine)
+        verdicts = [accept(word) for word in words]
+        with counting_calls(_WALK, _STAGE) as runs:
+            assert [accept(word) for word in words] == verdicts
+        assert runs == [0, 0]
+
+    def test_extensions_of_a_decided_word_stay_in_its_sink(self, theorem2):
+        # theorem2.wk accepts *%*%*a at its last symbol, since the last two
+        # blocks share w and differ in x; the compiled DFA has no move on b.
+        missing_b = ClassicalDFA(("s",), ("a", "b"), "s", {"s"}, {("s", "a"): "s"})
+        for machine, decided, verdict in (
+            (theorem2, tuple("*%*%*a"), True),
+            (dfa_to_rwka(missing_b), ("a", "b"), False),
+        ):
+            accept = existential_acceptor(machine)
+            assert accept(decided) is verdict
+            tails = list(enumerate_words(machine.upper_alphabet, 3))
+            with counting_calls(_WALK, _STAGE) as runs:
+                for tail in tails:
+                    assert accept(decided + tail) is verdict, tail
+            assert runs == [0, 0]
+            for tail in tails:
+                with counting_calls(_WALK, _STAGE) as runs:
+                    with pytest.raises(
+                        UnknownSymbolError, match=r"^symbol '\?' is not in the upper alphabet$"
+                    ):
+                        accept((*decided, *tail, "?", *tail))
+                assert runs == [1, 0], tail
 
     def test_acceptor_decides_long_words_on_compiled_dfas(self):
         # Complete DFAs, so no word is rejected early by a missing move.
@@ -331,22 +374,29 @@ class TestAcceptsExistential:
         assert run_deterministic(machine, "aa", result.witness_lower).accepted
 
 
-_STAGE = next(
-    code
-    for code in existential_acceptor.__code__.co_consts
-    if getattr(code, "co_name", None) == "stage"
-)
+def _acceptor_code(name):
+    """The code object of the function ``name`` nested in every acceptor."""
+    return next(
+        code
+        for code in existential_acceptor.__code__.co_consts
+        if getattr(code, "co_name", None) == name
+    )
+
+
+_STAGE, _WALK = _acceptor_code("stage"), _acceptor_code("walk")
 
 
 @contextlib.contextmanager
-def counting_stages():
-    """Count the stage runs of every acceptor inside the block, in the one
-    item of the list it yields."""
-    runs = [0]
+def counting_calls(*codes):
+    """Count the calls of each of ``codes`` made inside the block, by every
+    acceptor, in the list it yields: one item per code."""
+    runs = [0] * len(codes)
 
     def count(frame, event, arg):
-        if event == "call" and frame.f_code is _STAGE:
-            runs[0] += 1
+        if event == "call":
+            for i, code in enumerate(codes):
+                if frame.f_code is code:
+                    runs[i] += 1
 
     previous = sys.getprofile()
     sys.setprofile(count)

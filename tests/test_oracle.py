@@ -4,6 +4,7 @@ word enumeration, and differential comparison."""
 import copy
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from wkautomata.oracle import (
     theorem2_blocks,
     theorem2_witnesses,
 )
+from wkautomata.samples import random_dfa
 from wkautomata.sweeps import detectable
 
 
@@ -79,6 +81,17 @@ def tuple_key_dfa_accepts(dfa, word):
     return state in dfa.finals
 
 
+def first_missing_move(dfa, word):
+    """The index of the first symbol of ``word`` that ``dfa`` has no move
+    on, or None."""
+    state = dfa.start
+    for i, sym in enumerate(word):
+        state = dfa.delta.get((state, sym))
+        if state is None:
+            return i
+    return None
+
+
 def outcome(call, *args):
     """What ``call(*args)`` returns, or the type and message it raises."""
     try:
@@ -124,6 +137,30 @@ class TestDfaAcceptsRows:
         # An unhashable symbol is unknown too, as in the tuple-key walk.
         word = ("a", ["a"], "a")
         assert outcome(dfa_accepts, dfa, word) == outcome(tuple_key_dfa_accepts, dfa, word)
+
+    def test_long_words_through_the_dead_row(self):
+        # A word that takes a missing move stays on the dead row to its
+        # end, so a foreign symbol after the missing move rejects and one
+        # before it raises, however long the word.
+        rng = random.Random(1000)
+        checked = 0
+        for _ in range(40):
+            dfa = random_dfa(rng, max_states=4, density=0.6)
+            word = rng.choices(dfa.alphabet, k=999)
+            missing = first_missing_move(dfa, word)
+            if missing is None:
+                continue
+            for foreign in ("x", ["x"]):
+                late = (*word, foreign)
+                assert dfa_accepts(dfa, late) is False
+                assert tuple_key_dfa_accepts(dfa, late) is False
+            i = rng.randint(0, missing)
+            early = (*word[:i], "x", *word[i:])
+            with pytest.raises(UnknownSymbolError, match="^symbol 'x' is not in the alphabet$"):
+                dfa_accepts(dfa, early)
+            assert outcome(dfa_accepts, dfa, early) == outcome(tuple_key_dfa_accepts, dfa, early)
+            checked += 1
+        assert checked > 20
 
     @pytest.mark.parametrize(
         "copy_of",

@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` run end to end."""
 
+import re
 import subprocess
 import sys
 
@@ -22,4 +23,6 @@ def test_run_sweeps_smoke():
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
     for name in ("regular", "twohead"):
-        assert any(line.startswith(f"=== {name}: ok (") for line in lines), name
+        # The wall time and the words decided per second.
+        pattern = rf"=== {name}: ok \(\d+\.\ds, \d+k words/s\)"
+        assert any(re.fullmatch(pattern, line) for line in lines), name
