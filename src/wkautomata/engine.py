@@ -135,9 +135,6 @@ def complement_strands(machine: WKAutomaton, upper: Sequence[str]) -> Iterator[W
     return itertools.product(*choices)
 
 
-_require_valid = kept(require_valid)
-
-
 def _run_loop(
     delta: dict[tuple[str, tuple[str, ...]], tuple[str, tuple[int, ...]]],
     start: str,
@@ -177,7 +174,7 @@ def _wk_run_loop(machine: WKAutomaton) -> Callable[[Sequence[Word], bool], RunOu
     two-strand transition's read and move pairs serve as its 2-head read
     and move tuples."""
     require_kind(machine, WKAutomaton)
-    _require_valid(machine)
+    require_valid(machine)
     delta = {(q, reads): (t, moves) for q, reads, t, moves in wk_entries(machine)}
     return _run_loop(delta, machine.start, machine.finals)
 
@@ -186,7 +183,7 @@ def _wk_run_loop(machine: WKAutomaton) -> Callable[[Sequence[Word], bool], RunOu
 def _mfa_run_loop(machine: MultiHeadAutomaton) -> Callable[[Sequence[Word], bool], RunOutcome]:
     """Check ``machine``'s kind and validity and return its run loop."""
     require_kind(machine, MultiHeadAutomaton)
-    _require_valid(machine)
+    require_valid(machine)
     return _run_loop(machine.delta, machine.start, machine.finals)
 
 
@@ -243,7 +240,7 @@ class _CompiledWK(Record):
 @kept
 def _compile_wk(machine: WKAutomaton) -> _CompiledWK:
     require_kind(machine, WKAutomaton)
-    _require_valid(machine)
+    require_valid(machine)
     sym_index: dict[str, int] = {}
 
     def sym(token: str) -> int:

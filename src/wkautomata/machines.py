@@ -32,6 +32,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable, Iterable
 from operator import attrgetter, itemgetter
@@ -197,14 +198,18 @@ def kept(build: Callable) -> Callable:
     The result is kept in the record's ``__dict__`` under the build's name,
     so a later call on the same object returns it without hashing or
     comparing records, and it lives and dies with the object.  A build that
-    raises keeps nothing.
+    raises keeps nothing, and an argument without a ``__dict__`` goes
+    straight to the build, which refuses it in its own words.  The returned
+    function carries the build's name and docstring, and the build itself
+    as ``__wrapped__``.
     """
     name = build.__name__
 
+    @functools.wraps(build)
     def get(record):
         try:
             return record.__dict__[name]
-        except KeyError:
+        except (KeyError, AttributeError):
             pass
         value = build(record)
         object.__setattr__(record, name, value)
@@ -511,10 +516,14 @@ def _entry_violations(
     return out
 
 
+@kept
 def validate(machine: Machine) -> CheckReport:
     """Report every violated structural invariant of ``machine``.
 
-    Malformedness is the report's content, not an exception.
+    Malformedness is the report's content, not an exception.  Machines are
+    frozen, so the report is built once per machine object and kept on it,
+    passing or not; an equal but distinct machine, such as a copy, builds
+    its own.
     """
     kind, alphabet, entries, columns = grammar(machine)
     violations = _declaration_violations(machine, alphabet)
@@ -550,7 +559,11 @@ def validate(machine: Machine) -> CheckReport:
 
 
 def require_valid(machine: Machine, context: str = "machine") -> None:
-    """Raise ``InvalidMachineError`` unless ``machine`` passes ``validate``."""
+    """Raise ``InvalidMachineError`` unless ``machine`` passes ``validate``.
+
+    It reads the report kept on ``machine``, so an invalid machine raises
+    on every call without being validated again.
+    """
     report = validate(machine)
     if not report.passed:
         raise InvalidMachineError(report, context)

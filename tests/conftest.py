@@ -1,6 +1,7 @@
 import io
 import contextlib
 import itertools
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,23 +46,24 @@ def clear_caches() -> None:
 
 
 @pytest.fixture
-def validations(monkeypatch) -> list:
-    """Every machine passed to ``validate`` during the test, which starts
-    from an empty parse memo."""
-    from wkautomata import cli, engine, machines
-
+def validations():
+    """Every machine that ``validate`` builds a report for during the test,
+    which starts from an empty parse memo.  A call that reads the report
+    kept on its machine is not listed."""
     clear_caches()
-    calls = []
-    real = machines.validate
+    build = validate.__wrapped__.__code__
+    runs = []
 
-    def counting(machine):
-        calls.append(machine)
-        return real(machine)
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code is build:
+            runs.append(frame.f_locals["machine"])
 
-    for module in (machines, engine, cli):
-        if getattr(module, "validate", None) is real:
-            monkeypatch.setattr(module, "validate", counting)
-    return calls
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        yield runs
+    finally:
+        sys.setprofile(previous)
 
 
 @pytest.fixture

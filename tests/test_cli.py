@@ -185,6 +185,17 @@ class TestRun:
 
 
 class TestTranslate:
+    def test_repeated_commands_validate_each_parsed_machine_once(self, tmp_path, validations):
+        out_path = tmp_path / "built.wk"
+        for _ in range(3):
+            assert run_cli("check", corpus("example1-rwka.wk"))[0] == 0
+            assert run_cli("from-dfa", corpus("example1-dfa.dfa"), "-o", str(out_path))[0] == 0
+        rwka, dfa = cli._load(corpus("example1-rwka.wk")), cli._load(corpus("example1-dfa.dfa"))
+        assert sum(m is rwka for m in validations) == 1
+        assert sum(m is dfa for m in validations) == 1
+        # Each from-dfa call also serializes the machine it builds, once.
+        assert len(validations) == 2 + 3
+
     def test_from_dfa_reproduces_the_golden_file(self, tmp_path):
         out_path = tmp_path / "built.wk"
         code, _, _ = run_cli("from-dfa", corpus("example1-dfa.dfa"), "-o", str(out_path))

@@ -25,7 +25,13 @@ from wkautomata import (
 )
 from wkautomata.engine import Configuration, RunOutcome, SearchResult, Verdict, _CompiledWK
 from wkautomata.fileformat import parse_machine, serialize_machine
-from wkautomata.machines import CheckReport, ClassicalDFA, Violation, is_valid_token
+from wkautomata.machines import (
+    CheckReport,
+    ClassicalDFA,
+    InvalidMachineError,
+    Violation,
+    is_valid_token,
+)
 from wkautomata.oracle import DiffReport, LengthStats
 from wkautomata.samples import random_dfa
 from conftest import CORPUS_DIR, CORPUS_FILES, VALIDATION_RULES
@@ -330,6 +336,38 @@ class TestValidate:
             delta={("q0", ("a",)): ("q0", (1,))},
         )
         assert "head-count-mismatch" in {v.rule for v in validate(machine).violations}
+
+    def test_every_consumer_validates_a_machine_object_once(self, example1, twohead, validations):
+        swk = mfa2_to_swk(twohead)
+        rwka = dfa_to_rwka(example1)
+        for _ in range(3):
+            assert dfa_to_rwka(example1) == rwka
+            assert mfa2_to_swk(twohead) == swk
+            assert swk_to_mfa2(swk) == twohead
+            for machine in (example1, twohead, swk, rwka):
+                assert parse_machine(serialize_machine(machine)) == machine
+                assert validate(machine).passed
+        assert [id(m) for m in validations] == [id(twohead), id(example1), id(swk), id(rwka)]
+
+    @pytest.mark.parametrize("thing", [None, "q0", object()], ids=["none", "str", "object"])
+    def test_a_non_machine_is_refused_by_name(self, thing):
+        with pytest.raises(TypeError, match="^not a machine: "):
+            validate(thing)
+
+    def test_an_invalid_machine_is_refused_on_every_call(self, example1, validations):
+        dfa = ClassicalDFA(example1.states, example1.alphabet, "ghost", example1.finals, example1.delta)
+        for _ in range(3):
+            with pytest.raises(InvalidMachineError, match="^dfa fails validation: unknown-state$"):
+                dfa_to_rwka(dfa)
+            with pytest.raises(
+                InvalidMachineError, match="^machine to serialize fails validation: unknown-state$"
+            ):
+                serialize_machine(dfa)
+        assert validations == [dfa] and validations[0] is dfa
+        copied = copy.deepcopy(dfa)
+        with pytest.raises(InvalidMachineError):
+            dfa_to_rwka(copied)
+        assert validations == [dfa, copied] and validations[1] is copied
 
 
 def _rule_machine(kind: str, extra=(), **fields):

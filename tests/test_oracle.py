@@ -1,6 +1,7 @@
 """Brute-force ground truths: DFA evaluation, block-language membership,
 word enumeration, and differential comparison."""
 
+import bisect
 import copy
 import itertools
 import pickle
@@ -310,6 +311,67 @@ class TestEnumerateBlockStrings:
         for cap in range(1, 5):
             expected = [w for w, blocks in parsed if blocks and len(blocks) <= cap]
             assert list(enumerate_block_strings(8, cap)) == expected
+
+    def test_matches_the_symbol_by_symbol_walk(self):
+        for max_blocks in range(7):
+            # The reference walks each length on its own, so its words up
+            # to any shorter bound are a prefix of its words up to 11.
+            expected = list(depth_first_block_strings(11, max_blocks))
+            lengths = [len(word) for word in expected]
+            for max_len in range(12):
+                shorter = expected[: bisect.bisect_right(lengths, max_len)]
+                assert list(enumerate_block_strings(max_len, max_blocks)) == shorter
+
+    def test_counts_per_length_of_the_full_sweep(self):
+        lengths = [len(word) for word in enumerate_block_strings(11, 6)]
+        counts = {n: lengths.count(n) for n in range(1, 12)}
+        assert counts == {
+            1: 1, 2: 4, 3: 13, 4: 40, 5: 121, 6: 364,
+            7: 1093, 8: 3280, 9: 9841, 10: 29524, 11: 88573,
+        }
+        assert len(lengths) == 132_854
+
+    @pytest.mark.parametrize("max_len,max_blocks", [(0, 3), (-1, 3), (5, -2), (-3, -3)])
+    def test_empty_bounds(self, max_len, max_blocks):
+        assert list(enumerate_block_strings(max_len, max_blocks)) == []
+
+    def test_blocks_beyond_what_the_length_allows_change_nothing(self):
+        # Seven symbols hold at most four blocks, '*%*%*%*'.
+        expected = list(depth_first_block_strings(7, 4))
+        assert ("*", "%", "*", "%", "*", "%", "*") in expected
+        for max_blocks in (4, 5, 9, 1000):
+            assert list(enumerate_block_strings(7, max_blocks)) == expected
+
+    def test_words_come_out_lazily(self):
+        assert next(iter(enumerate_block_strings(40, 20))) == ("*",)
+        head = list(itertools.islice(enumerate_block_strings(40, 20), 50_000))
+        assert head == list(itertools.islice(depth_first_block_strings(40, 20), 50_000))
+        assert len(head[-1]) == 11
+
+
+def depth_first_block_strings(max_total_len, max_blocks):
+    """The block words built one symbol at a time: a reference for
+    ``enumerate_block_strings``, which takes the last symbols of each word
+    from a table."""
+    if max_blocks < 1:
+        return
+    for length in range(1, max_total_len + 1):
+        # Depth first over (prefix, blocks opened, block has its '*'), with
+        # children pushed in reverse so that they pop as a, b, *, %.
+        stack = [((), 1, False)]
+        while stack:
+            prefix, blocks, starred = stack.pop()
+            left = length - len(prefix)
+            if not left:
+                yield prefix
+                continue
+            if starred and blocks < max_blocks and left >= 2:
+                stack.append((prefix + ("%",), blocks + 1, False))
+            if not starred:
+                stack.append((prefix + ("*",), blocks, True))
+            if starred or left >= 2:
+                stack.append((prefix + ("b",), blocks, starred))
+                stack.append((prefix + ("a",), blocks, starred))
 
 
 def reference_compare(accept_a, accept_b, words, *, mismatch_cap=100):
