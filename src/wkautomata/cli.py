@@ -48,7 +48,7 @@ def _parse(text: str):
 
     Parsing is a pure function of the text and machines are frozen values,
     so a repeated call gets the very same machine object, with the
-    validation, run loop and search tables the engines keep on it and its
+    validation, C1/C2 report, run loop and search tables kept on it and its
     ``_sweep_acceptor``.  This is the one bounded cache of the package: it
     holds more texts than the corpus has machine files, and dropping a
     text drops its machine, tables and acceptor with it.  A ``ParseError``

@@ -39,9 +39,10 @@ stay immutable.
 Every engine refuses a machine of another kind than it runs with a
 ``WrongKindError``, and a machine that fails ``validate`` with an
 ``InvalidMachineError``.  Machines are frozen, so the validation, the run
-loop and the search's integer tables are each built once per machine
-object and kept on that object, where they live and die with it; an equal
-but distinct machine, such as a copy, builds its own.  A refusal is never
+loop (one build for both kinds, from the machine's ``grammar`` rows) and
+the search's integer tables are each built once per machine object and
+kept on that object, where they live and die with it; an equal but
+distinct machine, such as a copy, builds its own.  A refusal is never
 kept: a machine that fails validation raises on every call.
 """
 
@@ -50,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from collections.abc import Callable, Container, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from enum import Enum
 from operator import add, getitem
 
@@ -63,10 +64,11 @@ from .machines import (
     Record,
     UnknownSymbolError,
     WKAutomaton,
+    grammar,
     kept,
     require_kind,
+    require_symbols,
     require_valid,
-    wk_entries,
 )
 
 Word = tuple[str, ...]
@@ -113,14 +115,6 @@ class SearchResult(Record):
     explored: int
 
 
-def _require_symbols(word: Word, allowed: Container[str], what: str) -> None:
-    """Raise ``UnknownSymbolError`` naming the first symbol of ``word`` not
-    in ``allowed``, if there is one."""
-    for sym in word:
-        if sym not in allowed:
-            raise UnknownSymbolError(f"symbol {sym!r} is not in the {what}") from None
-
-
 def complement_strands(machine: WKAutomaton, upper: Sequence[str]) -> Iterator[Word]:
     """All complementary lower strands of ``upper``, lazily.
 
@@ -130,22 +124,23 @@ def complement_strands(machine: WKAutomaton, upper: Sequence[str]) -> Iterator[W
     """
     require_kind(machine, WKAutomaton)
     w1 = tuple(upper)
-    _require_symbols(w1, machine.upper_alphabet, "upper alphabet")
+    require_symbols(w1, machine.upper_alphabet, "upper alphabet")
     choices = [machine.rho.image(x) for x in w1]
     return itertools.product(*choices)
 
 
-def _run_loop(
-    delta: dict[tuple[str, tuple[str, ...]], tuple[str, tuple[int, ...]]],
-    start: str,
-    finals: frozenset[str],
-) -> Callable[[Sequence[Word], bool], RunOutcome]:
-    """The deterministic run loop of a k-head transition table.
+@kept
+def _run_loop(machine: WKAutomaton | MultiHeadAutomaton) -> Callable[[Sequence[Word], bool], RunOutcome]:
+    """Check ``machine``'s validity and return the deterministic run loop of
+    its ``grammar`` rows, where a two-strand transition's read and move
+    pairs serve as 2-head read and move tuples.
 
     The loop takes one word per head, which it end-marks as that head's
     tape, and whether to keep the trace.
     """
-    step = delta.get
+    require_valid(machine)
+    step = {(q, reads): (t, moves) for q, reads, t, moves in grammar(machine)[2]}.get
+    start, finals = machine.start, machine.finals
 
     def run(words: Sequence[Word], keep_trace: bool) -> RunOutcome:
         tapes = [(LEFT_END, *w, RIGHT_END) for w in words]
@@ -168,25 +163,6 @@ def _run_loop(
     return run
 
 
-@kept
-def _wk_run_loop(machine: WKAutomaton) -> Callable[[Sequence[Word], bool], RunOutcome]:
-    """Check ``machine``'s kind and validity and return its run loop; a
-    two-strand transition's read and move pairs serve as its 2-head read
-    and move tuples."""
-    require_kind(machine, WKAutomaton)
-    require_valid(machine)
-    delta = {(q, reads): (t, moves) for q, reads, t, moves in wk_entries(machine)}
-    return _run_loop(delta, machine.start, machine.finals)
-
-
-@kept
-def _mfa_run_loop(machine: MultiHeadAutomaton) -> Callable[[Sequence[Word], bool], RunOutcome]:
-    """Check ``machine``'s kind and validity and return its run loop."""
-    require_kind(machine, MultiHeadAutomaton)
-    require_valid(machine)
-    return _run_loop(machine.delta, machine.start, machine.finals)
-
-
 def run_deterministic(
     machine: WKAutomaton,
     upper: Sequence[str],
@@ -199,9 +175,10 @@ def run_deterministic(
     A non-complementary ``lower`` is a precondition error, distinct from a
     rejecting run.
     """
-    run = _wk_run_loop(machine)
+    require_kind(machine, WKAutomaton)
+    run = _run_loop(machine)
     w1, w2 = tuple(upper), tuple(lower)
-    _require_symbols(w1, machine.upper_alphabet, "upper alphabet")
+    require_symbols(w1, machine.upper_alphabet, "upper alphabet")
     if len(w2) != len(w1):
         raise StrandMismatchError(
             f"lower strand length {len(w2)} differs from upper strand length {len(w1)}"
@@ -218,9 +195,10 @@ def run_mfa(
     machine: MultiHeadAutomaton, word: Sequence[str], *, keep_trace: bool = False
 ) -> RunOutcome:
     """Run the k-head machine, with the same halt/loop classification."""
-    run = _mfa_run_loop(machine)
+    require_kind(machine, MultiHeadAutomaton)
+    run = _run_loop(machine)
     w = tuple(word)
-    _require_symbols(w, machine.alphabet, "alphabet")
+    require_symbols(w, machine.alphabet, "alphabet")
     return run((w,) * machine.head_count, keep_trace)
 
 
@@ -584,7 +562,7 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
         """The careful walk: check the word, clear an outgrown memo, and
         run a stage on every move not yet run that the word reaches."""
         nonlocal start
-        _require_symbols(word, column, "upper alphabet")
+        require_symbols(word, column, "upper alphabet")
         if len(memo) > _MEMO_STATES:
             _forget(memo)
             start = begin()
@@ -622,7 +600,8 @@ def accepts_existential_bruteforce(
     machine: WKAutomaton, upper: Sequence[str], *, max_strands: int = 1_000_000
 ) -> bool:
     """Independent oracle: try every complementary strand deterministically."""
-    run = _wk_run_loop(machine)
+    require_kind(machine, WKAutomaton)
+    run = _run_loop(machine)
     w1 = tuple(upper)
     strands = complement_strands(machine, w1)
     if math.prod(len(machine.rho.image(x)) for x in w1) > max_strands:

@@ -37,11 +37,11 @@ from .machines import (
     Machine,
     MachineError,
     MultiHeadAutomaton,
-    UnknownSymbolError,
     WKAutomaton,
     grammar,
     is_valid_token,
     read_columns,
+    require_symbols,
     require_valid,
 )
 
@@ -280,10 +280,7 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
         return ()
     separator = word_separator(alphabet)
     word = tuple(text.split(separator)) if separator else tuple(text)
-    allowed = set(alphabet)
-    for sym in word:
-        if sym not in allowed:
-            raise UnknownSymbolError(f"symbol {sym!r} is not in the alphabet")
+    require_symbols(word, alphabet, "alphabet")
     return word
 
 

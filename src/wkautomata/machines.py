@@ -10,11 +10,12 @@ applied to the upper strand.
 Each kind's transition grammar is written once, here: ``read_columns``
 says which symbols each head may read, and ``grammar`` gives a machine's
 kind name, alphabet, transitions as uniform ``Entry`` rows and read
-columns.  ``validate``, and the parser and serializer in ``fileformat``,
-read it instead of spelling out each kind.
+columns.  ``validate``, the C1/C2 check below, the engines' run loop, and
+the parser and serializer in ``fileformat`` read it instead of spelling
+out each kind, so a two-strand table and a 2-head table are the same rows.
 
 Reversibility is a property of the transition table.  Two conditions are
-checked, named C1 and C2 throughout:
+checked, named C1 and C2 throughout, once per machine object:
 
 * C1: all transitions into the same state move the heads identically.
 * C2: among transitions into the same state with the same head moves, the
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Container, Iterable
 from operator import attrgetter, itemgetter
 
 LEFT_END = "#"
@@ -224,6 +225,15 @@ def require_kind(machine: object, kind: type) -> None:
         raise WrongKindError(f"expected a {kind.__name__}, got a {type(machine).__name__}")
 
 
+def require_symbols(word: Iterable[str], allowed: Container[str], what: str) -> None:
+    """Raise ``UnknownSymbolError`` naming the first symbol of ``word`` not
+    in ``allowed``, if there is one; the message calls ``allowed`` the
+    ``what``."""
+    for sym in word:
+        if sym not in allowed:
+            raise UnknownSymbolError(f"symbol {sym!r} is not in the {what}") from None
+
+
 def is_valid_token(token: str) -> bool:
     """True if ``token`` may name a state or an alphabet symbol."""
     if not token or "->" in token:
@@ -403,12 +413,6 @@ class CheckReport(Record):
         return not self.violations
 
 
-def wk_entries(machine: WKAutomaton) -> list[Entry]:
-    return [
-        (q, (u, l), t, (d1, d2)) for (q, u, l), (t, d1, d2) in machine.delta.items()
-    ]
-
-
 # The symbols one head may read, and the word that error messages name the
 # head by ("upper ", "lower ", or none, when heads go by number).
 Column = tuple[frozenset[str], str]
@@ -436,11 +440,12 @@ def read_columns(
 
 def grammar(machine: Machine) -> tuple[str, tuple[str, ...], list[Entry], tuple[Column, ...]]:
     """A machine's kind name, alphabet, transitions as ``Entry`` rows, and
-    read columns: all the validator and the serializer need of its kind."""
+    read columns: all that the validator, the C1/C2 check, the run loop and
+    the serializer need of its kind."""
     if isinstance(machine, WKAutomaton):
         alphabet = machine.upper_alphabet
-        columns = read_columns("wk", alphabet, machine.lower_alphabet)
-        return "wk", alphabet, wk_entries(machine), columns
+        entries = [(q, (u, l), t, (d1, d2)) for (q, u, l), (t, d1, d2) in machine.delta.items()]
+        return "wk", alphabet, entries, read_columns("wk", alphabet, machine.lower_alphabet)
     if isinstance(machine, MultiHeadAutomaton):
         entries = [(q, reads, t, moves) for (q, reads), (t, moves) in machine.delta.items()]
         return "mfa", machine.alphabet, entries, read_columns("mfa", machine.alphabet)
@@ -569,9 +574,12 @@ def require_valid(machine: Machine, context: str = "machine") -> None:
         raise InvalidMachineError(report, context)
 
 
-def _reversibility_report(entries: list[Entry]) -> CheckReport:
+@kept
+def _reversibility_report(machine: WKAutomaton | MultiHeadAutomaton) -> CheckReport:
+    """C1 and C2 over ``machine``'s ``grammar`` rows, checked once per
+    machine object."""
     by_target: dict[str, list[Entry]] = {}
-    for entry in entries:
+    for entry in grammar(machine)[2]:
         by_target.setdefault(entry[2], []).append(entry)
     violations = []
     for target, group in by_target.items():
@@ -594,13 +602,13 @@ def _reversibility_report(entries: list[Entry]) -> CheckReport:
 def check_reversibility_wk(machine: WKAutomaton) -> CheckReport:
     """Check conditions C1 and C2 over the two-strand transition table."""
     require_kind(machine, WKAutomaton)
-    return _reversibility_report(wk_entries(machine))
+    return _reversibility_report(machine)
 
 
 def check_reversibility_mfa(machine: MultiHeadAutomaton) -> CheckReport:
     """Check conditions C1 and C2 over the k-head transition table."""
     require_kind(machine, MultiHeadAutomaton)
-    return _reversibility_report(grammar(machine)[2])
+    return _reversibility_report(machine)
 
 
 def check_strong_reversibility(machine: WKAutomaton) -> CheckReport:

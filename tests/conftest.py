@@ -45,25 +45,33 @@ def clear_caches() -> None:
     cli._parse.cache_clear()
 
 
+@contextlib.contextmanager
+def kept_builds(*functions):
+    """One list per ``machines.kept`` function, of every object it builds
+    its value for while the block runs, seen with ``sys.setprofile`` on the
+    build's code object.  A call that reads a kept value is not listed."""
+    runs = {id(function.__wrapped__.__code__): [] for function in functions}
+
+    def record(frame, event, arg):
+        if event == "call" and id(frame.f_code) in runs:
+            runs[id(frame.f_code)].append(frame.f_locals[frame.f_code.co_varnames[0]])
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        yield tuple(runs.values())
+    finally:
+        sys.setprofile(previous)
+
+
 @pytest.fixture
 def validations():
     """Every machine that ``validate`` builds a report for during the test,
     which starts from an empty parse memo.  A call that reads the report
     kept on its machine is not listed."""
     clear_caches()
-    build = validate.__wrapped__.__code__
-    runs = []
-
-    def record(frame, event, arg):
-        if event == "call" and frame.f_code is build:
-            runs.append(frame.f_locals["machine"])
-
-    previous = sys.getprofile()
-    sys.setprofile(record)
-    try:
+    with kept_builds(validate) as (runs,):
         yield runs
-    finally:
-        sys.setprofile(previous)
 
 
 @pytest.fixture

@@ -20,6 +20,83 @@ def corpus(name: str) -> str:
     return str(CORPUS_DIR / name)
 
 
+def _left_note(count: int) -> str:
+    return (
+        f"note: {count} transition(s) move a head that is reading the left end marker '#';"
+        " movement is pinned only on the right end marker '$'\n"
+    )
+
+
+_C1_TEXT = (
+    "type: wk\nstates: p r qf\nstart: p\nfinal: qf\nalphabet: a\nrho: a->a\n"
+    "trans: p # # -> qf 1 1\ntrans: r # # -> qf 0 0\n"
+)
+_C1 = "  C1: entries into 'qf' move the heads differently :: p (# #) -> qf (1 1) | r (# #) -> qf (0 0)\n"
+_C2_TEXT = (
+    "type: mfa\nstates: p r qf\nstart: p\nfinal: qf\nalphabet: a\nheads: 2\n"
+    "trans: p # # -> qf 1 1\ntrans: r # # -> qf 1 1\n"
+)
+_NO_DFA_CHECK = "error: a dfa has no reversibility checker; use --require valid\n"
+_WK_ONLY = "error: strong reversibility only applies to wk machines\n"
+
+# Each file's `wka check` report, and its exit code and stderr under each
+# of _REQUIRES (no flag first); a refused run prints no report.
+_REQUIRES = (None, "valid", "reversible", "strong")
+CHECK_OUTPUTS = {
+    "example1-dfa.dfa": (
+        "validate: pass\n",
+        ((0, ""), (0, ""), (2, _NO_DFA_CHECK), (2, _NO_DFA_CHECK)),
+    ),
+    "example1-rwka.wk": (
+        "validate: pass\nreversible: pass\nstrongly-reversible: fail\n"
+        "  rho-not-injective: 'a' has 2 images; 'b' has 2 images\n" + _left_note(1),
+        ((0, ""), (0, ""), (0, ""), (1, "")),
+    ),
+    "identity-rho.wk": (
+        "validate: pass\nreversible: pass\nstrongly-reversible: pass\n" + _left_note(2),
+        ((0, ""), (0, ""), (0, ""), (0, "")),
+    ),
+    "loop.wk": (
+        "validate: pass\nreversible: pass\nstrongly-reversible: pass\n",
+        ((0, ""), (0, ""), (0, ""), (0, "")),
+    ),
+    "theorem2.wk": (
+        "validate: pass\nreversible: pass\nstrongly-reversible: fail\n"
+        "  rho-not-injective: '%' has 3 images\n" + _left_note(1),
+        ((0, ""), (0, ""), (0, ""), (1, "")),
+    ),
+    "twohead-anbn1.mfa": (
+        "validate: pass\nreversible: pass\n" + _left_note(2),
+        ((0, ""), (0, ""), (0, ""), (2, _WK_ONLY)),
+    ),
+    "c1.wk": (
+        "validate: pass\nreversible: fail\n" + _C1 + "strongly-reversible: fail\n" + _C1 + _left_note(1),
+        ((1, ""), (0, ""), (1, ""), (1, "")),
+    ),
+    "c2.mfa": (
+        "validate: pass\nreversible: fail\n"
+        "  C2: entries into 'qf' with equal moves read the same symbol pair"
+        " :: p (# #) -> qf (1 1) | r (# #) -> qf (1 1)\n" + _left_note(2),
+        ((1, ""), (0, ""), (1, ""), (2, _WK_ONLY)),
+    ),
+}
+
+
+@pytest.mark.parametrize("require", _REQUIRES)
+@pytest.mark.parametrize("name", CHECK_OUTPUTS)
+def test_check_prints_its_whole_report(name, require, tmp_path):
+    texts = {"c1.wk": _C1_TEXT, "c2.mfa": _C2_TEXT}
+    if name in texts:
+        path = tmp_path / name
+        path.write_text(texts[name])
+    else:
+        path = CORPUS_DIR / name
+    flag = () if require is None else ("--require", require)
+    report, outcomes = CHECK_OUTPUTS[name]
+    code, err = outcomes[_REQUIRES.index(require)]
+    assert run_cli("check", str(path), *flag) == (code, "" if code == 2 else report, err)
+
+
 class TestCheck:
     def test_reversible_machine_passes(self):
         code, out, _ = run_cli("check", corpus("example1-rwka.wk"))

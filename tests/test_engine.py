@@ -30,7 +30,7 @@ from wkautomata import (
     run_mfa,
     swk_to_mfa2,
 )
-from wkautomata import engine
+from wkautomata import cli, engine, machines
 from wkautomata.engine import SearchBoundError, StrandMismatchError
 from wkautomata.fileformat import parse_machine, serialize_machine
 from wkautomata.machines import (
@@ -42,7 +42,16 @@ from wkautomata.machines import (
 )
 from wkautomata.oracle import dfa_accepts, enumerate_block_strings, enumerate_words
 from wkautomata.samples import random_dfa
-from conftest import CORPUS_DIR, VALIDATION_RULES, dfas, mfa_machines, wk_machines
+from conftest import (
+    CORPUS_DIR,
+    VALIDATION_RULES,
+    clear_caches,
+    dfas,
+    kept_builds,
+    mfa_machines,
+    run_cli,
+    wk_machines,
+)
 
 
 class TestComplementStrands:
@@ -645,6 +654,71 @@ class TestValidateOnce:
         assert run_deterministic(copied, "aba", ("a_1", "b_2", "a_1")).accepted
         assert validations == [m, copied]
         assert validations[1] is copied
+
+
+class TestOneBuildPerMachine:
+    """The run loop and the C1/C2 report are each built once per machine
+    object, whichever entry point or command asks first."""
+
+    def test_one_run_loop_serves_every_deterministic_run(self, twohead):
+        clear_caches()
+        path = str(CORPUS_DIR / "example1-rwka.wk")
+        parsed = cli._parse((CORPUS_DIR / "example1-rwka.wk").read_text())
+        with kept_builds(engine._run_loop) as (builds,):
+            for _ in range(3):
+                assert run_deterministic(parsed, "aba", ("a_1", "b_2", "a_1")).accepted
+                assert accepts_existential_bruteforce(parsed, "aba")
+                assert run_cli("run", path, "aba", "--lower", "a_1,b_2,a_1")[0] == 0
+                assert run_cli("run", path, "aba", "--lower", "a_1,b_2,a_1", "--trace")[0] == 0
+                assert run_cli("run", path, "aba", "--trace")[0] == 0
+                assert run_mfa(twohead, "abb").accepted
+                assert not run_mfa(twohead, "aabb").accepted
+        assert [id(m) for m in builds] == [id(parsed), id(twohead)]
+        clear_caches()
+
+    def test_one_reversibility_report_serves_every_check(self, tmp_path, example1_rwka):
+        clear_caches()
+        out = str(tmp_path / "out")
+        commands = (("identity-rho.wk", "to-mfa"), ("twohead-anbn1.mfa", "from-mfa"))
+        with kept_builds(machines._reversibility_report) as (builds,):
+            for _ in range(3):
+                assert check_reversibility_wk(example1_rwka).passed
+                assert not check_strong_reversibility(example1_rwka).passed
+            for _ in range(3):
+                for name, translate in commands:
+                    path = str(CORPUS_DIR / name)
+                    assert run_cli("check", path)[0] == 0
+                    assert run_cli(translate, path, "-o", out)[0] == 0
+        parsed = [cli._parse((CORPUS_DIR / name).read_text()) for name, _ in commands]
+        assert [id(m) for m in builds] == [id(example1_rwka), *map(id, parsed)]
+        clear_caches()
+
+
+# Each entry point of the run loop, called with a word none of the corpus
+# machines can read.
+_RUN_LOOP_ENTRIES = {
+    "run_deterministic": (WKAutomaton, lambda m: run_deterministic(m, "x", "x")),
+    "run_mfa": (MultiHeadAutomaton, lambda m: run_mfa(m, "x")),
+    "accepts_existential_bruteforce": (WKAutomaton, lambda m: accepts_existential_bruteforce(m, "x")),
+}
+
+
+@pytest.mark.parametrize("entry", _RUN_LOOP_ENTRIES)
+def test_run_loop_entries_refuse_kind_then_validity_then_symbols(entry, identity_rho, twohead):
+    kind, call = _RUN_LOOP_ENTRIES[entry]
+    wk, mfa = identity_rho, twohead
+    valid = {WKAutomaton: wk, MultiHeadAutomaton: mfa}
+    invalid = {
+        WKAutomaton: WKAutomaton(wk.states, wk.upper_alphabet, "ghost", wk.finals, wk.rho, wk.delta),
+        MultiHeadAutomaton: MultiHeadAutomaton(mfa.states, mfa.alphabet, 2, "ghost", mfa.finals, mfa.delta),
+    }
+    other = MultiHeadAutomaton if kind is WKAutomaton else WKAutomaton
+    with pytest.raises(WrongKindError):
+        call(invalid[other])
+    with pytest.raises(InvalidMachineError, match="unknown-state"):
+        call(invalid[kind])
+    with pytest.raises(UnknownSymbolError, match="^symbol 'x' is not in the (upper )?alphabet$"):
+        call(valid[kind])
 
 
 class TestBruteForce:
