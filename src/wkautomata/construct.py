@@ -48,9 +48,10 @@ def _fresh_numbered(stem: str, index: int | str, taken: set[str]) -> str:
     """``stem_index``, its separator widened until the name is not in
     ``taken``, which it then joins; ``taken`` is finite, so this ends."""
     sep = "_"
-    while f"{stem}{sep}{index}" in taken:
+    name = f"{stem}_{index}"
+    while name in taken:
         sep += "_"
-    name = f"{stem}{sep}{index}"
+        name = f"{stem}{sep}{index}"
     taken.add(name)
     return name
 
@@ -82,37 +83,33 @@ def dfa_to_rwka(dfa: ClassicalDFA) -> WKAutomaton:
     require_kind(dfa, ClassicalDFA)
     require_valid(dfa, "dfa")
 
-    taken = set(dfa.states) | set(dfa.alphabet)
+    taken = {*dfa.states, *dfa.alphabet}
     start = _fresh_primed(dfa.start, taken)
-
+    # The start entry, then the simulation entries symbol by symbol, then
+    # the sinks' entries: the order that reports and files list them in.
+    delta = {(start, LEFT_END, LEFT_END): (dfa.start, 1, 1)}
+    move = dfa.delta.get  # a valid DFA's targets are declared states, never None
     images: dict[str, tuple[str, ...]] = {}
-    simulation: list[tuple[tuple[str, str, str], tuple[str, int, int]]] = []
     for x in dfa.alphabet:
-        listed = [(q, dfa.delta[(q, x)]) for q in dfa.states if (q, x) in dfa.delta]
         fresh: list[str] = []
-        for i, (q, target) in enumerate(listed, start=1):
-            y = _fresh_numbered(x, i, taken)
-            fresh.append(y)
-            simulation.append(((q, x, y), (target, 1, 1)))
-        if not listed:
-            fresh.append(_fresh_numbered(x, 1, taken))
-        images[x] = tuple(fresh)
+        for q in dfa.states:
+            target = move((q, x))
+            if target is not None:
+                y = _fresh_numbered(x, len(fresh) + 1, taken)
+                fresh.append(y)
+                delta[(q, x, y)] = (target, 1, 1)
+        images[x] = tuple(fresh) if fresh else (_fresh_numbered(x, 1, taken),)
 
     final_states = [q for q in dfa.states if q in dfa.finals]
     if len(final_states) == 1:
         sinks = [_fresh_primed("qf", taken)]
     else:
         sinks = [_fresh_numbered("qf", q, taken) for q in final_states]
-
-    delta: dict[tuple[str, str, str], tuple[str, int, int]] = {
-        (start, LEFT_END, LEFT_END): (dfa.start, 1, 1)
-    }
-    delta.update(simulation)
     for q, sink in zip(final_states, sinks):
         delta[(q, RIGHT_END, RIGHT_END)] = (sink, 0, 0)
 
     return WKAutomaton(
-        states=(start,) + dfa.states + tuple(sinks),
+        states=(start, *dfa.states, *sinks),
         upper_alphabet=dfa.alphabet,
         start=start,
         finals=frozenset(sinks),

@@ -219,41 +219,28 @@ class _CompiledWK(Record):
 def _compile_wk(machine: WKAutomaton) -> _CompiledWK:
     require_kind(machine, WKAutomaton)
     require_valid(machine)
-    sym_index: dict[str, int] = {}
-
-    def sym(token: str) -> int:
-        return sym_index.setdefault(token, len(sym_index))
-
-    left, right = sym(LEFT_END), sym(RIGHT_END)
-    upper_index = {x: sym(x) for x in machine.upper_alphabet}
-    for y in machine.lower_alphabet:
-        sym(y)
-
-    state_index: dict[str, int] = {}
-
-    def state(name: str) -> int:
-        return state_index.setdefault(name, len(state_index))
-
-    for q in machine.states:
-        state(q)
-
-    delta = {}
-    for (q, u, l), (t, d1, d2) in machine.delta.items():
-        delta[(state(q), sym(u), sym(l))] = (state(t), d1, d2)
-
-    images = {
-        upper_index[x]: tuple(sym(y) for y in machine.rho.image(x))
-        for x in machine.upper_alphabet
-    }
-    token_of = tuple(sym_index)
+    # A valid machine declares every state and symbol it uses, each once:
+    # number the end markers, then the upper symbols, then the lower ones,
+    # each in first-seen order.  So the upper symbols come before any lower
+    # symbol that is not one of them.
+    token_of = tuple(
+        dict.fromkeys((LEFT_END, RIGHT_END, *machine.upper_alphabet, *machine.lower_alphabet))
+    )
+    sym = {token: i for i, token in enumerate(token_of)}
+    state = {q: i for i, q in enumerate(machine.states)}
     return _CompiledWK(
-        start=state(machine.start),
-        finals=frozenset(state(q) for q in machine.finals),
-        left=left,
-        right=right,
-        upper_index=upper_index,
-        images=images,
-        delta=delta,
+        start=state[machine.start],
+        finals=frozenset([state[q] for q in machine.finals]),
+        left=sym[LEFT_END],
+        right=sym[RIGHT_END],
+        upper_index={x: sym[x] for x in machine.upper_alphabet},
+        images={
+            sym[x]: tuple([sym[y] for y in machine.rho.images[x]]) for x in machine.upper_alphabet
+        },
+        delta={
+            (state[q], sym[u], sym[l]): (state[t], d1, d2)
+            for (q, u, l), (t, d1, d2) in machine.delta.items()
+        },
         token_of=token_of,
     )
 
@@ -412,6 +399,13 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     integer tables it reads are the ``_compile_wk`` tables kept on the
     machine, shared with every other search on the same machine object and
     never mutated.
+
+    A fresh predicate pays once for its own tables and for each stage run
+    for the first time, which is most of what a short sweep over a small
+    machine costs.  Its tables of live images are built by list repetition
+    in one pass over the compiled moves, and a stage returns the key of the
+    frontier it hands on, so a move not yet run costs one decode, one stage
+    call and one memo lookup.
     """
     compiled = _compile_wk(machine)
     delta = compiled.delta
@@ -427,22 +421,37 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     # live[x][q][u]: the images of x the lower head may commit in state q
     # over upper symbol u.  An image that leaves a non-final q stuck is left
     # out, since that node neither moves nor accepts.  _compile_wk numbers
-    # the end markers and the upper symbols first, so u < nu.
+    # the end markers and the upper symbols first, so u < nu.  The tables
+    # are built by list repetition: every final row of x's table is one
+    # shared row offering all of x's images, and every other row starts as
+    # the shared empty row.  One pass over delta then gives a non-final row
+    # that a lower read s reaches a row of its own, in the table of each
+    # symbol that s is an image of, and adds s to it.
     nq, nu = len(machine.states), len(column) + 2
+    empty = [()] * nu
     live = {}
+    tables_of: dict[int, list] = {}
     for x, xs in images.items():
-        table = [[xs if q in finals else () for _ in range(nu)] for q in range(nq)]
-        for q, u, s in delta:
-            if s in xs and q not in finals:
-                table[q][u] += (s,)
-        live[x] = table
+        table = live[x] = [empty] * nq
+        every = [xs] * nu
+        for q in finals:
+            table[q] = every
+        for s in xs:
+            tables_of.setdefault(s, []).append(table)
+    for q, u, s in delta:
+        if q not in finals:
+            for table in tables_of.get(s, ()):
+                row = table[q]
+                if row is empty:
+                    row = table[q] = [()] * nu
+                row[u] += (s,)
 
     def stage(ups: tuple[int, ...], heads, commits):
         """Run stage ``j = len(ups) - 1`` on the ``heads`` and ``commits``
         that stage j - 1 handed on, whose positions index ``ups``.
 
         Returns True on acceptance, False when nothing reaches position
-        j + 1, and otherwise the frontier for stage j + 1.
+        j + 1, and otherwise the key of the frontier for stage j + 1.
         """
         # Plain loops throughout: a comprehension would turn the names it
         # reads (j, t, np1, ...) into closure cells, slower at every node.
@@ -484,23 +493,21 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        if next_heads or next_commits:
-            return next_heads, next_commits
-        return False
-
-    def encode(ups: tuple[int, ...], heads, commits) -> str:
-        """The key of the frontier that stage ``len(ups) - 1`` handed on."""
-        base = len(ups)  # every head has p1 == len(ups)
-        for _, _, p2, _ in heads:
+        if not (next_heads or next_commits):
+            return False
+        # The key: positions shifted down by the lowest one, base, and the
+        # window of ups from base on.
+        base = j + 1  # every head has p1 == j + 1
+        for _, _, p2, _ in next_heads:
             if p2 < base:
                 base = p2
-        for _, p1 in commits:
+        for _, p1 in next_commits:
             if p1 < base:
                 base = p1
-        key = [len(ups) - base, *ups[base:], len(heads)]
-        for q, p1, p2, s in sorted(heads):
+        key = [j + 1 - base, *ups[base:], len(next_heads)]
+        for q, p1, p2, s in sorted(next_heads):
             key += (q, p1 - base, p2 - base, s)
-        for t, p1 in sorted(commits):
+        for t, p1 in sorted(next_commits):
             key += (t, p1 - base)
         return "".join(map(chr, key))
 
@@ -532,16 +539,15 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
         ints = list(map(ord, state[-1]))
         n = ints[0]
         h = n + 2 + 4 * ints[n + 1]
-        ups = (*ints[1 : n + 1], ups_of[c])
         flat = iter(ints[n + 2 : h])
         heads = zip(flat, flat, flat, flat)
         flat = iter(ints[h:])
-        result = stage(ups, heads, zip(flat, flat))
+        result = stage((*ints[1 : n + 1], ups_of[c]), heads, zip(flat, flat))
         if result is True or result is False:
             if c != close:
                 result = sinks[result]
         else:
-            result = intern(encode(ups, *result))
+            result = intern(result)
         state[c] = result
         return result
 
@@ -554,7 +560,7 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
         result = stage(opening, start_heads, ())
         if result is True or result is False:
             return sinks[result]
-        return intern(encode(opening, *result))
+        return intern(result)
 
     start = begin()
 
@@ -568,10 +574,9 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
             start = begin()
         state = start
         for x in word:
-            nxt = state[column[x]]
-            if nxt is pending:
-                nxt = step(state, column[x])
-            state = nxt
+            c = column[x]
+            nxt = state[c]
+            state = step(state, c) if nxt is pending else nxt
         verdict = state[close]
         if verdict is None:
             verdict = step(state, close)

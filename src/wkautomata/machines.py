@@ -236,9 +236,7 @@ def require_symbols(word: Iterable[str], allowed: Container[str], what: str) -> 
 
 def is_valid_token(token: str) -> bool:
     """True if ``token`` may name a state or an alphabet symbol."""
-    if not token or "->" in token:
-        return False
-    return not any(ch in _RESERVED_CHARS for ch in token)
+    return bool(token) and "->" not in token and _RESERVED_CHARS.isdisjoint(token)
 
 
 class ComplementarityRelation(Record):
@@ -273,8 +271,7 @@ class ComplementarityRelation(Record):
     @property
     def lower_symbols(self) -> tuple[str, ...]:
         """All image symbols, in declaration order, without duplicates."""
-        seen = dict.fromkeys(y for ys in self.images.values() for y in ys)
-        return tuple(seen)
+        return tuple(dict.fromkeys(itertools.chain.from_iterable(self.images.values())))
 
     @property
     def is_injective(self) -> bool:
@@ -455,7 +452,9 @@ def grammar(machine: Machine) -> tuple[str, tuple[str, ...], list[Entry], tuple[
     raise TypeError(f"not a machine: {machine!r}")
 
 
-def _name_violations(kind: str, names: Iterable[str]) -> list[Violation]:
+def _name_violations(kind: str, names: tuple[str, ...]) -> list[Violation]:
+    if len(set(names)) == len(names) and all(map(is_valid_token, names)):
+        return []  # the usual case; the walk below only reports
     out = []
     seen = set()
     for name in names:
@@ -467,9 +466,10 @@ def _name_violations(kind: str, names: Iterable[str]) -> list[Violation]:
     return out
 
 
-def _declaration_violations(machine: Machine, alphabet: tuple[str, ...]) -> list[Violation]:
+def _declaration_violations(
+    machine: Machine, alphabet: tuple[str, ...], declared: set[str]
+) -> list[Violation]:
     out = _name_violations("state", machine.states) + _name_violations("symbol", alphabet)
-    declared = set(machine.states)
     if machine.start not in declared:
         out.append(Violation("unknown-state", (), f"start state {machine.start!r} is not declared"))
     for q in sorted(machine.finals - declared):
@@ -481,7 +481,7 @@ def _left_marker_note(entries: list[Entry]) -> tuple[str, ...]:
     moving = sum(
         1
         for _, reads, _, moves in entries
-        if LEFT_END in reads and any(r == LEFT_END and d == 1 for r, d in zip(reads, moves))
+        if LEFT_END in reads and (LEFT_END, 1) in zip(reads, moves)
     )
     if not moving:
         return ()
@@ -491,33 +491,42 @@ def _left_marker_note(entries: list[Entry]) -> tuple[str, ...]:
     )
 
 
+_DISPLACEMENTS = frozenset((0, 1))
+
+
 def _entry_violations(
     entries: list[Entry], states: set[str], columns: tuple[Column, ...]
 ) -> list[Violation]:
+    # Each check first tests the whole entry at C speed and walks its reads
+    # or moves one by one only to report what it found.
     out = []
     first, later = columns[0][0], columns[-1][0]
     for entry in entries:
         q, reads, t, moves = entry
-        for name in (q, t):
-            if name not in states:
-                out.append(Violation("unknown-state", (entry,), f"state {name!r} is not declared"))
-        for pos, r in enumerate(reads):
-            if r not in (later if pos else first):
-                out.append(Violation("unknown-symbol", (entry,), f"read symbol {r!r} is not available"))
-        for d in moves:
-            if d not in (0, 1):
-                out.append(Violation("bad-displacement", (entry,), f"displacement {d!r} is not 0 or 1"))
-        for pos, (r, d) in enumerate(zip(reads, moves)):
-            if r == RIGHT_END and d == 1:
-                word = columns[min(pos, len(columns) - 1)][1]
-                head = f"{word}head" if word else f"head {pos + 1}"
-                out.append(
-                    Violation(
-                        "move-on-endmarker",
-                        (entry,),
-                        f"{head} may not move while reading '{RIGHT_END}'",
+        if q not in states:
+            out.append(Violation("unknown-state", (entry,), f"state {q!r} is not declared"))
+        if t not in states:
+            out.append(Violation("unknown-state", (entry,), f"state {t!r} is not declared"))
+        if not (first.issuperset(reads[:1]) and later.issuperset(reads[1:])):
+            for pos, r in enumerate(reads):
+                if r not in (later if pos else first):
+                    out.append(Violation("unknown-symbol", (entry,), f"read symbol {r!r} is not available"))
+        if not _DISPLACEMENTS.issuperset(moves):
+            for d in moves:
+                if d not in _DISPLACEMENTS:
+                    out.append(Violation("bad-displacement", (entry,), f"displacement {d!r} is not 0 or 1"))
+        if RIGHT_END in reads:
+            for pos, (r, d) in enumerate(zip(reads, moves)):
+                if r == RIGHT_END and d == 1:
+                    word = columns[min(pos, len(columns) - 1)][1]
+                    head = f"{word}head" if word else f"head {pos + 1}"
+                    out.append(
+                        Violation(
+                            "move-on-endmarker",
+                            (entry,),
+                            f"{head} may not move while reading '{RIGHT_END}'",
+                        )
                     )
-                )
     return out
 
 
@@ -531,21 +540,21 @@ def validate(machine: Machine) -> CheckReport:
     its own.
     """
     kind, alphabet, entries, columns = grammar(machine)
-    violations = _declaration_violations(machine, alphabet)
+    states = set(machine.states)
+    violations = _declaration_violations(machine, alphabet, states)
     if kind == "wk":
-        for x, ys in machine.rho.images.items():
+        images = machine.rho.images
+        for x, ys in images.items():
             if x not in alphabet:
                 violations.append(
                     Violation("rho-unknown-symbol", (), f"rho maps {x!r}, which is not in the upper alphabet")
                 )
-            for y in ys:
-                if not is_valid_token(y):
-                    violations.append(Violation("bad-token", (), f"symbol name {y!r} uses reserved text"))
-        for x in alphabet:
-            if not machine.rho.image(x):
-                violations.append(
-                    Violation("rho-not-total", (), f"upper symbol {x!r} has no complementarity image")
-                )
+            for y in itertools.filterfalse(is_valid_token, ys):
+                violations.append(Violation("bad-token", (), f"symbol name {y!r} uses reserved text"))
+        for x in itertools.filterfalse(images.get, alphabet):
+            violations.append(
+                Violation("rho-not-total", (), f"upper symbol {x!r} has no complementarity image")
+            )
     elif kind == "mfa":
         k = machine.head_count
         if k < 1:
@@ -559,7 +568,7 @@ def validate(machine: Machine) -> CheckReport:
                         f"transition does not carry exactly {k} reads and moves",
                     )
                 )
-    violations += _entry_violations(entries, set(machine.states), columns)
+    violations += _entry_violations(entries, states, columns)
     return CheckReport(tuple(violations), _left_marker_note(entries))
 
 

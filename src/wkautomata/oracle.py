@@ -25,7 +25,6 @@ from .machines import (
 Word = tuple[str, ...]
 
 BLOCK_ALPHABET = ("a", "b", "*", "%")
-_BLOCK_CONTENT = ("a", "b")
 _BLOCK_SYMBOLS = frozenset(BLOCK_ALPHABET)
 
 
@@ -38,104 +37,73 @@ class AcceptorFailure(Exception):
         super().__init__(f"acceptor {side} failed on word {word!r}: {cause}")
 
 
-@kept
-def _dfa_rows(dfa: ClassicalDFA) -> tuple[dict[str, int], list, list]:
-    """``dfa``'s moves as linked rows: the column of each alphabet symbol,
-    the start row and the dead row.
+# The key under which a row of ``_dfa_rows`` keeps its finality: a private
+# object, so no word holds it as a symbol.
+_FINAL = object()
 
-    A row is a list with one slot per column, holding the row its move on
-    that symbol leads to, followed by the row's finality.  A missing move
-    leads to the dead row, whose every slot leads back to itself and which
-    is not final.  There is a row for every declared state, the start state
-    and every target, so the table needs no valid machine.
+
+@kept
+def _dfa_rows(dfa: ClassicalDFA) -> tuple[dict, dict]:
+    """``dfa``'s moves as linked rows: the start row and the dead row.
+
+    A row is a dict from each alphabet symbol to the row its move on that
+    symbol leads to, and from ``_FINAL`` to the row's finality.  A missing
+    move leads to the dead row, whose every symbol leads back to itself and
+    which is not final.  There is a row for every declared state, the start
+    state and every target, so the table needs no valid machine.
     """
     require_kind(dfa, ClassicalDFA)
     delta = dfa.delta
-    column = {x: c for c, x in enumerate(dfa.alphabet)}
-    width = len(dfa.alphabet)
-    dead = [False] * (width + 1)
-    dead[:width] = [dead] * width
-    rows = {q: [] for q in {dfa.start, *dfa.states, *delta.values()}}
+    dead: dict = {_FINAL: False}
+    dead.update(dict.fromkeys(dfa.alphabet, dead))
+    rows = {q: {} for q in {dfa.start, *dfa.states, *delta.values()}}
     for q, row in rows.items():
-        row += [rows.get(delta.get((q, x)), dead) for x in dfa.alphabet]
-        row.append(q in dfa.finals)
-    return column, rows[dfa.start], dead
+        row.update({x: rows.get(delta.get((q, x)), dead) for x in dfa.alphabet})
+        row[_FINAL] = q in dfa.finals
+    return rows[dfa.start], dead
 
 
 def dfa_accepts(dfa: ClassicalDFA, word: Sequence[str]) -> bool:
     """Standard DFA evaluation; a missing transition rejects.
 
     The walk follows the linked rows that the first call on ``dfa`` builds
-    and keeps on it, one subscript per symbol, and reads the finality of
-    the row it ends on.  A missing move leads to the dead row, which the
-    walk follows to the end of the word.  A symbol outside the alphabet has
-    no column, so it raises ``UnknownSymbolError`` when the walk reaches it,
-    unless the walk is already on the dead row: a missing move earlier in
-    the word rejects first.  The DFA is not validated.
+    and keeps on it, one dict subscript per symbol, and reads the finality
+    of the row it ends on.  A missing move leads to the dead row, which the
+    walk follows to the end of the word.  A symbol outside the alphabet is
+    not a key of any row, so it raises ``UnknownSymbolError`` when the walk
+    reaches it, unless the walk is already on the dead row: a missing move
+    earlier in the word rejects first.  The DFA is not validated.
+
+    A call reads the kept rows straight from ``dfa.__dict__``, where
+    ``kept`` stores them under the build's name, and calls ``_dfa_rows``
+    only when they are not there yet, so a sweep pays one dict lookup per
+    word for them.  That call refuses a machine of another kind with
+    ``WrongKindError``.
     """
-    column, row, dead = _dfa_rows(dfa)
+    try:
+        row, dead = dfa.__dict__["_dfa_rows"]
+    except (KeyError, AttributeError):
+        row, dead = _dfa_rows(dfa)
     symbols = iter(word)  # a word that is not iterable raises its own TypeError here
     try:
         for sym in symbols:
-            row = row[column[sym]]
+            row = row[sym]
     except (KeyError, TypeError):  # TypeError: an unhashable symbol
         if row is dead:
             return False
         raise UnknownSymbolError(f"symbol {sym!r} is not in the alphabet") from None
-    return row[-1]
-
-
-def theorem2_blocks(word: Sequence[str]) -> list[tuple[str, str]] | None:
-    """Parse ``w1*x1%...%wn*xn`` into (w, x) pairs, or None if malformed.
-
-    Well-formed means: '%'-separated blocks, exactly one '*' per block, and
-    block content over {a, b}.  A leading or trailing '%' creates an empty
-    block and is therefore malformed.  The empty word is the well-formed
-    zero-block case.
-    """
-    if not word:
-        return []
-    blocks: list[list[str]] = [[]]
-    for sym in word:
-        if sym == "%":
-            blocks.append([])
-        else:
-            blocks[-1].append(sym)
-    pairs = []
-    for block in blocks:
-        if block.count("*") != 1:
-            return None
-        cut = block.index("*")
-        w, x = block[:cut], block[cut + 1 :]
-        if any(sym not in _BLOCK_CONTENT for sym in w + x):
-            return None
-        pairs.append(("".join(w), "".join(x)))
-    return pairs
-
-
-def theorem2_witnesses(word: Sequence[str]) -> tuple[tuple[int, int], ...]:
-    """All 1-based block index pairs (i, j), i < j, with w_i = w_j, x_i != x_j."""
-    pairs = theorem2_blocks(word)
-    if pairs is None:
-        return ()
-    return tuple(
-        (i + 1, j + 1)
-        for i in range(len(pairs))
-        for j in range(i + 1, len(pairs))
-        if pairs[i][0] == pairs[j][0] and pairs[i][1] != pairs[j][1]
-    )
+    return row[_FINAL]
 
 
 def theorem2_member(word: Sequence[str]) -> bool:
     """Membership in the block language: some two blocks share the w part
     but differ in the x part.  Malformed words are simply non-members.
 
-    Decides what ``bool(theorem2_witnesses(word))`` decides in one pass,
-    without building the pairs: once every symbol is one of
-    ``BLOCK_ALPHABET`` the word can be joined and split on '%' as text, and
-    with exactly one '*' per block a block is its (w, x) pair, so some w
-    has two x parts exactly when there are more distinct blocks than
-    distinct w parts.
+    Decided in one pass, without parsing the blocks into (w, x) pairs: once
+    every symbol is one of ``BLOCK_ALPHABET`` the word can be joined and
+    split on '%' as text, and with exactly one '*' per block a block is its
+    (w, x) pair, so some w has two x parts exactly when there are more
+    distinct blocks than distinct w parts.
     """
     if not _BLOCK_SYMBOLS.issuperset(word):
         return False
@@ -151,9 +119,15 @@ def theorem2_member(word: Sequence[str]) -> bool:
 
 def enumerate_words(alphabet: Sequence[str], max_len: int) -> Iterator[Word]:
     """All words of length 0..max_len, shortest first, then lexicographic
-    by the declared symbol order."""
-    for length in range(max_len + 1):
-        yield from itertools.product(tuple(alphabet), repeat=length)
+    by the declared symbol order.
+
+    The words come out lazily through C iterators, one ``product`` per
+    length, so the sweep resumes no Python frame per word.
+    """
+    alphabet = tuple(alphabet)
+    return itertools.chain.from_iterable(
+        itertools.product(alphabet, repeat=n) for n in range(max_len + 1)
+    )
 
 
 # Completions of at most this many symbols come from the tail table, so
@@ -360,14 +334,8 @@ def differential_compare(
                 mismatches.append((word, "b" if a_rejects else "a"))
             else:
                 truncated = True
-    per_length = {
-        n: LengthStats(words=w, agreements=w - a - b, a_only=a, b_only=b)
-        for n, (w, a, b) in sorted(counts.items())
-    }
+    # Positional records: a keyword call binds its arguments by name.
+    per_length = {n: LengthStats(w, w - a - b, a, b) for n, (w, a, b) in sorted(counts.items())}
     return DiffReport(
-        max_len=max(counts, default=0),
-        per_length=per_length,
-        mismatches=tuple(mismatches),
-        truncated=truncated,
-        cap=mismatch_cap,
+        max(counts, default=0), per_length, tuple(mismatches), truncated, mismatch_cap
     )

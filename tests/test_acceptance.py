@@ -27,7 +27,6 @@ from wkautomata import (
     theorem2_member,
 )
 from wkautomata.fileformat import parse_machine, serialize_machine
-from wkautomata.oracle import theorem2_witnesses
 from wkautomata.samples import (
     example1_dfa,
     identity_rho_wk,
@@ -42,6 +41,7 @@ from wkautomata.sweeps import (
     strands_vs_heads,
 )
 from conftest import CORPUS_DIR, CORPUS_FILES, run_cli
+from test_oracle import theorem2_witnesses
 
 SEED = 7
 RANDOM_DFA_COUNT = 30

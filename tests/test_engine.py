@@ -44,6 +44,7 @@ from wkautomata.oracle import dfa_accepts, enumerate_block_strings, enumerate_wo
 from wkautomata.samples import random_dfa
 from conftest import (
     CORPUS_DIR,
+    CORPUS_FILES,
     VALIDATION_RULES,
     clear_caches,
     dfas,
@@ -692,6 +693,58 @@ class TestOneBuildPerMachine:
         parsed = [cli._parse((CORPUS_DIR / name).read_text()) for name, _ in commands]
         assert [id(m) for m in builds] == [id(example1_rwka), *map(id, parsed)]
         clear_caches()
+
+
+def reference_tables(machine):
+    """``_compile_wk``'s tables by a plain numbering, one token at a time:
+    symbols in first-seen order over the end markers, the upper alphabet
+    and the lower alphabet, and states in declaration order.  Dicts are
+    returned as item lists, so their order is compared too."""
+    sym, state = {}, {}
+    for token in ("#", "$", *machine.upper_alphabet, *machine.lower_alphabet):
+        if token not in sym:
+            sym[token] = len(sym)
+    for q in machine.states:
+        state[q] = len(state)
+    return {
+        "start": state[machine.start],
+        "finals": frozenset(state[q] for q in machine.finals),
+        "left": sym["#"],
+        "right": sym["$"],
+        "upper_index": [(x, sym[x]) for x in machine.upper_alphabet],
+        "images": [
+            (sym[x], tuple(sym[y] for y in machine.rho.image(x))) for x in machine.upper_alphabet
+        ],
+        "delta": [
+            ((state[q], sym[u], sym[l]), (state[t], d1, d2))
+            for (q, u, l), (t, d1, d2) in machine.delta.items()
+        ],
+        "token_of": tuple(sym),
+    }
+
+
+class TestCompiledTables:
+    @staticmethod
+    def assert_reference_numbering(machine):
+        compiled = engine._compile_wk(machine)
+        got = {
+            name: list(value.items()) if isinstance(value, dict) else value
+            for name in compiled._fields
+            for value in (getattr(compiled, name),)
+        }
+        assert got == reference_tables(machine)
+
+    @pytest.mark.parametrize("name", [n for n in CORPUS_FILES if n.endswith(".wk")])
+    def test_corpus_machines(self, name):
+        text = (CORPUS_DIR / name).read_text(encoding="utf-8")
+        self.assert_reference_numbering(parse_machine(text))
+
+    def test_compiled_random_dfas(self):
+        rng = random.Random(21)
+        for _ in range(200):
+            alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+            dfa = random_dfa(rng, max_states=rng.randint(1, 12), alphabet=alphabet)
+            self.assert_reference_numbering(dfa_to_rwka(dfa))
 
 
 # Each entry point of the run loop, called with a word none of the corpus

@@ -1,6 +1,7 @@
 """Types, structural validation, and the C1/C2 reversibility checkers."""
 
 import copy
+import itertools
 import os
 import pickle
 import random
@@ -23,6 +24,7 @@ from wkautomata import (
     swk_to_mfa2,
     validate,
 )
+from wkautomata import machines
 from wkautomata.engine import Configuration, RunOutcome, SearchResult, Verdict, _CompiledWK
 from wkautomata.fileformat import parse_machine, serialize_machine
 from wkautomata.machines import (
@@ -266,6 +268,23 @@ class TestTokens:
     def test_reserved_text_is_rejected(self):
         for token in ("", "#", "$", "a#b", "a$b", "a b", "a:b", "a,b", "x->y", "\t"):
             assert not is_valid_token(token)
+
+    def test_agrees_with_its_definition_on_every_short_token(self):
+        # Non-empty, no '->', and no reserved character, on every token of
+        # up to 3 characters over a plain letter, the arrow's two halves,
+        # the reserved punctuation, a space and a tab.
+        chars = ("a", "-", ">", "#", "$", ":", ",", " ", "\t")
+        checked = 0
+        for n in range(4):
+            for token in map("".join, itertools.product(chars, repeat=n)):
+                expected = (
+                    token != ""
+                    and "->" not in token
+                    and not any(ch in machines._RESERVED_CHARS for ch in token)
+                )
+                assert is_valid_token(token) is expected, repr(token)
+                checked += 1
+        assert checked == 1 + 9 + 9**2 + 9**3
 
 
 class TestComplementarityRelation:

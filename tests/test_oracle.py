@@ -19,17 +19,17 @@ from wkautomata import (
     enumerate_words,
     theorem2_member,
 )
-from wkautomata.machines import UnknownSymbolError
+from wkautomata.machines import UnknownSymbolError, WrongKindError
 from wkautomata.oracle import (
     BLOCK_ALPHABET,
     AcceptorFailure,
     DiffReport,
     LengthStats,
-    theorem2_blocks,
-    theorem2_witnesses,
+    _dfa_rows,
 )
 from wkautomata.samples import random_dfa
-from wkautomata.sweeps import detectable
+from wkautomata.sweeps import compiled_dfa, detectable, seeded_dfas
+from conftest import kept_builds
 
 
 class TestDfaAccepts:
@@ -181,6 +181,45 @@ class TestDfaAcceptsRows:
         assert "_dfa_rows" not in copied.__dict__
         assert dfa_accepts(copied, "aba") and not dfa_accepts(copied, "ab")
 
+    @pytest.mark.parametrize("rows", ["fresh", "kept"])
+    def test_contract_holds_whether_or_not_the_rows_are_kept_yet(self, rows, identity_rho):
+        # The first call on a DFA builds its rows and later calls read them
+        # straight from the DFA; both give the same answers and errors.
+        def partial():
+            return ClassicalDFA(("q0", "q1"), ("a", "b"), "q0", {"q1"}, {("q0", "a"): "q1"})
+
+        def ready(dfa):
+            if rows == "kept":
+                dfa_accepts(dfa, "a")
+                assert "_dfa_rows" in dfa.__dict__
+            return dfa
+
+        # Every move before the first foreign symbol is live, so it is named.
+        for word in (("x",), ("a", "x"), ("x", "a"), ("a", "x", "b")):
+            with pytest.raises(UnknownSymbolError, match="^symbol 'x' is not in the alphabet$"):
+                dfa_accepts(ready(partial()), word)
+        with pytest.raises(UnknownSymbolError, match=r"^symbol \['x'\] is not in the alphabet$"):
+            dfa_accepts(ready(partial()), ("a", ["x"]))
+        # q0 has no move on 'b' and q1 none at all, so a foreign symbol
+        # after a missing move rejects.
+        for word in (("b", "x"), ("a", "a", "x"), ("a", "b", ["x"]), ("b", "x", "x")):
+            assert dfa_accepts(ready(partial()), word) is False
+        # A machine of another kind is refused by name, and a word that is
+        # not iterable raises its own TypeError.
+        for other in (identity_rho, None):
+            with pytest.raises(WrongKindError, match="^expected a ClassicalDFA, got a "):
+                dfa_accepts(other, "a")
+        with pytest.raises(TypeError, match="^'int' object is not iterable$"):
+            dfa_accepts(ready(partial()), 5)
+
+    def test_one_build_per_dfa_object_over_a_sweep(self):
+        dfas = seeded_dfas(4, 12)
+        twins = [ClassicalDFA(d.states, d.alphabet, d.start, d.finals, d.delta) for d in dfas]
+        with kept_builds(_dfa_rows) as (builds,):
+            for dfa in dfas + twins + dfas:
+                assert compiled_dfa(dfa, 5).total_mismatches == 0
+        assert [id(dfa) for dfa in builds] == [id(dfa) for dfa in dfas + twins]
+
 
 class TestTheorem2Member:
     def test_examples(self):
@@ -250,6 +289,11 @@ class TestEnumerateWords:
 
     def test_max_len_zero(self):
         assert list(enumerate_words(("a", "b"), 0)) == [()]
+
+    def test_lazy_and_reads_the_alphabet_once(self):
+        words = enumerate_words(iter("ab"), 10**9)
+        assert list(itertools.islice(words, 4)) == [(), ("a",), ("b",), ("a", "a")]
+        assert list(enumerate_words(("a", "b"), -1)) == []
 
     def test_single_letter(self):
         assert list(enumerate_words(("a",), 3)) == [
@@ -372,6 +416,50 @@ def depth_first_block_strings(max_total_len, max_blocks):
             if starred or left >= 2:
                 stack.append((prefix + ("b",), blocks, starred))
                 stack.append((prefix + ("a",), blocks, starred))
+
+
+def theorem2_blocks(word):
+    """Parse ``w1*x1%...%wn*xn`` into (w, x) pairs, or None if malformed: a
+    reference for ``theorem2_member`` and ``sweeps.detectable``, which
+    decide membership without building the pairs.
+
+    Well-formed means: '%'-separated blocks, exactly one '*' per block, and
+    block content over {a, b}.  A leading or trailing '%' creates an empty
+    block and is therefore malformed.  The empty word is the well-formed
+    zero-block case.
+    """
+    if not word:
+        return []
+    blocks = [[]]
+    for sym in word:
+        if sym == "%":
+            blocks.append([])
+        else:
+            blocks[-1].append(sym)
+    pairs = []
+    for block in blocks:
+        if block.count("*") != 1:
+            return None
+        cut = block.index("*")
+        w, x = block[:cut], block[cut + 1 :]
+        if any(sym not in ("a", "b") for sym in w + x):
+            return None
+        pairs.append(("".join(w), "".join(x)))
+    return pairs
+
+
+def theorem2_witnesses(word):
+    """All 1-based block index pairs (i, j), i < j, with w_i = w_j and
+    x_i != x_j: the block language's definition, walked pair by pair."""
+    pairs = theorem2_blocks(word)
+    if pairs is None:
+        return ()
+    return tuple(
+        (i + 1, j + 1)
+        for i in range(len(pairs))
+        for j in range(i + 1, len(pairs))
+        if pairs[i][0] == pairs[j][0] and pairs[i][1] != pairs[j][1]
+    )
 
 
 def reference_compare(accept_a, accept_b, words, *, mismatch_cap=100):
