@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from . import construct, engine, fileformat, oracle
 from .machines import (
@@ -35,7 +34,8 @@ def _load(path: str):
     """The machine in ``path``: the file is read on every call, so an edit
     is always seen, and its text is parsed by ``_parse``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise MachineError(f"cannot read {path}: {exc}") from exc
     return _parse(text)
@@ -153,7 +153,8 @@ def _translate(args, expect: type, operation, label: str) -> int:
         raise MachineError(f"{label} expects a {expect.__name__} machine file")
     text = fileformat.serialize_machine(operation(machine))
     try:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as file:
+            file.write(text)
     except OSError as exc:
         raise MachineError(f"cannot write {args.output}: {exc}") from exc
     print(f"wrote {args.output}")
@@ -259,11 +260,12 @@ def _cmd_enumerate(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first ``main`` call.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The program parser of the process and its table of subcommand
+    parsers by name, built on the first ``main`` call.
 
-    ``parse_args`` returns a fresh namespace and leaves the parser as it
-    was, so calls that share it stay independent.
+    Parsing returns a fresh namespace and leaves the parsers as they were,
+    so calls that share them stay independent.
     """
     parser = argparse.ArgumentParser(
         prog="wka",
@@ -314,18 +316,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, required=True)
     p.set_defaults(handler=_cmd_enumerate)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """The namespace of ``argv``, or the ``SystemExit`` argparse raises.
+
+    When ``argv``'s first item names a subcommand, that subcommand's parser
+    parses the rest alone, and an argument it leaves over is reported by
+    the program parser, as ``parse_args`` reports it.  Every other ``argv``
+    (none, ``-h``, an unknown command, an option or ``--`` first) goes to
+    the program parser.  Both routes give the same namespace and print the
+    same bytes.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
     """Run one ``wka`` command and return its exit code.
 
+    ``argv`` defaults to ``sys.argv[1:]``.  An ``argv`` led by a subcommand
+    is parsed by that subcommand's parser alone, any other by the program
+    parser (see ``_parse_argv``).
+
     Call it from one thread at a time: the sweep acceptors kept on parsed
     machines carry their memo from call to call.
     """
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

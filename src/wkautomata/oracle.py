@@ -251,14 +251,14 @@ class DiffReport(Record):
 
     @cached_property
     def totals(self) -> LengthStats:
-        """The column sums of ``per_length``."""
-        rows = self.per_length.values()
-        return LengthStats(
-            words=sum(s.words for s in rows),
-            agreements=sum(s.agreements for s in rows),
-            a_only=sum(s.a_only for s in rows),
-            b_only=sum(s.b_only for s in rows),
-        )
+        """The column sums of ``per_length``, in one pass over its rows."""
+        words = agreements = a_only = b_only = 0
+        for s in self.per_length.values():
+            words += s.words
+            agreements += s.agreements
+            a_only += s.a_only
+            b_only += s.b_only
+        return LengthStats(words, agreements, a_only, b_only)
 
     @property
     def total_words(self) -> int:

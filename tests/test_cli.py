@@ -453,6 +453,19 @@ class TestUsage:
         assert err.count("\n") == 1
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("check", ""), "cannot read : [Errno 2] No such file or directory: ''"),
+            (("compare", corpus("example1-rwka.wk"), "--oracle", "dfa:", "--max-len", "2"),
+             "cannot read : [Errno 2] No such file or directory: ''"),
+            (("from-dfa", corpus("example1-dfa.dfa"), "-o", ""),
+             "cannot write : [Errno 2] No such file or directory: ''"),
+        ],
+    )
+    def test_an_empty_path_names_no_directory(self, argv, message):
+        assert run_cli(*argv) == (2, "", f"error: {message}\n")
+
     def test_unknown_subcommand(self):
         code, _, _ = run_cli("frobnicate")
         assert code == 2
@@ -533,6 +546,80 @@ class TestOneParserPerProcess:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == run_cli("check", corpus("theorem2.wk"))[1]
+
+
+class TestDispatch:
+    """``main`` hands an argv led by a subcommand to that subcommand's
+    parser; the program parser's own route must print the same bytes."""
+
+    RWKA, DFA = corpus("example1-rwka.wk"), corpus("example1-dfa.dfa")
+    ARGVS = (
+        (),
+        ("--help",),
+        ("-h", "check"),
+        ("--bogus", "check"),
+        ("run", "-h"),
+        ("frobnicate",),
+        ("--", "check", RWKA),
+        ("check", RWKA, "--bogus"),
+        ("check", RWKA, "extra"),
+        ("run", RWKA, "aba", "--bogus", "more"),
+        ("compare", RWKA, DFA, "--max", "3"),
+        ("compare", RWKA, DFA, "--max-l", "3"),
+        ("compare", RWKA, "--oracle=dfa:" + DFA, "--max-len=3", "--format=tsv"),
+        ("check", RWKA, "--require", "bogus"),
+        ("check", "--req=strong", RWKA),
+        ("enumerate", RWKA, "--max-len", "x"),
+        ("enumerate", RWKA, "--max-len", "2"),
+        ("run", RWKA, "--", "aba"),
+        ("run", "--trace", RWKA, "aba", "--lower", "a_1,b_2,a_1"),
+        ("run",),
+        ("from-dfa", DFA),
+        ("compare", RWKA, "--max-len", "2"),
+        ("check", ""),
+    )
+
+    @pytest.mark.parametrize("argv", ARGVS)
+    def test_main_prints_what_the_program_parser_would(self, monkeypatch, argv):
+        got = run_cli(*argv)
+        parser, _ = cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+        assert got == run_cli(*argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", RWKA),
+            ("check", RWKA, "--require", "strong"),
+            ("run", RWKA, "aba", "--lower", "a_1,b_2,a_1", "--trace"),
+            ("from-dfa", DFA, "-o", "out.wk"),
+            ("to-mfa", RWKA, "--output=out.mfa"),
+            ("from-mfa", corpus("twohead-anbn1.mfa"), "-oout.wk"),
+            ("compare", RWKA, "--oracle", "dfa:" + DFA, "--max-len", "4", "--format", "tsv"),
+            ("compare", corpus("theorem2.wk"), "--oracle", "theorem2", "--blocks",
+             "--max-blocks", "2", "--max-len", "5"),
+            ("compare", RWKA, DFA, "--max-l", "3"),
+            ("enumerate", RWKA, "--max-len", "3"),
+        ],
+    )
+    def test_both_routes_parse_the_same_namespace(self, argv):
+        parser, _ = cli._build_parser()
+        assert vars(cli._parse_argv(list(argv))) == vars(parser.parse_args(argv))
+
+    def test_a_subcommand_never_reaches_the_program_parser(self, monkeypatch):
+        parser, _ = cli._build_parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the program parser was called")
+
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        assert run_cli("run", corpus("example1-rwka.wk"), "aba", "--lower", "a_1,b_2,a_1") == (
+            0, "accept\n", ""
+        )
+        code, _, err = run_cli("check", corpus("theorem2.wk"), "--bogus")
+        assert code == 2
+        assert err.splitlines()[-1] == "wka: error: unrecognized arguments: --bogus"
 
 
 class TestParseMemo:
