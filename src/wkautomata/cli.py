@@ -3,13 +3,16 @@
 Exit codes are uniform across subcommands: 0 for a passing check, an
 accepting run, or a mismatch-free comparison; 1 for the failing or
 rejecting counterpart; 2 for unusable input (bad flags, parse errors, or
-machines that do not satisfy an operation's precondition).
+machines that do not satisfy an operation's precondition).  A command
+whose reader closes its output early (``wka enumerate ... | head``) stops
+there and exits 1, printing nothing more.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import construct, engine, fileformat, oracle
@@ -32,10 +35,11 @@ USAGE_ERROR = 2
 
 def _load(path: str):
     """The machine in ``path``: the file is read on every call, so an edit
-    is always seen, and its text is parsed by ``_parse``."""
+    is always seen, decoded as UTF-8 in one piece, and its text is parsed
+    by ``_parse``, whose line split also ends a line at a CR or a CRLF."""
     try:
-        with open(path, encoding="utf-8") as file:
-            text = file.read()
+        with open(path, "rb") as file:
+            text = file.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise MachineError(f"cannot read {path}: {exc}") from exc
     return _parse(text)
@@ -48,11 +52,14 @@ def _parse(text: str):
 
     Parsing is a pure function of the text and machines are frozen values,
     so a repeated call gets the very same machine object, with the
-    validation, C1/C2 report, run loop and search tables kept on it and its
-    ``_sweep_acceptor``.  This is the one bounded cache of the package: it
+    validation, C1/C2 report, run loop and search tables kept on it, its
+    ``_sweep_acceptor``, and the output text of each translation run on it
+    (``_from_dfa``, ``_to_mfa``, ``_from_mfa``).  The output file is still
+    written on every call, and a one-shot process, which parses each text
+    once, gains nothing.  This is the one bounded cache of the package: it
     holds more texts than the corpus has machine files, and dropping a
-    text drops its machine, tables and acceptor with it.  A ``ParseError``
-    propagates and is never kept.
+    text drops its machine, tables, acceptor and translations with it.  A
+    ``ParseError`` propagates and is never kept.
     """
     return fileformat.parse_machine(text)
 
@@ -147,11 +154,11 @@ def _run_existential(machine: WKAutomaton, word, trace: bool) -> int:
     return 0
 
 
-def _translate(args, expect: type, operation, label: str) -> int:
+def _translate(args, expect: type, translation, label: str) -> int:
     machine = _load(args.file)
     if not isinstance(machine, expect):
         raise MachineError(f"{label} expects a {expect.__name__} machine file")
-    text = fileformat.serialize_machine(operation(machine))
+    text = translation(machine)
     try:
         with open(args.output, "w", encoding="utf-8") as file:
             file.write(text)
@@ -159,6 +166,24 @@ def _translate(args, expect: type, operation, label: str) -> int:
         raise MachineError(f"cannot write {args.output}: {exc}") from exc
     print(f"wrote {args.output}")
     return 0
+
+
+# The output text of each translation, built once per parsed machine.  A
+# refused translation raises and keeps nothing, so it is refused again on
+# every call.
+@kept
+def _from_dfa(machine):
+    return fileformat.serialize_machine(construct.dfa_to_rwka(machine))
+
+
+@kept
+def _to_mfa(machine):
+    return fileformat.serialize_machine(construct.swk_to_mfa2(machine))
+
+
+@kept
+def _from_mfa(machine):
+    return fileformat.serialize_machine(construct.mfa2_to_swk(machine))
 
 
 def _acceptor(machine):
@@ -289,17 +314,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub.add_parser("from-dfa", help="compile a dfa into a reversible wk machine")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=lambda args: _translate(args, ClassicalDFA, construct.dfa_to_rwka, "from-dfa"))
+    p.set_defaults(handler=lambda args: _translate(args, ClassicalDFA, _from_dfa, "from-dfa"))
 
     p = sub.add_parser("to-mfa", help="translate a strongly reversible wk machine to a 2-head machine")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=lambda args: _translate(args, WKAutomaton, construct.swk_to_mfa2, "to-mfa"))
+    p.set_defaults(handler=lambda args: _translate(args, WKAutomaton, _to_mfa, "to-mfa"))
 
     p = sub.add_parser("from-mfa", help="translate a reversible 2-head machine to a wk machine")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=lambda args: _translate(args, MultiHeadAutomaton, construct.mfa2_to_swk, "from-mfa"))
+    p.set_defaults(handler=lambda args: _translate(args, MultiHeadAutomaton, _from_mfa, "from-mfa"))
 
     p = sub.add_parser("compare", help="differential sweep of two acceptors over bounded words")
     p.add_argument("file_a")
@@ -349,9 +374,28 @@ def main(argv=None) -> int:
 
     Call it from one thread at a time: the sweep acceptors kept on parsed
     machines carry their memo from call to call.
+
+    A reader that closes stdout early ends the command with exit code 1
+    and no message.  As the Python docs advise for that case, stdout is
+    then pointed at the null device, so the flush at exit cannot fail
+    again.  An in-memory stdout, such as a ``StringIO``, never raises it.
     """
     try:
-        args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
+        code = _run(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
+
+
+def _run(argv: list[str]) -> int:
+    """The exit code of ``argv``'s command, a failed precondition reported
+    on stderr."""
+    try:
+        args = _parse_argv(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

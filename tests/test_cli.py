@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wkautomata import MultiHeadAutomaton, cli, engine, validate
+from wkautomata.construct import dfa_to_rwka
 from wkautomata.fileformat import parse_machine, serialize_machine
 from wkautomata.oracle import enumerate_words
 from conftest import CORPUS_DIR, clear_caches, mfa_machines, run_cli
@@ -270,8 +271,68 @@ class TestTranslate:
         rwka, dfa = cli._load(corpus("example1-rwka.wk")), cli._load(corpus("example1-dfa.dfa"))
         assert sum(m is rwka for m in validations) == 1
         assert sum(m is dfa for m in validations) == 1
-        # Each from-dfa call also serializes the machine it builds, once.
-        assert len(validations) == 2 + 3
+        # The first from-dfa call also serializes the machine it builds,
+        # once; the later calls write the text kept on the parsed DFA.
+        assert len(validations) == 2 + 1
+
+    @pytest.mark.parametrize(
+        "command, source, construction",
+        [("from-dfa", "example1-dfa.dfa", "dfa_to_rwka"),
+         ("to-mfa", "identity-rho.wk", "swk_to_mfa2"),
+         ("from-mfa", "twohead-anbn1.mfa", "mfa2_to_swk")],
+    )
+    def test_each_parsed_machine_is_translated_once(
+        self, tmp_path, monkeypatch, command, source, construction
+    ):
+        from wkautomata import construct, fileformat
+
+        clear_caches()
+        calls = []
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counting(machine):
+                calls.append(name)
+                return real(machine)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count(construct, construction)
+        count(fileformat, "serialize_machine")
+        outputs = [tmp_path / f"out{i}" for i in range(3)]
+        for out_path in outputs:
+            assert run_cli(command, corpus(source), "-o", str(out_path)) == (
+                0, f"wrote {out_path}\n", ""
+            )
+        assert calls == [construction, "serialize_machine"]
+        assert len({out_path.read_bytes() for out_path in outputs}) == 1
+
+    @pytest.mark.parametrize(
+        "command, text, error",
+        [("to-mfa", (CORPUS_DIR / "theorem2.wk").read_text(),
+          "error: complementarity relation is not injective;"
+          " lower reads have no unique preimage\n"),
+         ("from-mfa", "type: mfa\nstates: q\nstart: q\nfinal: q\nalphabet: a\nheads: 3\n",
+          "error: need exactly 2 heads, got 3\n")],
+    )
+    def test_a_refused_translation_is_refused_on_every_call(self, tmp_path, command, text, error):
+        source = tmp_path / "source"
+        source.write_text(text)
+        out_path = tmp_path / "out"
+        for _ in range(3):
+            assert run_cli(command, str(source), "-o", str(out_path)) == (2, "", error)
+        assert not out_path.exists()
+
+    def test_an_edited_source_is_translated_anew(self, tmp_path):
+        source, out_path = tmp_path / "source.dfa", tmp_path / "out.wk"
+        text = (CORPUS_DIR / "example1-dfa.dfa").read_text()
+        edited = text.replace("final: q1\n", "final: q0\n")
+        for edit in (text, edited, text):
+            source.write_text(edit)
+            assert run_cli("from-dfa", str(source), "-o", str(out_path))[0] == 0
+            assert out_path.read_text() == serialize_machine(dfa_to_rwka(parse_machine(edit)))
+        assert serialize_machine(dfa_to_rwka(parse_machine(edited))) != out_path.read_text()
 
     def test_from_dfa_reproduces_the_golden_file(self, tmp_path):
         out_path = tmp_path / "built.wk"
@@ -439,6 +500,36 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
         assert err.count("\n") == 1
+
+    def test_a_non_utf8_file_reports_the_decoder_error(self, tmp_path):
+        bad = tmp_path / "bad.dfa"
+        bad.write_bytes(b"\xfftype: dfa\n")
+        assert run_cli("check", str(bad)) == (
+            2,
+            "",
+            f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte\n",
+        )
+
+    def test_crlf_line_ends_read_as_lf(self, tmp_path):
+        twin = tmp_path / "example1-dfa.dfa"
+        twin.write_bytes((CORPUS_DIR / "example1-dfa.dfa").read_bytes().replace(b"\n", b"\r\n"))
+        assert cli._load(str(twin)) == cli._load(corpus("example1-dfa.dfa"))
+        assert run_cli("check", str(twin)) == run_cli("check", corpus("example1-dfa.dfa"))
+
+    def test_a_reader_closing_stdout_early_ends_the_command_quietly(self):
+        # The --max-len 9 listing is about 216 KB, more than a pipe holds,
+        # so the command is still writing when the pipe closes.
+        src = str(CORPUS_DIR.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        argv = [sys.executable, "-m", "wkautomata", "enumerate", corpus("theorem2.wk"), "--max-len", "9"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path)
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert (first, proc.returncode, err) == (b"%*a%*\n", 1, b"")
 
     @pytest.mark.parametrize(
         "command, source",
