@@ -56,10 +56,12 @@ def _parse(text: str):
     ``_sweep_acceptor``, and the output text of each translation run on it
     (``_from_dfa``, ``_to_mfa``, ``_from_mfa``).  The output file is still
     written on every call, and a one-shot process, which parses each text
-    once, gains nothing.  This is the one bounded cache of the package: it
-    holds more texts than the corpus has machine files, and dropping a
+    once, gains nothing.  This is one of the package's two bounded caches:
+    it holds more texts than the corpus has machine files, and dropping a
     text drops its machine, tables, acceptor and translations with it.  A
-    ``ParseError`` propagates and is never kept.
+    ``ParseError`` propagates and is never kept.  The other is
+    ``oracle.theorem2_member``'s memo of the last word head it parsed,
+    which holds one head and is safe to call from any thread.
     """
     return fileformat.parse_machine(text)
 

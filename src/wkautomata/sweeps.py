@@ -89,7 +89,11 @@ def detectable(word: Sequence[str]) -> bool:
 
 def block_language(machine: WKAutomaton, max_len: int, max_blocks: int) -> BlockCounts:
     """``machine`` against ``theorem2_member`` on every block word of
-    ``enumerate_block_strings(max_len, max_blocks)``."""
+    ``enumerate_block_strings(max_len, max_blocks)``.
+
+    A member is classed as ``detectable`` would class it, but from its part
+    after the first '%' alone: its own membership is already known.
+    """
     accept = existential_acceptor(machine)
     words = unsound = detected = missed = block1_only = block1_rejected = 0
     for word in enumerate_block_strings(max_len, max_blocks):
@@ -97,7 +101,7 @@ def block_language(machine: WKAutomaton, max_len: int, max_blocks: int) -> Block
         accepted = accept(word)
         if not theorem2_member(word):
             unsound += accepted
-        elif detectable(word):
+        elif theorem2_member(word[word.index("%") + 1 :]):
             detected += 1
             missed += not accepted
         else:

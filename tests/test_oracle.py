@@ -6,6 +6,8 @@ import copy
 import itertools
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from wkautomata import (
     enumerate_words,
     theorem2_member,
 )
+from wkautomata import oracle
 from wkautomata.machines import UnknownSymbolError, WrongKindError
 from wkautomata.oracle import (
     BLOCK_ALPHABET,
@@ -272,6 +275,86 @@ class TestTheorem2Member:
         swapped = list(pairs)
         swapped[0], swapped[-1] = swapped[-1], swapped[0]
         assert theorem2_member(render(swapped)) == baseline
+
+
+class TestTheorem2MemberHeadMemo:
+    """``theorem2_member`` keeps the summary of the last head it parsed;
+    no order of calls may change a verdict."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return {
+            word: bool(theorem2_witnesses(word))
+            for word in enumerate_words(BLOCK_ALPHABET, 8)
+        }
+
+    @pytest.mark.parametrize("order", ["enumerated", "reversed", "shuffled"])
+    def test_every_word_up_to_length_8_in_any_order(self, reference, order):
+        words = list(reference)
+        if order == "reversed":
+            words.reverse()
+        elif order == "shuffled":
+            random.Random(24).shuffle(words)
+        for i, word in enumerate(words):
+            given = "".join(word) if i % 2 else word  # str and tuple, alternating
+            assert theorem2_member(given) == reference[word], word
+
+    def test_a_conflicting_head_with_a_malformed_last_block(self):
+        for word in ("a*a%a*b%ab", "a*a%a*b%a**", "a*a%a*b%", "a*a%a*b%%a*a"):
+            assert theorem2_member("a*a%a*b%b*b")
+            assert not theorem2_member(word), word
+
+    def test_a_malformed_head_with_a_conflicting_last_block(self):
+        for word in ("a*a%ab%a*b", "a*a%a**%a*b", "%a*a%a*b", "a*a%a*b%ab%a*a"):
+            assert theorem2_member("a*a%b*b%a*b")
+            assert not theorem2_member(word), word
+
+    def test_one_head_with_different_last_blocks(self):
+        verdicts = {"a*a": False, "a*b": True, "b*b": False, "b*": True, "*": False,
+                    "ab*a": False, "b**": False, "": False}
+        for _ in range(2):
+            for last, verdict in verdicts.items():
+                assert theorem2_member("a*a%b*b%" + last) is verdict, last
+
+    def test_a_one_block_word_right_after_a_many_block_word(self):
+        for word in ("a*b", "a*a", "*", "", "%a*b", "a*b%"):
+            assert theorem2_member("a*a%b*b%ab*%a*b")
+            assert not theorem2_member(word), word
+            assert theorem2_member(tuple("a*a%b*b%ab*%a*b"))
+
+    def test_two_threads_over_disjoint_words(self, reference):
+        words = list(reference)
+        halves = [words[::2], words[1::2]]
+        results = [None, None]
+
+        def sweep(i):
+            results[i] = [theorem2_member(word) for word in halves[i]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-call
+        try:
+            threads = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for half, verdicts in zip(halves, results):
+            assert verdicts == [reference[word] for word in half]
+
+    def test_after_a_sweep_the_memo_holds_one_head(self):
+        words = list(enumerate_block_strings(11, 6))
+        assert sum(map(theorem2_member, words)) == 30_094
+        head, summary = oracle._last_head
+        assert head == "".join(words[-1]).rpartition("%")[0]
+        assert summary == oracle._head_summary(head)
+
+    def test_an_unhashable_symbol_still_raises(self):
+        for word in ((["a"],), ("a", ["a"])):
+            with pytest.raises(TypeError):
+                theorem2_member(word)
+        assert not theorem2_member(("c", ["a"]))  # a foreign symbol rejects first
 
 
 class TestEnumerateWords:
