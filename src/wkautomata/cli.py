@@ -53,13 +53,15 @@ def _parse(text: str):
     Parsing is a pure function of the text and machines are frozen values,
     so a repeated call gets the very same machine object, with the
     validation, C1/C2 report, run loop and search tables kept on it, its
-    ``_sweep_acceptor``, and the output text of each translation run on it
-    (``_from_dfa``, ``_to_mfa``, ``_from_mfa``).  The output file is still
-    written on every call, and a one-shot process, which parses each text
-    once, gains nothing.  This is one of the package's two bounded caches:
-    it holds more texts than the corpus has machine files, and dropping a
-    text drops its machine, tables, acceptor and translations with it.  A
-    ``ParseError`` propagates and is never kept.  The other is
+    ``_sweep_acceptor``, the output text of each translation run on it
+    (``_from_dfa``, ``_to_mfa``, ``_from_mfa``), and the reports of the
+    compares run with it as side A (``_compare_reports``).  The output file
+    is still written, and a kept report printed, on every call, and a
+    one-shot process, which parses each text once, gains nothing.  This is
+    one of the package's two bounded caches: it holds more texts than the
+    corpus has machine files, and dropping a text drops its machine,
+    tables, acceptor, translations and reports, with the side-B machines
+    they name, with it.  A ``ParseError`` propagates and is never kept.  The other is
     ``oracle.theorem2_member``'s memo of the last word head it parsed,
     which holds one head and is safe to call from any thread.
     """
@@ -236,40 +238,72 @@ def _require_words(max_len: int, max_blocks: int | None = None) -> None:
         raise MachineError(f"--max-blocks must be at least 1, got {max_blocks}")
 
 
+@kept
+def _compare_reports(machine):
+    """The finished ``DiffReport`` of each sweep run with ``machine`` as
+    side A, by side B and the bounds that choose the words.
+
+    The dict lives on the machine that ``_parse`` holds for A's text, so it
+    and every side-B machine it names die with that machine.
+    """
+    return {}
+
+
 def _cmd_compare(args) -> int:
+    """Sweep A against B, or print the report kept from an earlier sweep.
+
+    Every check that can refuse without a sweep runs on every call, in the
+    same order, so a repeated call exits and prints as the first did.  A
+    report is kept on A's parsed machine under side B (``"theorem2"`` or
+    B's parsed machine, by identity) and the bounds that choose the words;
+    ``--format`` is not part of the key, as both formats render one report.
+    A sweep that fails keeps nothing and is run again on the next call.
+    """
     if (args.file_b is None) == (args.oracle is None):
         raise MachineError("compare needs either FILE_B or --oracle, not both")
-    _require_words(args.max_len, args.max_blocks if args.blocks else None)
+    max_blocks = args.max_blocks
+    if args.blocks:
+        max_blocks = 3 if max_blocks is None else max_blocks
+    elif max_blocks is not None:
+        raise MachineError("--max-blocks only applies with --blocks")
+    _require_words(args.max_len, max_blocks)
     machine_a = _load(args.file_a)
     accept_a, alphabet = _acceptor(machine_a)
 
     if args.oracle is not None:
         if args.oracle == "theorem2":
-            accept_b = oracle.theorem2_member
+            side_b, accept_b = "theorem2", oracle.theorem2_member
         elif args.oracle.startswith("dfa:"):
-            machine_b = _load(args.oracle[len("dfa:") :])
-            if not isinstance(machine_b, ClassicalDFA):
+            side_b = _load(args.oracle[len("dfa:") :])
+            if not isinstance(side_b, ClassicalDFA):
                 raise MachineError("--oracle dfa:FILE expects a dfa machine file")
-            accept_b, _ = _acceptor(machine_b)
+            accept_b, _ = _acceptor(side_b)
         else:
             raise MachineError(f"unknown oracle {args.oracle!r}")
     else:
-        machine_b = _load(args.file_b)
-        accept_b, _ = _acceptor(machine_b)
+        side_b = _load(args.file_b)
+        accept_b, _ = _acceptor(side_b)
 
-    if args.blocks:
-        words = oracle.enumerate_block_strings(args.max_len, args.max_blocks)
+    # Keyed by B's identity: B's value would be hashed and compared on every
+    # call.  The entry holds B itself, so its id is not reused while kept.
+    reports = _compare_reports(machine_a)
+    key = (id(side_b), args.max_len, max_blocks)
+    if key in reports:
+        report = reports[key][1]
     else:
-        words = oracle.enumerate_words(alphabet, args.max_len)
-
-    try:
-        report = oracle.differential_compare(accept_a, accept_b, words)
-    except oracle.AcceptorFailure as exc:
-        # A word one side cannot read, such as a symbol outside B's
-        # alphabet, is unusable input; any other failure is a bug.
-        if not isinstance(exc.__cause__, MachineError):
-            raise
-        raise MachineError(str(exc)) from exc
+        if max_blocks is not None:
+            words = oracle.enumerate_block_strings(args.max_len, max_blocks)
+        else:
+            words = oracle.enumerate_words(alphabet, args.max_len)
+        try:
+            report = oracle.differential_compare(accept_a, accept_b, words)
+        except oracle.AcceptorFailure as exc:
+            # A word one side cannot read, such as a symbol outside B's
+            # alphabet, is unusable input; any other failure is a bug.
+            if not isinstance(exc.__cause__, MachineError):
+                raise
+            raise MachineError(str(exc)) from exc
+        reports[key] = (side_b, report)
     render = fileformat.word_separator(alphabet).join
     print(report.to_tsv(render) if args.format == "tsv" else report.to_text(render))
     return 0 if report.total_mismatches == 0 else 1
@@ -334,7 +368,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--oracle", default=None, help="theorem2 | dfa:FILE")
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--blocks", action="store_true", help="sweep well-formed block words instead")
-    p.add_argument("--max-blocks", type=int, default=3)
+    p.add_argument("--max-blocks", type=int, default=None)
     p.add_argument("--format", choices=("text", "tsv"), default="text")
     p.set_defaults(handler=_cmd_compare)
 

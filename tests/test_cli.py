@@ -324,6 +324,23 @@ class TestTranslate:
             assert run_cli(command, str(source), "-o", str(out_path)) == (2, "", error)
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "command, source",
+        [("from-dfa", "example1-dfa.dfa"), ("to-mfa", "identity-rho.wk"),
+         ("from-mfa", "twohead-anbn1.mfa")],
+    )
+    def test_every_call_writes_its_output_file(self, tmp_path, command, source):
+        # A kept translation is still written on every call: junk of the
+        # same or a greater length is replaced by the exact bytes.
+        out_path = tmp_path / "out"
+        argv = (command, corpus(source), "-o", str(out_path))
+        assert run_cli(*argv)[0] == 0
+        written = out_path.read_bytes()
+        for junk in (b"x" * len(written), b"x" * (len(written) + 10)):
+            out_path.write_bytes(junk)
+            assert run_cli(*argv) == (0, f"wrote {out_path}\n", "")
+            assert out_path.read_bytes() == written
+
     def test_an_edited_source_is_translated_anew(self, tmp_path):
         source, out_path = tmp_path / "source.dfa", tmp_path / "out.wk"
         text = (CORPUS_DIR / "example1-dfa.dfa").read_text()
@@ -582,6 +599,13 @@ class TestUsage:
     )
     def test_bounds_that_sweep_no_word_are_usage_errors(self, argv, message):
         assert run_cli(*argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("max_blocks", ["0", "3"])
+    def test_max_blocks_without_blocks_is_a_usage_error(self, max_blocks):
+        argv = ("compare", corpus("theorem2.wk"), "--oracle", "theorem2", "--max-len", "2")
+        assert run_cli(*argv, "--max-blocks", max_blocks) == (
+            2, "", "error: --max-blocks only applies with --blocks\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -901,6 +925,128 @@ class TestSweepAcceptor:
         ]
         assert (code, err) == (0, "")
         assert accepted and out.splitlines() == accepted
+
+
+class TestKeptCompareReport:
+    """``compare`` keeps each finished report on A's parsed machine, under
+    side B and the bounds that choose the words, and prints it again."""
+
+    T2 = corpus("theorem2.wk")
+    # The compares of perfbench's interactive mix: (A, B, max length, max blocks).
+    MIX = (
+        [("example1-rwka.wk", "dfa:example1-dfa.dfa", n, None) for n in range(3, 7)]
+        + [("identity-rho.wk", "twohead-anbn1.mfa", n, None) for n in range(3, 8)]
+        + [("theorem2.wk", "theorem2", n, b) for n in range(3, 7) for b in (2, 3)]
+    )
+
+    @staticmethod
+    def argv(a, b, max_len, max_blocks, fmt="text") -> tuple[str, ...]:
+        if b == "theorem2":
+            side_b = ("--oracle", "theorem2", "--blocks", "--max-blocks", str(max_blocks))
+        elif b.startswith("dfa:"):
+            side_b = ("--oracle", "dfa:" + corpus(b[len("dfa:"):]))
+        else:
+            side_b = (corpus(b),)
+        return ("compare", corpus(a), *side_b, "--max-len", str(max_len), "--format", fmt)
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch) -> list:
+        """One item per sweep ``differential_compare`` runs, from an empty
+        parse memo; it holds no acceptor, so no machine is kept alive."""
+        from wkautomata import oracle
+
+        clear_caches()
+        calls = []
+        real = oracle.differential_compare
+
+        def counting(accept_a, accept_b, words, **kwargs):
+            calls.append(None)
+            return real(accept_a, accept_b, words, **kwargs)
+
+        monkeypatch.setattr(oracle, "differential_compare", counting)
+        return calls
+
+    @pytest.mark.parametrize("config", [MIX[3], MIX[8], MIX[-1]], ids=["dfa", "mfa", "theorem2"])
+    def test_repeated_compares_sweep_once(self, sweeps, config):
+        text, tsv = (self.argv(*config, fmt) for fmt in ("text", "tsv"))
+        first = run_cli(*text), run_cli(*tsv)
+        assert first[0][1] != first[1][1]
+        for _ in range(2):
+            assert (run_cli(*text), run_cli(*tsv)) == first
+        assert len(sweeps) == 1
+
+    def test_every_mix_compare_repeats_its_first_output(self, sweeps):
+        argvs = [self.argv(*config, fmt) for config in self.MIX for fmt in ("text", "tsv")]
+        runs = [[run_cli(*argv) for argv in argvs] for _ in range(3)]
+        assert runs[1] == runs[2] == runs[0]
+        assert len(sweeps) == len(self.MIX) == 17
+        fresh = []
+        for argv in argvs:
+            clear_caches()
+            fresh.append(run_cli(*argv))
+        assert fresh == runs[0]
+        assert {(code, err) for code, _, err in fresh} == {(0, ""), (1, "")}
+
+    def test_an_edited_file_is_swept_anew(self, tmp_path, sweeps):
+        a, b = tmp_path / "a.wk", tmp_path / "b.dfa"
+        a_text = (CORPUS_DIR / "example1-rwka.wk").read_text()
+        b_text = (CORPUS_DIR / "example1-dfa.dfa").read_text()
+        argv = ("compare", str(a), "--oracle", f"dfa:{b}", "--max-len", "4", "--format", "tsv")
+        a.write_text(a_text)
+        b.write_text(b_text)
+        agree = run_cli(*argv)
+        assert agree[0] == 0
+        b.write_text(b_text.replace("final: q1\n", "final: q0\n"))
+        differ = run_cli(*argv)
+        assert differ[0] == 1 and len(sweeps) == 2
+        b.write_text(b_text)
+        a.write_text("# edited\n" + a_text)
+        assert run_cli(*argv) == agree and len(sweeps) == 3
+        # B named as FILE_B is the same parsed machine, so its report is kept.
+        assert run_cli("compare", str(a), str(b), "--max-len", "4", "--format", "tsv") == agree
+        assert len(sweeps) == 3
+
+    def test_another_max_blocks_is_swept_anew(self, sweeps):
+        argv = ("compare", self.T2, "--oracle", "theorem2", "--blocks", "--max-len", "6")
+        outputs = [run_cli(*argv, *flag) for flag in (("--max-blocks", "2"), ("--max-blocks", "3"), ())]
+        assert outputs[0] != outputs[1] == outputs[2]
+        # No flag means 3 blocks, the report the second call kept.
+        assert len(sweeps) == 2
+        plain = run_cli("compare", self.T2, "--oracle", "theorem2", "--max-len", "6")
+        assert plain not in outputs and len(sweeps) == 3
+
+    @pytest.mark.parametrize(
+        "argv, error, swept",
+        [
+            (("compare", T2, corpus("example1-rwka.wk"), "--max-len", "3"),
+             "acceptor b failed on word ('%',): symbol '%' is not in the upper alphabet", 1),
+            (("compare", T2, "--oracle", "dfa:" + corpus("loop.wk"), "--max-len", "3"),
+             "--oracle dfa:FILE expects a dfa machine file", 0),
+        ],
+        ids=["unreadable-word", "dfa-oracle-kind"],
+    )
+    def test_a_refused_compare_keeps_nothing(self, sweeps, argv, error, swept):
+        for _ in range(3):
+            assert run_cli(*argv) == (2, "", f"error: {error}\n")
+        assert len(sweeps) == 3 * swept
+        assert cli._compare_reports(cli._load(self.T2)) == {}
+
+    def test_reports_die_with_their_machine(self, tmp_path, sweeps):
+        argvs = [self.argv(*self.MIX[3]), self.argv(*self.MIX[8])]
+        assert [run_cli(*argv)[0] for argv in argvs] == [0, 0]
+        names = ("example1-rwka.wk", "example1-dfa.dfa", "identity-rho.wk", "twohead-anbn1.mfa")
+        machines = [cli._parse((CORPUS_DIR / name).read_text()) for name in names]
+        reports = [report for m in machines for _, report in cli._compare_reports(m).values()]
+        assert len(reports) == 2
+        refs = [weakref.ref(x) for x in machines + reports]
+        del machines, reports
+        path = tmp_path / "example1-dfa.dfa"
+        text = (CORPUS_DIR / "example1-dfa.dfa").read_text()
+        for i in range(8):
+            path.write_text(f"# text {i}\n{text}")
+            assert run_cli("check", str(path))[0] == 0
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 6
 
 
 @given(machine=mfa_machines(2), order=st.randoms(use_true_random=False))
