@@ -3,7 +3,9 @@
 * ``dfa_to_rwka`` compiles any DFA into a reversible two-strand machine for
   the same language.  The lower strand's job is to guess, position by
   position, which DFA transition fires there; the table then only has to
-  replay the guess, which keeps it backward deterministic.
+  replay the guess, which keeps it backward deterministic.  DFAs are
+  frozen, so the machine is built once per DFA object and kept on it; an
+  equal but distinct DFA builds its own, and a refused DFA keeps nothing.
 * ``mfa2_to_swk`` / ``swk_to_mfa2`` translate between two-head reversible
   machines and strongly reversible two-strand machines (identity relation
   one way, the relation's inverse the other way).  ``identity_twin`` is
@@ -26,6 +28,7 @@ from .machines import (
     WKAutomaton,
     check_reversibility_mfa,
     check_strong_reversibility,
+    kept,
     require_kind,
     require_valid,
 )
@@ -66,6 +69,7 @@ def _fresh_primed(stem: str, taken: set[str]) -> str:
     return name
 
 
+@kept
 def dfa_to_rwka(dfa: ClassicalDFA) -> WKAutomaton:
     """Compile a DFA into a reversible two-strand machine, same language.
 
@@ -79,6 +83,10 @@ def dfa_to_rwka(dfa: ClassicalDFA) -> WKAutomaton:
     Input symbols without any transition still receive one fresh image so
     the relation stays total; nothing ever consumes such an image, so the
     language is unaffected.
+
+    The machine is built once per DFA object and kept on it, so a repeated
+    call returns the same machine.  A DFA of another kind or one that fails
+    ``validate`` raises on every call and keeps nothing.
     """
     require_kind(dfa, ClassicalDFA)
     require_valid(dfa, "dfa")
@@ -217,6 +225,8 @@ def theorem2_machine() -> WKAutomaton:
         ("q3", "a", "a"): ("q3", 1, 1),
         ("q3", "b", "b"): ("q3", 1, 1),
         ("q3", "%", "%"): ("q4", 0, 0),
+        ("q3", "%", "v_m1"): ("q4", 0, 0),
+        ("q3", "%", "v_m2"): ("q4", 0, 0),
         ("q3", "%", RIGHT_END): ("q4", 0, 0),
     }
     return WKAutomaton(

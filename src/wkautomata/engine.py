@@ -39,11 +39,13 @@ stay immutable.
 Every engine refuses a machine of another kind than it runs with a
 ``WrongKindError``, and a machine that fails ``validate`` with an
 ``InvalidMachineError``.  Machines are frozen, so the validation, the run
-loop (one build for both kinds, from the machine's ``grammar`` rows) and
-the search's integer tables are each built once per machine object and
-kept on that object, where they live and die with it; an equal but
-distinct machine, such as a copy, builds its own.  A refusal is never
-kept: a machine that fails validation raises on every call.
+loop (one build for both kinds, from the machine's ``grammar`` rows), the
+search's integer tables and the acceptor's static tables are each built
+once per machine object and kept on that object, where they live and die
+with it; an equal but distinct machine, such as a copy, builds its own.
+A refusal is never kept: a machine that fails validation raises on every
+call.  An acceptor's memo is never kept on the machine: each predicate
+starts with its own empty one.
 """
 
 from __future__ import annotations
@@ -334,11 +336,11 @@ def accepts_existential(
 # An acceptor that holds more interned frontiers than this clears its memo at
 # the start of its next call that leaves the fast walk, the only walk that
 # interns.  The compiled DFAs of the regular sweeps intern at most a dozen
-# each.  The block-language machine interns 16,989 frontiers over the 132,854
+# each.  The block-language machine interns 17,341 frontiers over the 132,854
 # words of up to 11 symbols and 6 blocks, because its lower head lags a block
 # behind and windows grow to 10 symbols, so the sweep never clears the memo.
 # An interned state takes about 200 bytes (its slot list, its string key and
-# the memo entry), so the whole sweep's memo holds about 3.2 MiB.
+# the memo entry), so the whole sweep's memo holds about 3.3 MiB.
 _MEMO_STATES = 32_768
 
 
@@ -347,6 +349,55 @@ def _forget(memo: dict) -> None:
     for state in memo.values():
         state.clear()
     memo.clear()
+
+
+@kept
+def _acceptor_tables(machine: WKAutomaton) -> tuple[dict, dict, tuple, dict]:
+    """The static tables that every ``existential_acceptor`` of ``machine``
+    reads, built from its ``_compile_wk`` tables: ``images`` with the right
+    end marker as its own image, ``column``, ``ups_of`` and ``live``.
+
+    They hold no reference to the machine or to any predicate's memo, and
+    no predicate mutates them.
+    """
+    compiled = _compile_wk(machine)
+    delta = compiled.delta
+    finals = compiled.finals
+    right = compiled.right
+    images = {**compiled.images, right: (right,)}
+    # Column c of a state reads symbol ups_of[c]; the last column is the
+    # right end marker, and the key sits in the slot after it.
+    column = {x: c for c, x in enumerate(compiled.upper_index)}
+    ups_of = (*compiled.upper_index.values(), right)
+
+    # live[x][q][u]: the images of x the lower head may commit in state q
+    # over upper symbol u.  An image that leaves a non-final q stuck is left
+    # out, since that node neither moves nor accepts.  _compile_wk numbers
+    # the end markers and the upper symbols first, so u < nu.  The tables
+    # are built by list repetition: every final row of x's table is one
+    # shared row offering all of x's images, and every other row starts as
+    # the shared empty row.  One pass over delta then gives a non-final row
+    # that a lower read s reaches a row of its own, in the table of each
+    # symbol that s is an image of, and adds s to it.
+    nq, nu = len(machine.states), len(column) + 2
+    empty = [()] * nu
+    live = {}
+    tables_of: dict[int, list] = {}
+    for x, xs in images.items():
+        table = live[x] = [empty] * nq
+        every = [xs] * nu
+        for q in finals:
+            table[q] = every
+        for s in xs:
+            tables_of.setdefault(s, []).append(table)
+    for q, u, s in delta:
+        if q not in finals:
+            for table in tables_of.get(s, ()):
+                row = table[q]
+                if row is empty:
+                    row = table[q] = [()] * nu
+                row[u] += (s,)
+    return images, column, ups_of, live
 
 
 def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool]:
@@ -395,56 +446,23 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     run.  Between clears any word order runs the same stages, and a word
     whose moves are all known never leaves the fast walk.  The predicate
     carries the memo from call to call, so use it from one thread at a
-    time.  Each call returns a fresh predicate with an empty memo; the
-    integer tables it reads are the ``_compile_wk`` tables kept on the
-    machine, shared with every other search on the same machine object and
-    never mutated.
+    time.  Each call returns a fresh predicate with its own empty memo,
+    sinks and stages; the tables it reads are the ``_compile_wk`` tables
+    and the ``_acceptor_tables`` kept on the machine, shared with every
+    other predicate and search on the same machine object and never
+    mutated.
 
-    A fresh predicate pays once for its own tables and for each stage run
-    for the first time, which is most of what a short sweep over a small
-    machine costs.  Its tables of live images are built by list repetition
-    in one pass over the compiled moves, and a stage returns the key of the
-    frontier it hands on, so a move not yet run costs one decode, one stage
-    call and one memo lookup.
+    The first predicate of a machine object pays once for those tables,
+    and every predicate pays for each stage it runs for the first time,
+    which is most of what a short sweep over a small machine costs.  A
+    stage returns the key of the frontier it hands on, so a move not yet
+    run costs one decode, one stage call and one memo lookup.
     """
     compiled = _compile_wk(machine)
     delta = compiled.delta
     finals = compiled.finals
-    right = compiled.right
-    images = {**compiled.images, right: (right,)}
-    # Column c of a state reads symbol ups_of[c]; the last column is the
-    # right end marker, and the key sits in the slot after it.
-    column = {x: c for c, x in enumerate(compiled.upper_index)}
-    ups_of = (*compiled.upper_index.values(), right)
+    images, column, ups_of, live = _acceptor_tables(machine)
     close = len(column)
-
-    # live[x][q][u]: the images of x the lower head may commit in state q
-    # over upper symbol u.  An image that leaves a non-final q stuck is left
-    # out, since that node neither moves nor accepts.  _compile_wk numbers
-    # the end markers and the upper symbols first, so u < nu.  The tables
-    # are built by list repetition: every final row of x's table is one
-    # shared row offering all of x's images, and every other row starts as
-    # the shared empty row.  One pass over delta then gives a non-final row
-    # that a lower read s reaches a row of its own, in the table of each
-    # symbol that s is an image of, and adds s to it.
-    nq, nu = len(machine.states), len(column) + 2
-    empty = [()] * nu
-    live = {}
-    tables_of: dict[int, list] = {}
-    for x, xs in images.items():
-        table = live[x] = [empty] * nq
-        every = [xs] * nu
-        for q in finals:
-            table[q] = every
-        for s in xs:
-            tables_of.setdefault(s, []).append(table)
-    for q, u, s in delta:
-        if q not in finals:
-            for table in tables_of.get(s, ()):
-                row = table[q]
-                if row is empty:
-                    row = table[q] = [()] * nu
-                row[u] += (s,)
 
     def stage(ups: tuple[int, ...], heads, commits):
         """Run stage ``j = len(ups) - 1`` on the ``heads`` and ``commits``

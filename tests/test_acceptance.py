@@ -136,6 +136,12 @@ def test_criterion_5_block_language_differential():
             words=364_803, unsound=0, detectable=25_502, missed=0, block1_only=50_836,
             block1_rejected=50_836,
         )
+        # Up to 6 blocks, where a later separator's spare marker could once
+        # halt the final state and accept a non-member.
+        assert block_language(machine, 11, 6) == BlockCounts(
+            words=132_854, unsound=0, detectable=11_790, missed=0, block1_only=18_304,
+            block1_rejected=18_304,
+        )
 
         probe = tuple("ab*a%ab*b")
         assert theorem2_member(probe)

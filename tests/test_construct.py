@@ -21,7 +21,8 @@ from wkautomata import (
     validate,
 )
 from wkautomata.construct import HeadCountError, ReversibilityError
-from wkautomata.machines import NonInjectiveRhoError
+from wkautomata.machines import InvalidMachineError, NonInjectiveRhoError
+from wkautomata.samples import example1_dfa
 from wkautomata.sweeps import (
     BlockCounts,
     block_language,
@@ -155,9 +156,30 @@ class TestDfaToRwka:
         assert compiled_dfa(dfa, 4).total_mismatches == 0
 
     def test_construction_is_deterministic(self, example1):
+        # Two distinct but equal DFAs, since one DFA object is compiled once.
         first = dfa_to_rwka(example1)
-        second = dfa_to_rwka(example1)
-        assert first == second
+        second = dfa_to_rwka(example1_dfa())
+        assert first is not second and first == second
+
+    def test_one_machine_per_dfa_object(self, example1):
+        machine = dfa_to_rwka(example1)
+        assert dfa_to_rwka(example1) is machine
+        twin = ClassicalDFA(
+            example1.states, example1.alphabet, example1.start, example1.finals, example1.delta
+        )
+        assert twin is not example1 and twin == example1
+        built = dfa_to_rwka(twin)
+        assert built is not machine and built == machine
+        assert dfa_to_rwka(twin) is built
+
+    def test_a_refused_dfa_keeps_nothing(self):
+        # Only the validation report, which validate keeps on every machine
+        # it checks, joins the DFA's fields.
+        dfa = ClassicalDFA(("s",), ("a",), "s", {"s"}, {("s", "a"): "t"})
+        for _ in range(3):
+            with pytest.raises(InvalidMachineError, match="^dfa fails validation: unknown-state"):
+                dfa_to_rwka(dfa)
+            assert set(vars(dfa)) == {*ClassicalDFA._fields, "validate"}
 
     def test_numbering_follows_state_declaration_order(self, example1):
         # Reversing the state declaration renumbers the guesses.
@@ -274,7 +296,7 @@ class TestTheorem2Machine:
             "b": ("b",),
             "*": ("*",),
         }
-        assert len(theorem2.delta) == 18
+        assert len(theorem2.delta) == 20
 
     def test_static_checks(self, theorem2):
         assert validate(theorem2).passed
@@ -290,16 +312,15 @@ class TestTheorem2Machine:
     def test_construction_is_pure(self):
         assert theorem2_machine() == theorem2_machine()
 
-    def test_known_unsoundness_beyond_three_blocks(self, theorem2):
-        """The machine accepts 539 non-members with 4 or more blocks, the
-        first of them ``*%*%*%*``: the final state ``q3`` has no move on
-        ``(%, v_m1)`` or ``(%, v_m2)``, so it halts and accepts when the
-        lower strand puts a spare marker on a later separator.  Adding
-        ``q3 % v_m1 -> q4 0 0`` and ``q3 % v_m2 -> q4 0 0`` turns the 539
-        into 0 and the 18,040 rejected block-1 members into all 18,304 (264
-        of them are accepted only through that halt), and leaves the other
-        counts unchanged."""
+    def test_sound_up_to_six_blocks(self, theorem2):
+        """No non-member up to 11 symbols and 6 blocks is accepted, and
+        every detectable member is.  The final state ``q3`` moves on
+        ``(%, v_m1)`` and ``(%, v_m2)`` to ``q4``, so a spare marker on a
+        later separator no longer halts it in ``q3``: without those two
+        entries the machine accepted 539 non-members with 4 or more blocks,
+        the first of them ``*%*%*%*``, and 264 block-1-only members.  Now it
+        rejects all 18,304 block-1-only members."""
         assert block_language(theorem2, 11, 6) == BlockCounts(
-            words=132_854, unsound=539, detectable=11_790, missed=0, block1_only=18_304,
-            block1_rejected=18_040,
+            words=132_854, unsound=0, detectable=11_790, missed=0, block1_only=18_304,
+            block1_rejected=18_304,
         )

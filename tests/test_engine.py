@@ -2,9 +2,11 @@
 
 import contextlib
 import copy
+import gc
 import pickle
 import random
 import sys
+import weakref
 from unittest import mock
 
 import pytest
@@ -42,6 +44,7 @@ from wkautomata.machines import (
 )
 from wkautomata.oracle import dfa_accepts, enumerate_block_strings, enumerate_words
 from wkautomata.samples import random_dfa
+from wkautomata.sweeps import compiled_dfa
 from conftest import (
     CORPUS_DIR,
     CORPUS_FILES,
@@ -693,6 +696,59 @@ class TestOneBuildPerMachine:
         parsed = [cli._parse((CORPUS_DIR / name).read_text()) for name, _ in commands]
         assert [id(m) for m in builds] == [id(example1_rwka), *map(id, parsed)]
         clear_caches()
+
+
+class TestAcceptorTables:
+    """The acceptor's static tables are built once per machine object and
+    shared by its predicates; each predicate keeps a memo of its own."""
+
+    @pytest.mark.parametrize("name", [n for n in CORPUS_FILES if n.endswith(".wk")])
+    def test_predicates_share_tables_but_not_memos(self, name):
+        machine = parse_machine((CORPUS_DIR / name).read_text(encoding="utf-8"))
+        words = list(enumerate_words(machine.upper_alphabet, 8))
+        verdicts, stages, tables = [], [], []
+        for _ in range(2):
+            # A predicate runs its first stage when it is made, so its
+            # stages are counted from then on.
+            with counting_calls(_STAGE) as runs:
+                accept = existential_acceptor(machine)
+                verdicts.append([accept(word) for word in words])
+            stages.append(runs[0])
+            tables.append(vars(machine)["_acceptor_tables"])
+        assert verdicts[0] == verdicts[1]
+        assert stages[0] == stages[1] > 0
+        assert tables[0] is tables[1]
+        assert tables[0] == engine._acceptor_tables.__wrapped__(machine)
+
+    def test_a_repeated_compiled_dfa_sweep_builds_nothing_again(self):
+        builds = (
+            dfa_to_rwka,
+            machines.validate,
+            engine._compile_wk,
+            engine._acceptor_tables,
+        )
+        dfa = random_dfa(random.Random(3), max_states=8)
+        with kept_builds(*builds) as runs:
+            for _ in range(3):
+                assert compiled_dfa(dfa, 6).total_mismatches == 0
+        machine = dfa_to_rwka(dfa)
+        assert [[id(m) for m in built] for built in runs] == [
+            [id(dfa)], [id(dfa), id(machine)], [id(machine)], [id(machine)],
+        ]
+
+    def test_kept_tables_hold_no_machine_alive(self):
+        # Nothing kept refers back to its machine, so dropping the DFA frees
+        # it and its compiled machine at once, without a cycle collection.
+        dfa = ClassicalDFA(("s",), ("a",), "s", {"s"}, {("s", "a"): "s"})
+        machine = dfa_to_rwka(dfa)
+        assert existential_acceptor(machine)("aa")
+        refs = weakref.ref(dfa), weakref.ref(machine)
+        gc.disable()
+        try:
+            del dfa, machine
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 def reference_tables(machine):
