@@ -7,8 +7,6 @@ from .engine import (
     SearchResult,
     Verdict,
     accepts_existential,
-    accepts_existential_bruteforce,
-    complement_strands,
     existential_acceptor,
     run_deterministic,
     run_mfa,
@@ -29,6 +27,8 @@ from .machines import (
 )
 from .oracle import (
     DiffReport,
+    accepts_existential_bruteforce,
+    complement_strands,
     dfa_accepts,
     differential_compare,
     enumerate_block_strings,

@@ -57,13 +57,16 @@ def _parse(text: str):
     (``_from_dfa``, ``_to_mfa``, ``_from_mfa``), and the reports of the
     compares run with it as side A (``_compare_reports``).  The output file
     is still written, and a kept report printed, on every call, and a
-    one-shot process, which parses each text once, gains nothing.  This is
-    one of the package's two bounded caches: it holds more texts than the
-    corpus has machine files, and dropping a text drops its machine,
-    tables, acceptor, translations and reports, with the side-B machines
-    they name, with it.  A ``ParseError`` propagates and is never kept.  The other is
-    ``oracle.theorem2_member``'s memo of the last word head it parsed,
-    which holds one head and is safe to call from any thread.
+    one-shot process, which parses each text once, gains nothing.  A
+    ``ParseError`` propagates and is never kept.
+
+    The memo holds more texts than the corpus has machine files, and
+    dropping a text drops its machine, tables, acceptor, translations and
+    reports, with the side-B machines they name, with it.  Every other
+    cache the package keeps for the whole process is bounded too:
+    ``_build_parser`` holds one set of parsers, ``oracle._TAIL_TABLE`` at
+    most 23 completion lists, and ``oracle.theorem2_member`` the last word
+    head it parsed, one head that any thread may read.
     """
     return fileformat.parse_machine(text)
 
@@ -134,10 +137,10 @@ def _cmd_run(args) -> int:
         word = fileformat.parse_word(args.word, machine.alphabet)
         outcome = engine.run_mfa(machine, word, keep_trace=args.trace)
     else:
-        word = fileformat.parse_word(args.word, machine.upper_alphabet)
+        word = fileformat.parse_word(args.word, machine.upper_alphabet, "upper alphabet")
         if args.lower is None:
             return _run_existential(machine, word, args.trace)
-        lower = fileformat.parse_word(args.lower, machine.lower_alphabet)
+        lower = fileformat.parse_word(args.lower, machine.lower_alphabet, "lower alphabet")
         outcome = engine.run_deterministic(machine, word, lower, keep_trace=args.trace)
     print(outcome.verdict.value)
     if args.trace:

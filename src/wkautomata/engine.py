@@ -14,27 +14,8 @@ the symbol currently under the head, so the search commits the guess one
 position at a time and explores the finite graph of
 (state, upper position, lower position, committed symbol) nodes.
 
-Sweeps use ``existential_acceptor``, which searches the same graph in
-stages and memoises them as the states of a lazily built DFA.  Both heads
-are one-way, so a node whose positions are both <= k depends only on the
-length-k prefix of the word.  Stage j explores exactly the reached nodes
-with a head at position j and hands stage j + 1 a frontier: the nodes whose
-upper head moved to j + 1, and the (target, upper position) pairs whose
-lower head moves onto j + 1.  A stage only compares positions with each
-other and with j, so a frontier shifted down to its lowest head position,
-together with the upper symbols from there to j, determines every later
-stage.  Such a normalised frontier is keyed by a string with one code
-point per int, and interned once, as a list of move slots, one per
-upper-symbol column and one for the right end marker, followed by its key.
-A column slot holds the next state, and a move not yet run and a verdict
-reached early each lead to a sink state that every column leads back to,
-so a call first walks its word by bare subscripts and reads the end
-marker's slot.  Only when that walk ends without a verdict, or meets a
-symbol outside the upper alphabet, does the call take the careful walk,
-which checks the whole word, clears a memo that outgrew ``_MEMO_STATES``
-and runs a stage on each move not yet run.  An acceptor carries the memo
-between calls and belongs to one thread at a time; machines themselves
-stay immutable.
+Sweeps use ``existential_acceptor``, which runs the same search in stages
+memoised as the states of a lazily built DFA; its docstring tells how.
 
 Every engine refuses a machine of another kind than it runs with a
 ``WrongKindError``, and a machine that fails ``validate`` with an
@@ -50,10 +31,8 @@ starts with its own empty one.
 
 from __future__ import annotations
 
-import itertools
-import math
 import weakref
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from enum import Enum
 from operator import add, getitem
 
@@ -78,10 +57,6 @@ Word = tuple[str, ...]
 
 class StrandMismatchError(MachineError):
     """The supplied lower strand is not complementary to the upper strand."""
-
-
-class SearchBoundError(MachineError):
-    """A brute-force enumeration would exceed its configured bound."""
 
 
 class Verdict(Enum):
@@ -115,20 +90,6 @@ class SearchResult(Record):
     accepted: bool
     witness_lower: Word | None
     explored: int
-
-
-def complement_strands(machine: WKAutomaton, upper: Sequence[str]) -> Iterator[Word]:
-    """All complementary lower strands of ``upper``, lazily.
-
-    The order is lexicographic with the per-position image order exactly as
-    declared in the complementarity relation; the empty word yields exactly
-    one strand, the empty word itself.
-    """
-    require_kind(machine, WKAutomaton)
-    w1 = tuple(upper)
-    require_symbols(w1, machine.upper_alphabet, "upper alphabet")
-    choices = [machine.rho.image(x) for x in w1]
-    return itertools.product(*choices)
 
 
 @kept
@@ -618,17 +579,3 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     weakref.finalize(accepts, _forget, memo)
     return accepts
 
-
-def accepts_existential_bruteforce(
-    machine: WKAutomaton, upper: Sequence[str], *, max_strands: int = 1_000_000
-) -> bool:
-    """Independent oracle: try every complementary strand deterministically."""
-    require_kind(machine, WKAutomaton)
-    run = _run_loop(machine)
-    w1 = tuple(upper)
-    strands = complement_strands(machine, w1)
-    if math.prod(len(machine.rho.image(x)) for x in w1) > max_strands:
-        raise SearchBoundError(
-            f"strand count exceeds the bound of {max_strands} for a word of length {len(w1)}"
-        )
-    return any(run((w1, w2), False).accepted for w2 in strands)

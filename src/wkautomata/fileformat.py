@@ -269,18 +269,17 @@ def serialize_machine(machine: Machine) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_word(text: str, alphabet: Sequence[str]) -> Word:
+def parse_word(text: str, alphabet: Sequence[str], what: str = "alphabet") -> Word:
     """Parse a command-line word.
 
     When every alphabet token is a single character the word is their
     plain concatenation; otherwise symbols are comma separated.  The empty
-    string is the empty word.
+    string is the empty word.  A symbol outside ``alphabet`` raises
+    ``UnknownSymbolError``, whose message calls ``alphabet`` the ``what``.
     """
-    if text == "":
-        return ()
     separator = word_separator(alphabet)
-    word = tuple(text.split(separator)) if separator else tuple(text)
-    require_symbols(word, alphabet, "alphabet")
+    word = tuple(text.split(separator)) if separator and text else tuple(text)
+    require_symbols(word, alphabet, what)
     return word
 
 

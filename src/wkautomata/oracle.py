@@ -1,25 +1,32 @@
 """Independent brute-force ground truths and differential comparison.
 
-Nothing here knows about the two-strand engines: DFA evaluation is plain
-left-to-right, the block-language membership test works straight off the
-language definition, and the word enumerators are exhaustive.  That makes
-these functions usable as oracles against the machine constructions.
+DFA evaluation is plain left-to-right, the block-language membership test
+works straight off the language definition, the word enumerators are
+exhaustive, and the strand brute force tries every complementary lower
+strand on the engines' deterministic run loop, the only part of the
+engines it uses.  That makes these functions usable as oracles against
+the machine constructions and the existential search.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
 
+from .engine import _run_loop
 from .fileformat import word_separator
 from .machines import (
     ClassicalDFA,
     FrozenDict,
+    MachineError,
     Record,
     UnknownSymbolError,
+    WKAutomaton,
     kept,
     require_kind,
+    require_symbols,
 )
 
 Word = tuple[str, ...]
@@ -35,6 +42,10 @@ class AcceptorFailure(Exception):
         self.side = side
         self.word = word
         super().__init__(f"acceptor {side} failed on word {word!r}: {cause}")
+
+
+class SearchBoundError(MachineError):
+    """A brute-force enumeration would exceed its configured bound."""
 
 
 # The key under which a row of ``_dfa_rows`` keeps its finality: a private
@@ -149,6 +160,34 @@ def theorem2_member(word: Sequence[str]) -> bool:
     if summary.__class__ is bool:
         return summary
     return summary.get(w, x) != x  # a w part the head lacks reads as agreeing
+
+
+def complement_strands(machine: WKAutomaton, upper: Sequence[str]) -> Iterator[Word]:
+    """All complementary lower strands of ``upper``, lazily.
+
+    The order is lexicographic with the per-position image order exactly as
+    declared in the complementarity relation; the empty word yields exactly
+    one strand, the empty word itself.
+    """
+    require_kind(machine, WKAutomaton)
+    w1 = tuple(upper)
+    require_symbols(w1, machine.upper_alphabet, "upper alphabet")
+    return itertools.product(*[machine.rho.image(x) for x in w1])
+
+
+def accepts_existential_bruteforce(
+    machine: WKAutomaton, upper: Sequence[str], *, max_strands: int = 1_000_000
+) -> bool:
+    """Independent oracle: try every complementary strand deterministically."""
+    require_kind(machine, WKAutomaton)
+    run = _run_loop(machine)
+    w1 = tuple(upper)
+    strands = complement_strands(machine, w1)
+    if math.prod(len(machine.rho.image(x)) for x in w1) > max_strands:
+        raise SearchBoundError(
+            f"strand count exceeds the bound of {max_strands} for a word of length {len(w1)}"
+        )
+    return any(run((w1, w2), False).accepted for w2 in strands)
 
 
 def enumerate_words(alphabet: Sequence[str], max_len: int) -> Iterator[Word]:

@@ -99,35 +99,6 @@ def test_check_prints_its_whole_report(name, require, tmp_path):
 
 
 class TestCheck:
-    def test_reversible_machine_passes(self):
-        code, out, _ = run_cli("check", corpus("example1-rwka.wk"))
-        assert code == 0
-        assert "validate: pass" in out
-        assert "reversible: pass" in out
-        assert "strongly-reversible: fail" in out
-
-    def test_require_strong_flips_the_exit_code(self):
-        code, out, _ = run_cli("check", corpus("theorem2.wk"))
-        assert code == 0
-        code, out, _ = run_cli("check", corpus("theorem2.wk"), "--require", "reversible")
-        assert code == 0
-        code, out, _ = run_cli("check", corpus("theorem2.wk"), "--require", "strong")
-        assert code == 1
-
-    def test_strongly_reversible_machine_passes_strong(self):
-        code, _, _ = run_cli("check", corpus("identity-rho.wk"), "--require", "strong")
-        assert code == 0
-
-    def test_dfa_check_is_validate_only(self):
-        code, out, _ = run_cli("check", corpus("example1-dfa.dfa"))
-        assert code == 0
-        assert out.splitlines() == ["validate: pass"]
-
-    def test_dfa_reversibility_request_is_a_usage_error(self):
-        code, _, err = run_cli("check", corpus("example1-dfa.dfa"), "--require", "strong")
-        assert code == 2
-        assert "error:" in err
-
     def test_unknown_requirement_is_refused_by_the_parser(self):
         code, out, err = run_cli("check", corpus("theorem2.wk"), "--require", "bogus")
         assert (code, out) == (2, "")
@@ -162,23 +133,6 @@ class TestRun:
         )
         assert replay.accepted
 
-    def test_reject_exits_one(self):
-        code, out, _ = run_cli("run", corpus("example1-rwka.wk"), "ab")
-        assert code == 1
-        assert out.strip() == "reject"
-
-    def test_fixed_lower_strand(self):
-        code, out, _ = run_cli(
-            "run", corpus("example1-rwka.wk"), "aba", "--lower", "a_1,b_2,a_1"
-        )
-        assert code == 0
-        assert out.strip() == "accept"
-        code, out, _ = run_cli(
-            "run", corpus("example1-rwka.wk"), "aba", "--lower", "a_1,b_2,a_2"
-        )
-        assert code == 1
-        assert out.strip() == "reject"
-
     def test_trace_lists_each_step(self):
         code, out, _ = run_cli(
             "run", corpus("example1-rwka.wk"), "aba", "--lower", "a_1,b_2,a_1", "--trace"
@@ -200,13 +154,6 @@ class TestRun:
         assert out.splitlines()[0] == "accept"
         assert len(validations) == 1
 
-    def test_loop_verdict(self):
-        code, out, _ = run_cli(
-            "run", corpus("loop.wk"), "a", "--lower", "a", "--trace"
-        )
-        assert code == 1
-        assert out.splitlines()[0] == "loop"
-
     def test_mfa_run(self):
         code, out, _ = run_cli("run", corpus("twohead-anbn1.mfa"), "abb", "--trace")
         assert code == 0
@@ -221,17 +168,6 @@ class TestRun:
         )
         code, out, _ = run_cli("run", corpus("twohead-anbn1.mfa"), "ab")
         assert code == 1
-
-    def test_dfa_run(self):
-        code, out, _ = run_cli("run", corpus("example1-dfa.dfa"), "aba")
-        assert code == 0
-        code, out, _ = run_cli("run", corpus("example1-dfa.dfa"), "b")
-        assert code == 1
-
-    def test_bad_word_is_a_usage_error(self):
-        code, _, err = run_cli("run", corpus("example1-rwka.wk"), "xy")
-        assert code == 2
-        assert "error:" in err
 
     def test_invalid_machine_is_a_usage_error(self, tmp_path):
         trans = "trans: q0 # # -> q0 1 1\ntrans: q0 a a -> q0 1 1\ntrans: q0 $ $ -> q0 1 0\n"
@@ -254,12 +190,6 @@ class TestRun:
             assert code == 2, argv
             assert out == ""
             assert err == "error: machine fails validation: move-on-endmarker\n"
-
-    def test_non_complementary_lower_is_a_usage_error(self):
-        code, _, err = run_cli(
-            "run", corpus("example1-rwka.wk"), "aba", "--lower", "a_1,a_1,a_1"
-        )
-        assert code == 2
 
 
 class TestTranslate:
@@ -383,29 +313,6 @@ class TestTranslate:
 
 
 class TestCompare:
-    def test_dfa_against_its_compiled_machine(self):
-        code, out, _ = run_cli(
-            "compare", corpus("example1-dfa.dfa"), corpus("example1-rwka.wk"),
-            "--max-len", "8",
-        )
-        assert code == 0
-        assert "mismatches: none" in out
-
-    def test_self_comparison_exits_zero(self):
-        code, _, _ = run_cli(
-            "compare", corpus("identity-rho.wk"), corpus("identity-rho.wk"),
-            "--max-len", "6",
-        )
-        assert code == 0
-
-    def test_block_oracle_reports_the_known_discrepancy(self):
-        code, out, _ = run_cli(
-            "compare", corpus("theorem2.wk"), "--oracle", "theorem2",
-            "--max-len", "5", "--blocks",
-        )
-        assert code == 1
-        assert "b-only" in out
-
     def test_tsv_format_keeps_the_exit_code(self):
         text_code, _, _ = run_cli(
             "compare", corpus("theorem2.wk"), "--oracle", "theorem2",
@@ -428,46 +335,6 @@ class TestCompare:
             "mismatch\tb\t*%*b\n"
         )
 
-    def test_dfa_oracle(self):
-        code, _, _ = run_cli(
-            "compare", corpus("example1-rwka.wk"),
-            "--oracle", f"dfa:{corpus('example1-dfa.dfa')}", "--max-len", "7",
-        )
-        assert code == 0
-
-    def test_needs_exactly_one_counterpart(self):
-        code, _, err = run_cli("compare", corpus("example1-dfa.dfa"), "--max-len", "3")
-        assert code == 2
-        code, _, err = run_cli(
-            "compare", corpus("example1-dfa.dfa"), corpus("example1-rwka.wk"),
-            "--oracle", "theorem2", "--max-len", "3",
-        )
-        assert code == 2
-
-    def test_unknown_oracle(self):
-        code, _, err = run_cli(
-            "compare", corpus("example1-dfa.dfa"), "--oracle", "nope", "--max-len", "3"
-        )
-        assert code == 2
-
-    @pytest.mark.parametrize(
-        "argv, error",
-        [
-            # theorem2's first word of length 1 is '%', which example1 cannot read.
-            (("compare", corpus("theorem2.wk"), corpus("example1-rwka.wk"), "--max-len", "1"),
-             "acceptor b failed on word ('%',): symbol '%' is not in the upper alphabet"),
-            # An MFA names its alphabet, though its sweep runs a WK twin.
-            (("compare", corpus("theorem2.wk"), corpus("twohead-anbn1.mfa"), "--max-len", "1"),
-             "acceptor b failed on word ('%',): symbol '%' is not in the alphabet"),
-            (("compare", corpus("twohead-anbn1.mfa"), "--oracle", "theorem2", "--blocks",
-              "--max-len", "2"),
-             "acceptor a failed on word ('*',): symbol '*' is not in the alphabet"),
-        ],
-        ids=["wk", "mfa-b", "mfa-a"],
-    )
-    def test_symbol_outside_one_side_is_a_usage_error(self, argv, error):
-        assert run_cli(*argv) == (2, "", f"error: {error}\n")
-
 
 class TestEnumerate:
     def test_accepted_words_in_order(self):
@@ -482,11 +349,6 @@ class TestEnumerate:
 
 
 class TestUsage:
-    def test_missing_file_is_a_usage_error(self):
-        code, _, err = run_cli("check", "/nonexistent/machine.wk")
-        assert code == 2
-        assert "error:" in err
-
     def test_a_huge_head_count_is_refused_before_a_run(self, tmp_path):
         hostile = tmp_path / "heads.mfa"
         hostile.write_text("type: mfa\nstates: q\nstart: q\nalphabet: a\nheads: 100000000\n")
@@ -560,65 +422,6 @@ class TestUsage:
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1
         assert not target.parent.exists()
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (("check", ""), "cannot read : [Errno 2] No such file or directory: ''"),
-            (("compare", corpus("example1-rwka.wk"), "--oracle", "dfa:", "--max-len", "2"),
-             "cannot read : [Errno 2] No such file or directory: ''"),
-            (("from-dfa", corpus("example1-dfa.dfa"), "-o", ""),
-             "cannot write : [Errno 2] No such file or directory: ''"),
-        ],
-    )
-    def test_an_empty_path_names_no_directory(self, argv, message):
-        assert run_cli(*argv) == (2, "", f"error: {message}\n")
-
-    def test_unknown_subcommand(self):
-        code, _, _ = run_cli("frobnicate")
-        assert code == 2
-
-    def test_help_exits_zero(self):
-        code, _, _ = run_cli("--help")
-        assert code == 0
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (("compare", corpus("example1-rwka.wk"), corpus("identity-rho.wk"), "--max-len", "-1"),
-             "--max-len must be at least 0, got -1"),
-            (("enumerate", corpus("example1-rwka.wk"), "--max-len", "-2"),
-             "--max-len must be at least 0, got -2"),
-            (("compare", corpus("theorem2.wk"), "--oracle", "theorem2", "--blocks",
-              "--max-len", "5", "--max-blocks", "0"),
-             "--max-blocks must be at least 1, got 0"),
-            (("compare", corpus("theorem2.wk"), "--oracle", "theorem2", "--blocks",
-              "--max-len", "0"),
-             "--max-len must be at least 1, got 0"),
-        ],
-    )
-    def test_bounds_that_sweep_no_word_are_usage_errors(self, argv, message):
-        assert run_cli(*argv) == (2, "", f"error: {message}\n")
-
-    @pytest.mark.parametrize("max_blocks", ["0", "3"])
-    def test_max_blocks_without_blocks_is_a_usage_error(self, max_blocks):
-        argv = ("compare", corpus("theorem2.wk"), "--oracle", "theorem2", "--max-len", "2")
-        assert run_cli(*argv, "--max-blocks", max_blocks) == (
-            2, "", "error: --max-blocks only applies with --blocks\n"
-        )
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("compare", corpus("example1-rwka.wk"), corpus("example1-dfa.dfa"), "--max-len", "0"),
-            ("compare", corpus("theorem2.wk"), "--oracle", "theorem2", "--blocks",
-             "--max-len", "1", "--max-blocks", "1"),
-        ],
-    )
-    def test_smallest_bounds_still_sweep_a_word(self, argv):
-        code, out, err = run_cli(*argv)
-        assert (code, err) == (0, "")
-        assert "\n total        1        1 " in out
 
 
 class TestOneParserPerProcess:

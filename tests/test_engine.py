@@ -33,7 +33,7 @@ from wkautomata import (
     swk_to_mfa2,
 )
 from wkautomata import cli, engine, machines
-from wkautomata.engine import SearchBoundError, StrandMismatchError
+from wkautomata.engine import StrandMismatchError
 from wkautomata.fileformat import parse_machine, serialize_machine
 from wkautomata.machines import (
     InvalidMachineError,
@@ -42,7 +42,7 @@ from wkautomata.machines import (
     WrongKindError,
     validate,
 )
-from wkautomata.oracle import dfa_accepts, enumerate_block_strings, enumerate_words
+from wkautomata.oracle import SearchBoundError, dfa_accepts, enumerate_block_strings, enumerate_words
 from wkautomata.samples import random_dfa
 from wkautomata.sweeps import compiled_dfa
 from conftest import (
