@@ -53,11 +53,12 @@ def _parse(text: str):
     Parsing is a pure function of the text and machines are frozen values,
     so a repeated call gets the very same machine object, with the
     validation, C1/C2 report, run loop and search tables kept on it, its
-    ``_sweep_acceptor``, the output text of each translation run on it
-    (``_from_dfa``, ``_to_mfa``, ``_from_mfa``), and the reports of the
-    compares run with it as side A (``_compare_reports``).  The output file
-    is still written, and a kept report printed, on every call, and a
-    one-shot process, which parses each text once, gains nothing.  A
+    existential acceptor (a WK machine's ``engine.existential_acceptor``, a
+    2-head MFA's ``_sweep_acceptor``), the output text of each translation
+    run on it (``_from_dfa``, ``_to_mfa``, ``_from_mfa``), and the reports
+    of the compares run with it as side A (``_compare_reports``).  The
+    output file is still written, and a kept report printed, on every call,
+    and a one-shot process, which parses each text once, gains nothing.  A
     ``ParseError`` propagates and is never kept.
 
     The memo holds more texts than the corpus has machine files, and
@@ -196,11 +197,12 @@ def _from_mfa(machine):
 def _acceptor(machine):
     """The predicate a sweep calls on each word, and the alphabet it sweeps.
 
-    A WK machine or a 2-head MFA gets its resident ``_sweep_acceptor``;
-    other MFAs run the run loop and DFAs ``dfa_accepts`` on each word.
+    A WK machine gets the ``engine.existential_acceptor`` kept on it, and a
+    2-head MFA its ``_sweep_acceptor``; other MFAs run the run loop and
+    DFAs ``dfa_accepts`` on each word.
     """
     if isinstance(machine, WKAutomaton):
-        return _sweep_acceptor(machine), machine.upper_alphabet
+        return engine.existential_acceptor(machine), machine.upper_alphabet
     if isinstance(machine, MultiHeadAutomaton):
         engine.run_mfa(machine, ())  # refuse an invalid machine here, not mid-sweep
         if machine.head_count == 2:
@@ -211,16 +213,14 @@ def _acceptor(machine):
 
 @kept
 def _sweep_acceptor(machine):
-    """The existential acceptor of a WK machine, or of a valid 2-head MFA's
-    identity-relation twin, built once per machine object.
+    """The existential acceptor of a valid 2-head MFA's identity-relation
+    twin, built once per MFA object.
 
     It lives on the machine that ``_parse`` holds, so every later sweep of
     the same text walks the DFA the earlier ones built.  The twin decides
     what the run loop decides; a word the MFA cannot read goes to the run
     loop, which raises the MFA's own message.
     """
-    if isinstance(machine, WKAutomaton):
-        return engine.existential_acceptor(machine)
     twin = engine.existential_acceptor(construct.identity_twin(machine))
 
     def accepts(word):
@@ -291,6 +291,7 @@ def _cmd_compare(args) -> int:
     # call.  The entry holds B itself, so its id is not reused while kept.
     reports = _compare_reports(machine_a)
     key = (id(side_b), args.max_len, max_blocks)
+    render = fileformat.word_separator(alphabet).join
     if key in reports:
         report = reports[key][1]
     else:
@@ -305,9 +306,9 @@ def _cmd_compare(args) -> int:
             # alphabet, is unusable input; any other failure is a bug.
             if not isinstance(exc.__cause__, MachineError):
                 raise
-            raise MachineError(str(exc)) from exc
+            word = render(exc.word)
+            raise MachineError(f"acceptor {exc.side} failed on word {word!r}: {exc.__cause__}") from exc
         reports[key] = (side_b, report)
-    render = fileformat.word_separator(alphabet).join
     print(report.to_tsv(render) if args.format == "tsv" else report.to_text(render))
     return 0 if report.total_mismatches == 0 else 1
 
@@ -411,8 +412,9 @@ def main(argv=None) -> int:
     is parsed by that subcommand's parser alone, any other by the program
     parser (see ``_parse_argv``).
 
-    Call it from one thread at a time: the sweep acceptors kept on parsed
-    machines carry their memo from call to call.
+    The acceptors kept on parsed machines carry their memo from call to
+    call and may be shared by threads; a command prints to ``sys.stdout``,
+    so calls on several threads interleave their output.
 
     A reader that closes stdout early ends the command with exit code 1
     and no message.  As the Python docs advise for that case, stdout is

@@ -21,12 +21,11 @@ Every engine refuses a machine of another kind than it runs with a
 ``WrongKindError``, and a machine that fails ``validate`` with an
 ``InvalidMachineError``.  Machines are frozen, so the validation, the run
 loop (one build for both kinds, from the machine's ``grammar`` rows), the
-search's integer tables and the acceptor's static tables are each built
-once per machine object and kept on that object, where they live and die
-with it; an equal but distinct machine, such as a copy, builds its own.
-A refusal is never kept: a machine that fails validation raises on every
-call.  An acceptor's memo is never kept on the machine: each predicate
-starts with its own empty one.
+search's integer tables, the acceptor's static tables and the acceptor
+itself, with the lazily built DFA it carries, are each built once per
+machine object and kept on that object, where they live and die with it;
+an equal but distinct machine, such as a copy, builds its own.  A refusal
+is never kept: a machine that fails validation raises on every call.
 """
 
 from __future__ import annotations
@@ -294,19 +293,20 @@ def accepts_existential(
     return SearchResult(accepted, witness, explored)
 
 
-# An acceptor that holds more interned frontiers than this clears its memo at
-# the start of its next call that leaves the fast walk, the only walk that
-# interns.  The compiled DFAs of the regular sweeps intern at most a dozen
-# each.  The block-language machine interns 17,341 frontiers over the 132,854
-# words of up to 11 symbols and 6 blocks, because its lower head lags a block
-# behind and windows grow to 10 symbols, so the sweep never clears the memo.
-# An interned state takes about 200 bytes (its slot list, its string key and
-# the memo entry), so the whole sweep's memo holds about 3.3 MiB.
+# An acceptor interns at most this many frontiers.  Once its memo is full, a
+# stage's new frontier is walked on but neither interned nor linked, so its
+# stage runs again on every word that reaches it; the memo is never cleared.
+# The compiled DFAs of the regular sweeps intern at most a dozen each.  The
+# block-language machine interns 17,341 frontiers over the 132,854 words of
+# up to 11 symbols and 6 blocks, because its lower head lags a block behind
+# and windows grow to 10 symbols, so that sweep never fills the memo.  An
+# interned state takes about 200 bytes (its slot list, its string key and the
+# memo entry), so a full memo holds about 6.5 MiB.
 _MEMO_STATES = 32_768
 
 
 def _forget(memo: dict) -> None:
-    """Empty an acceptor's memo and the move slots of its states."""
+    """Empty a dropped acceptor's memo and the move slots of its states."""
     for state in memo.values():
         state.clear()
     memo.clear()
@@ -361,8 +361,10 @@ def _acceptor_tables(machine: WKAutomaton) -> tuple[dict, dict, tuple, dict]:
     return images, column, ups_of, live
 
 
+@kept
 def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool]:
-    """A precompiled acceptance predicate for sweeping many words.
+    """The acceptance predicate of ``machine`` for sweeping many words,
+    built once per machine object.
 
     The predicate decides what ``accepts_existential`` decides, but it
     searches in stages and runs them as the moves of a lazily built DFA.
@@ -394,30 +396,37 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     not a frontier: a move not yet run leads to the pending sink, whose
     verdict is ``None``, and a verdict that holds for every extension is
     the sink whose end marker's slot holds ``True`` or ``False`` (the start
-    state may be one).  Every frontier a stage hands on is interned, so
-    each (frontier, column) stage runs at most once per memo.  A call first
-    takes the fast walk: from the start state it subscripts the slot of
-    each symbol's column in turn, then reads the end marker's slot.  When
-    that verdict is ``None`` or a symbol has no column, the call takes the
-    careful walk instead.  That walk checks the whole word and raises
-    ``UnknownSymbolError`` naming its first symbol outside the upper
-    alphabet, so a word with such a symbol never runs a stage; it then
-    clears the memo if it holds more than ``_MEMO_STATES`` states, and
-    walks again from the start state, running a stage on each move not yet
-    run.  Between clears any word order runs the same stages, and a word
-    whose moves are all known never leaves the fast walk.  The predicate
-    carries the memo from call to call, so use it from one thread at a
-    time.  Each call returns a fresh predicate with its own empty memo,
-    sinks and stages; the tables it reads are the ``_compile_wk`` tables
-    and the ``_acceptor_tables`` kept on the machine, shared with every
-    other predicate and search on the same machine object and never
-    mutated.
+    state may be one).  Until the memo holds ``_MEMO_STATES`` states, every
+    frontier a stage hands on is interned and linked from the slot that led
+    to it, so each (frontier, column) stage runs once.  Past that, a new
+    frontier is neither interned nor linked: the walk goes on from the
+    unlinked state, and its stage runs again on the next word that reaches
+    it.  The memo only grows, and it is emptied only when the predicate is
+    dropped.  A call first takes the fast walk: from the start state it
+    subscripts the slot of each symbol's column in turn, then reads the end
+    marker's slot.  When that verdict is ``None`` or a symbol has no
+    column, the call takes the careful walk instead.  That walk checks the
+    whole word and raises ``UnknownSymbolError`` naming its first symbol
+    outside the upper alphabet, so a word with such a symbol never runs a
+    stage; it then walks again from the start state, running a stage on
+    each move not yet run.  While the memo has room any word order runs
+    the same stages, and a word whose moves are all known never leaves the
+    fast walk.
 
-    The first predicate of a machine object pays once for those tables,
-    and every predicate pays for each stage it runs for the first time,
-    which is most of what a short sweep over a small machine costs.  A
-    stage returns the key of the frontier it hands on, so a move not yet
-    run costs one decode, one stage call and one memo lookup.
+    The predicate, its memo and its sinks are kept on the machine object,
+    so every sweep of that object walks one DFA, and they die with it;
+    ``existential_acceptor.__wrapped__(machine)`` builds a fresh predicate
+    with an empty memo.  The tables it reads are the ``_compile_wk`` tables
+    and the ``_acceptor_tables`` kept on the machine, never mutated.  Any
+    number of threads may share one predicate: a slot is filled in one
+    store and a frontier interned with one ``setdefault``, and no state is
+    ever taken away, so racing callers at worst run one stage twice.
+
+    The first sweep of a machine object pays once for those tables and for
+    each stage it runs; a later sweep of the same words runs none unless
+    the memo filled.  A stage returns the key of the frontier it hands on,
+    so a move not yet run costs one decode, one stage call and one memo
+    lookup.
     """
     compiled = _compile_wk(machine)
     delta = compiled.delta
@@ -503,16 +512,11 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     slots = [pending] * close + [None]
     memo: dict[str, list] = {}
 
-    def intern(key: str) -> list:
-        state = memo.get(key)
-        if state is None:
-            state = memo[key] = [*slots, key]
-        return state
-
     def step(state: list, c: int):
         """Run the stage behind the move not yet run in column ``c`` of
         ``state`` and fill the slot with what it leads to: an interned
         state or a verdict's sink, and a verdict in the end marker's column.
+        A new frontier that a full memo cannot intern is returned unlinked.
         """
         # Decode the state's key and run the stage from its frontier.
         ints = list(map(ord, state[-1]))
@@ -525,32 +529,24 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
         if result is True or result is False:
             if c != close:
                 result = sinks[result]
+        elif result in memo:  # no state ever leaves the memo
+            result = memo[result]
+        elif len(memo) < _MEMO_STATES:
+            result = memo.setdefault(result, [*slots, result])
         else:
-            result = intern(result)
+            return [*slots, result]
         state[c] = result
         return result
 
-    # The start node, as the sole head of stage 0 on the left end marker.
-    opening = (compiled.left,)
-    start_heads = ((compiled.start, 0, 0, compiled.left),)
-
-    def begin() -> list:
-        """The start state, or the sink of every word's verdict."""
-        result = stage(opening, start_heads, ())
-        if result is True or result is False:
-            return sinks[result]
-        return intern(result)
-
-    start = begin()
+    # The start state, or the sink of every word's verdict: stage 0 with the
+    # start node as its sole head, on the left end marker.
+    key = stage((compiled.left,), ((compiled.start, 0, 0, compiled.left),), ())
+    start = sinks[key] if key is True or key is False else memo.setdefault(key, [*slots, key])
 
     def walk(word: Word) -> bool:
-        """The careful walk: check the word, clear an outgrown memo, and
-        run a stage on every move not yet run that the word reaches."""
-        nonlocal start
+        """The careful walk: check the word, then run a stage on every
+        move not yet run that the word reaches."""
         require_symbols(word, column, "upper alphabet")
-        if len(memo) > _MEMO_STATES:
-            _forget(memo)
-            start = begin()
         state = start
         for x in word:
             c = column[x]

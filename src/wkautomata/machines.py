@@ -28,7 +28,11 @@ stays cheap; a changed copy is built with the constructor.  Every table (a
 ``delta`` and the relation's ``images``) is a read-only ``FrozenDict``, so a
 machine cannot change after construction, equal machines hash equal, and a
 machine can key a cache.  Every function here is pure, so machines can be
-shared freely across threads.
+shared freely across threads.  That includes what other modules keep on a
+machine, where the engine's existential acceptor fills a memo as it runs:
+its sharing is safe only as far as ``tests/test_engine.py``'s
+``test_four_threads_share_one_predicate``, four threads sweeping one
+machine's acceptor, shows it.
 """
 
 from __future__ import annotations

@@ -85,24 +85,24 @@ def dfa_accepts(dfa: ClassicalDFA, word: Sequence[str]) -> bool:
     reaches it, unless the walk is already on the dead row: a missing move
     earlier in the word rejects first.  The DFA is not validated.
 
-    A call reads the kept rows straight from ``dfa.__dict__``, where
-    ``kept`` stores them under the build's name, and calls ``_dfa_rows``
-    only when they are not there yet, so a sweep pays one dict lookup per
-    word for them.  That call refuses a machine of another kind with
-    ``WrongKindError``.
+    A call reads the kept rows as the attribute ``kept`` stores them under,
+    the build's name, and calls ``_dfa_rows`` only when they are not there
+    yet (or ``dfa`` has no ``__dict__``), so a sweep pays one attribute
+    lookup per word for them.  That call refuses a machine of another kind
+    with ``WrongKindError``.  A word that is not iterable raises its own
+    ``TypeError``.
     """
     try:
-        row, dead = dfa.__dict__["_dfa_rows"]
-    except (KeyError, AttributeError):
+        row, dead = dfa._dfa_rows
+    except AttributeError:
         row, dead = _dfa_rows(dfa)
-    symbols = iter(word)  # a word that is not iterable raises its own TypeError here
-    try:
-        for sym in symbols:
+    for sym in word:
+        try:
             row = row[sym]
-    except (KeyError, TypeError):  # TypeError: an unhashable symbol
-        if row is dead:
-            return False
-        raise UnknownSymbolError(f"symbol {sym!r} is not in the alphabet") from None
+        except (KeyError, TypeError):  # TypeError: an unhashable symbol
+            if row is dead:
+                return False
+            raise UnknownSymbolError(f"symbol {sym!r} is not in the alphabet") from None
     return row[_FINAL]
 
 

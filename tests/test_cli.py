@@ -14,7 +14,7 @@ from wkautomata import MultiHeadAutomaton, cli, engine, validate
 from wkautomata.construct import dfa_to_rwka
 from wkautomata.fileformat import parse_machine, serialize_machine
 from wkautomata.oracle import enumerate_words
-from conftest import CORPUS_DIR, clear_caches, mfa_machines, run_cli
+from conftest import CORPUS_DIR, clear_caches, kept_builds, mfa_machines, run_cli
 
 
 def corpus(name: str) -> str:
@@ -636,8 +636,9 @@ class TestParseMemo:
 
 
 class TestSweepAcceptor:
-    """``compare`` and ``enumerate`` keep one acceptor per WK machine and
-    2-head MFA; other MFAs and DFAs decide each word on its own."""
+    """``compare`` and ``enumerate`` sweep with the acceptor kept on each WK
+    machine and 2-head MFA; other MFAs and DFAs decide each word on its
+    own."""
 
     MFA = (CORPUS_DIR / "twohead-anbn1.mfa").read_text()
     WK = (CORPUS_DIR / "theorem2.wk").read_text()
@@ -648,22 +649,15 @@ class TestSweepAcceptor:
         ("compare", corpus("twohead-anbn1.mfa"), corpus("identity-rho.wk"), "--max-len", "6"),
     )
 
-    def test_each_machine_builds_one_acceptor(self, monkeypatch):
+    def test_each_machine_builds_one_acceptor(self):
         clear_caches()
-        built = []
-        real = engine.existential_acceptor
-
-        def counting(machine):
-            built.append(machine)
-            return real(machine)
-
-        monkeypatch.setattr(engine, "existential_acceptor", counting)
-        first = [run_cli(*argv) for argv in self.SWEEPS]
-        assert [run_cli(*argv) for argv in self.SWEEPS] == first
+        with kept_builds(engine.existential_acceptor) as (built,):
+            first = [run_cli(*argv) for argv in self.SWEEPS]
+            assert [run_cli(*argv) for argv in self.SWEEPS] == first
         # The MFA's twin, theorem2 and identity-rho.
         assert len(built) == 3
 
-    def test_repeated_sweeps_survive_a_cleared_memo(self, monkeypatch):
+    def test_repeated_sweeps_agree_past_a_full_memo(self, monkeypatch):
         clear_caches()
         expected = [run_cli(*argv) for argv in self.SWEEPS]
         clear_caches()
@@ -679,7 +673,8 @@ class TestSweepAcceptor:
             assert run_cli(*argv)[0] == 0
         machines = [cli._parse(self.MFA), cli._parse(self.WK)]
         refs = [weakref.ref(m) for m in machines]
-        refs += [weakref.ref(cli._sweep_acceptor(m)) for m in machines]
+        refs += [weakref.ref(cli._sweep_acceptor(machines[0]))]
+        refs += [weakref.ref(engine.existential_acceptor(machines[1]))]
         del machines
         path = tmp_path / "example1-dfa.dfa"
         text = (CORPUS_DIR / "example1-dfa.dfa").read_text()
@@ -822,7 +817,7 @@ class TestKeptCompareReport:
         "argv, error, swept",
         [
             (("compare", T2, corpus("example1-rwka.wk"), "--max-len", "3"),
-             "acceptor b failed on word ('%',): symbol '%' is not in the upper alphabet", 1),
+             "acceptor b failed on word '%': symbol '%' is not in the upper alphabet", 1),
             (("compare", T2, "--oracle", "dfa:" + corpus("loop.wk"), "--max-len", "3"),
              "--oracle dfa:FILE expects a dfa machine file", 0),
         ],

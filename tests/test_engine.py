@@ -6,6 +6,7 @@ import gc
 import pickle
 import random
 import sys
+import threading
 import weakref
 from unittest import mock
 
@@ -173,9 +174,10 @@ class TestAcceptsExistential:
             machine = parse_machine((CORPUS_DIR / name).read_text(encoding="utf-8"))
             assert_acceptor_matches(machine, max_len, random.Random(name))
 
-    def test_acceptor_clears_its_memo_past_the_bound(self, monkeypatch):
-        # With a bound of one state every call that leaves the fast walk
-        # starts from a cleared memo.
+    def test_acceptor_walks_on_past_a_full_memo(self, monkeypatch):
+        # With a bound of one state the memo holds only the start state, so
+        # every call that leaves the fast walk goes on through unlinked
+        # states.
         monkeypatch.setattr(engine, "_MEMO_STATES", 1)
         for name, max_len in self.CORPUS_BOUNDS:
             machine = parse_machine((CORPUS_DIR / name).read_text(encoding="utf-8"))
@@ -247,14 +249,14 @@ class TestAcceptsExistential:
     def test_acceptor_stage_work_does_not_depend_on_word_order(self):
         # Every frontier a stage hands on is interned, so each stage runs
         # once per memo: shortest first, longest first and shuffled, a
-        # fresh acceptor runs the same number of stages.
+        # fresh predicate runs the same number of stages.
         rng = random.Random(5)
         for _ in range(100):
             machine = dfa_to_rwka(random_dfa(rng, max_states=8))
             words = list(enumerate_words(machine.upper_alphabet, 7))
             counts = []
             for order in (words, words[::-1], rng.sample(words, len(words))):
-                accept = existential_acceptor(machine)
+                accept = existential_acceptor.__wrapped__(machine)
                 with counting_calls(_STAGE) as runs:
                     for word in order:
                         accept(word)
@@ -268,13 +270,13 @@ class TestAcceptsExistential:
     ):
         # The fast walk looks symbols up as it goes; a failed lookup sends
         # the word to the careful walk, once, which checks the whole word
-        # before it clears the memo or runs a stage.  loop.wk's start state
-        # is already a verdict sink.  With a bound of one state, the
-        # careful walk would clear the memo.
+        # before it runs a stage.  loop.wk's start state is already a
+        # verdict sink.  With a bound of one state, the careful walk goes
+        # on through unlinked states.
         monkeypatch.setattr(engine, "_MEMO_STATES", memo_states)
         machine = parse_machine((CORPUS_DIR / name).read_text(encoding="utf-8"))
         words = list(enumerate_words(machine.upper_alphabet, 4))
-        fresh, warm = existential_acceptor(machine), existential_acceptor(machine)
+        fresh, warm = (existential_acceptor.__wrapped__(machine) for _ in range(2))
         for word in words:
             warm(word)
         for accept in (fresh, warm):
@@ -289,7 +291,7 @@ class TestAcceptsExistential:
                             ):
                                 accept(form)
                         assert runs == [1, 0], (bad, runs)
-        expected = existential_acceptor(machine)
+        expected = existential_acceptor.__wrapped__(machine)
         for accept in (fresh, warm):
             for word in words:
                 verdict = expected(word)
@@ -391,12 +393,21 @@ def _acceptor_code(name):
     """The code object of the function ``name`` nested in every acceptor."""
     return next(
         code
-        for code in existential_acceptor.__code__.co_consts
+        for code in existential_acceptor.__wrapped__.__code__.co_consts
         if getattr(code, "co_name", None) == name
     )
 
 
 _STAGE, _WALK = _acceptor_code("stage"), _acceptor_code("walk")
+
+
+def _acceptor_memo(accept):
+    """The memo of the predicate ``accept``, read through its closures."""
+
+    def cell(function, name):
+        return function.__closure__[function.__code__.co_freevars.index(name)].cell_contents
+
+    return cell(cell(cell(accept, "walk"), "step"), "memo")
 
 
 @contextlib.contextmanager
@@ -431,7 +442,7 @@ def assert_acceptor_matches(machine, max_len, rng):
     }
     shuffled = rng.sample(words, len(words))
     for order in (words, words[::-1], shuffled):
-        accept = existential_acceptor(machine)
+        accept = existential_acceptor.__wrapped__(machine)
         for word in order:
             assert accept(word) == expected[word], word
     for word in shuffled:  # again, over a memo that holds every frontier
@@ -580,8 +591,10 @@ _REFUSERS = {
 def test_invalid_machines_fail_validation_and_every_consumer_refuses_them(machine):
     assert not validate(machine).passed
     for refuse in _REFUSERS[type(machine)] + (serialize_machine,):
-        with pytest.raises(MachineError):
-            refuse(machine)
+        for _ in range(2):  # a refusal is not kept on the machine
+            with pytest.raises(MachineError):
+                refuse(machine)
+    assert "existential_acceptor" not in vars(machine)
 
 
 # What takes one kind of machine only, with that kind.
@@ -699,8 +712,9 @@ class TestOneBuildPerMachine:
 
 
 class TestAcceptorTables:
-    """The acceptor's static tables are built once per machine object and
-    shared by its predicates; each predicate keeps a memo of its own."""
+    """The acceptor's static tables and the acceptor itself are built once
+    per machine object.  A fresh predicate from ``__wrapped__`` shares the
+    tables and keeps a memo of its own."""
 
     @pytest.mark.parametrize("name", [n for n in CORPUS_FILES if n.endswith(".wk")])
     def test_predicates_share_tables_but_not_memos(self, name):
@@ -711,7 +725,7 @@ class TestAcceptorTables:
             # A predicate runs its first stage when it is made, so its
             # stages are counted from then on.
             with counting_calls(_STAGE) as runs:
-                accept = existential_acceptor(machine)
+                accept = existential_acceptor.__wrapped__(machine)
                 verdicts.append([accept(word) for word in words])
             stages.append(runs[0])
             tables.append(vars(machine)["_acceptor_tables"])
@@ -719,6 +733,81 @@ class TestAcceptorTables:
         assert stages[0] == stages[1] > 0
         assert tables[0] is tables[1]
         assert tables[0] == engine._acceptor_tables.__wrapped__(machine)
+        # The kept predicate walks one DFA for every sweep of the machine.
+        accept = existential_acceptor(machine)
+        assert accept is existential_acceptor(machine)
+        assert [accept(word) for word in words] == verdicts[0]
+        with counting_calls(_STAGE) as runs:
+            assert [accept(word) for word in words] == verdicts[0]
+        assert runs == [0]
+
+    def test_each_machine_object_keeps_its_own_predicate(self, example1_rwka):
+        m = example1_rwka
+        twin = WKAutomaton(m.states, m.upper_alphabet, m.start, m.finals, m.rho, m.delta)
+        accept = existential_acceptor(m)
+        assert twin == m and existential_acceptor(twin) is not accept
+        assert existential_acceptor.__wrapped__(m) is not accept
+        assert vars(m)["existential_acceptor"] is accept
+
+    def test_a_full_memo_stops_interning_and_is_never_cleared(self, monkeypatch, theorem2):
+        # Uncapped, the first sweep interns 2,023 frontiers and a repeat
+        # sweep runs no stage.  With room for 1,000, the memo fills during
+        # the first sweep and stays as it is; every later sweep re-runs the
+        # same stages, those behind the frontiers it could not intern.  A
+        # memo cleared when full would rebuild itself on every sweep, and
+        # run more stages each time than the first sweep did.
+        words = list(enumerate_block_strings(9, 4))
+        assert len(words) == 14_756
+        expected = None
+        for cap, counts, size in ((engine._MEMO_STATES, [3_569, 0, 0], 2_023),
+                                  (1_000, [3_569, 1_780, 1_780], 1_000)):
+            monkeypatch.setattr(engine, "_MEMO_STATES", cap)
+            accept = existential_acceptor.__wrapped__(theorem2)
+            memo = _acceptor_memo(accept)
+            runs_of, sizes = [], []
+            for _ in range(3):
+                with counting_calls(_STAGE) as runs:
+                    verdicts = [accept(word) for word in words]
+                runs_of.append(runs[0])
+                sizes.append(len(memo))
+                expected = expected or verdicts
+                assert verdicts == expected
+            assert runs_of == counts
+            assert sizes == [size] * 3
+
+    def test_four_threads_share_one_predicate(self, monkeypatch, theorem2):
+        # With room for 200 states, the threads race through unlinked
+        # states as well as through interned ones they fill at once.
+        monkeypatch.setattr(engine, "_MEMO_STATES", 200)
+        words = list(enumerate_words(theorem2.upper_alphabet, 7))
+        assert len(words) == 21_845
+        expected = {
+            word: accepts_existential(theorem2, word, want_witness=False).accepted
+            for word in words
+        }
+        accept = existential_acceptor(theorem2)
+        orders = [random.Random(i).sample(words, len(words)) for i in range(4)]
+        results: list = [None] * 4
+
+        def sweep(i):
+            try:
+                results[i] = [accept(word) for word in orders[i]]
+            except Exception as exc:  # compared below, so the test names it
+                results[i] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-call
+        try:
+            threads = [threading.Thread(target=sweep, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for order, verdicts in zip(orders, results):
+            assert verdicts == [expected[word] for word in order]
 
     def test_a_repeated_compiled_dfa_sweep_builds_nothing_again(self):
         builds = (
