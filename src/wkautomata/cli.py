@@ -51,23 +51,22 @@ def _parse(text: str):
     recent texts.
 
     Parsing is a pure function of the text and machines are frozen values,
-    so a repeated call gets the very same machine object, with the
-    validation, C1/C2 report, run loop and search tables kept on it, its
-    existential acceptor (a WK machine's ``engine.existential_acceptor``, a
-    2-head MFA's ``_sweep_acceptor``), the output text of each translation
-    run on it (``_from_dfa``, ``_to_mfa``, ``_from_mfa``), and the reports
-    of the compares run with it as side A (``_compare_reports``).  The
-    output file is still written, and a kept report printed, on every call,
-    and a one-shot process, which parses each text once, gains nothing.  A
-    ``ParseError`` propagates and is never kept.
+    so a repeated call gets the very same machine object, with every build
+    made from it kept on it: each module keeps its own builds on the
+    machine they are built from (``machines.kept``), translations and their
+    text included, and the CLI keeps only the reports of the compares run
+    with it as side A (``_compare_reports``).  The output file is still
+    written, and a kept report printed, on every call, and a one-shot
+    process, which parses each text once, gains nothing.  A ``ParseError``
+    propagates and is never kept.
 
     The memo holds more texts than the corpus has machine files, and
-    dropping a text drops its machine, tables, acceptor, translations and
-    reports, with the side-B machines they name, with it.  Every other
-    cache the package keeps for the whole process is bounded too:
-    ``_build_parser`` holds one set of parsers, ``oracle._TAIL_TABLE`` at
-    most 23 completion lists, and ``oracle.theorem2_member`` the last word
-    head it parsed, one head that any thread may read.
+    dropping a text drops its machine with all that is kept on it, the
+    side-B machines its reports name included.  Every other cache the
+    package keeps for the whole process is bounded too: ``_build_parser``
+    holds one set of parsers, ``oracle._TAIL_TABLE`` at most 23 completion
+    lists, and ``oracle.theorem2_member`` the last word head it parsed, one
+    head that any thread may read.
     """
     return fileformat.parse_machine(text)
 
@@ -162,11 +161,11 @@ def _run_existential(machine: WKAutomaton, word, trace: bool) -> int:
     return 0
 
 
-def _translate(args, expect: type, translation, label: str) -> int:
+def _translate(args, expect: type, construction) -> int:
     machine = _load(args.file)
     if not isinstance(machine, expect):
-        raise MachineError(f"{label} expects a {expect.__name__} machine file")
-    text = translation(machine)
+        raise MachineError(f"{args.command} expects a {expect.__name__} machine file")
+    text = fileformat.serialize_machine(construction(machine))
     try:
         with open(args.output, "w", encoding="utf-8") as file:
             file.write(text)
@@ -174,24 +173,6 @@ def _translate(args, expect: type, translation, label: str) -> int:
         raise MachineError(f"cannot write {args.output}: {exc}") from exc
     print(f"wrote {args.output}")
     return 0
-
-
-# The output text of each translation, built once per parsed machine.  A
-# refused translation raises and keeps nothing, so it is refused again on
-# every call.
-@kept
-def _from_dfa(machine):
-    return fileformat.serialize_machine(construct.dfa_to_rwka(machine))
-
-
-@kept
-def _to_mfa(machine):
-    return fileformat.serialize_machine(construct.swk_to_mfa2(machine))
-
-
-@kept
-def _from_mfa(machine):
-    return fileformat.serialize_machine(construct.mfa2_to_swk(machine))
 
 
 def _acceptor(machine):
@@ -211,15 +192,13 @@ def _acceptor(machine):
     return (lambda word: oracle.dfa_accepts(machine, word)), machine.alphabet
 
 
-@kept
 def _sweep_acceptor(machine):
     """The existential acceptor of a valid 2-head MFA's identity-relation
-    twin, built once per MFA object.
+    twin, which decides what the run loop decides.
 
-    It lives on the machine that ``_parse`` holds, so every later sweep of
-    the same text walks the DFA the earlier ones built.  The twin decides
-    what the run loop decides; a word the MFA cannot read goes to the run
-    loop, which raises the MFA's own message.
+    The twin is kept on the MFA and its acceptor on the twin, so every
+    sweep of the text that ``_parse`` holds walks one DFA.  A word the MFA
+    cannot read goes to the run loop, which raises the MFA's own message.
     """
     twin = engine.existential_acceptor(construct.identity_twin(machine))
 
@@ -354,17 +333,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub.add_parser("from-dfa", help="compile a dfa into a reversible wk machine")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=lambda args: _translate(args, ClassicalDFA, _from_dfa, "from-dfa"))
+    p.set_defaults(handler=lambda args: _translate(args, ClassicalDFA, construct.dfa_to_rwka))
 
     p = sub.add_parser("to-mfa", help="translate a strongly reversible wk machine to a 2-head machine")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=lambda args: _translate(args, WKAutomaton, _to_mfa, "to-mfa"))
+    p.set_defaults(handler=lambda args: _translate(args, WKAutomaton, construct.swk_to_mfa2))
 
     p = sub.add_parser("from-mfa", help="translate a reversible 2-head machine to a wk machine")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=lambda args: _translate(args, MultiHeadAutomaton, _from_mfa, "from-mfa"))
+    p.set_defaults(handler=lambda args: _translate(args, MultiHeadAutomaton, construct.mfa2_to_swk))
 
     p = sub.add_parser("compare", help="differential sweep of two acceptors over bounded words")
     p.add_argument("file_a")

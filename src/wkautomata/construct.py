@@ -3,15 +3,19 @@
 * ``dfa_to_rwka`` compiles any DFA into a reversible two-strand machine for
   the same language.  The lower strand's job is to guess, position by
   position, which DFA transition fires there; the table then only has to
-  replay the guess, which keeps it backward deterministic.  DFAs are
-  frozen, so the machine is built once per DFA object and kept on it; an
-  equal but distinct DFA builds its own, and a refused DFA keeps nothing.
+  replay the guess, which keeps it backward deterministic.
 * ``mfa2_to_swk`` / ``swk_to_mfa2`` translate between two-head reversible
   machines and strongly reversible two-strand machines (identity relation
   one way, the relation's inverse the other way).  ``identity_twin`` is
   the first direction without its checks, for any valid two-head machine.
 * ``theorem2_machine`` is a fixed reversible machine with a non-injective
   relation for the block language handled by ``oracle.theorem2_member``.
+
+Machines are frozen, so each construction (``dfa_to_rwka``,
+``identity_twin`` and ``swk_to_mfa2``) is built once per input object and
+kept on it, and ``mfa2_to_swk(m) is identity_twin(m)``.  An equal but
+distinct input builds its own, and a refused input raises on every call
+and keeps nothing.
 """
 
 from __future__ import annotations
@@ -84,9 +88,7 @@ def dfa_to_rwka(dfa: ClassicalDFA) -> WKAutomaton:
     the relation stays total; nothing ever consumes such an image, so the
     language is unaffected.
 
-    The machine is built once per DFA object and kept on it, so a repeated
-    call returns the same machine.  A DFA of another kind or one that fails
-    ``validate`` raises on every call and keeps nothing.
+    A DFA of another kind or one that fails ``validate`` raises.
     """
     require_kind(dfa, ClassicalDFA)
     require_valid(dfa, "dfa")
@@ -126,6 +128,7 @@ def dfa_to_rwka(dfa: ClassicalDFA) -> WKAutomaton:
     )
 
 
+@kept
 def identity_twin(machine: MultiHeadAutomaton) -> WKAutomaton:
     """The identity-relation two-strand machine with the transitions of the
     two-head ``machine``, copied entry for entry.
@@ -161,6 +164,7 @@ def mfa2_to_swk(machine: MultiHeadAutomaton) -> WKAutomaton:
     return identity_twin(machine)
 
 
+@kept
 def swk_to_mfa2(machine: WKAutomaton) -> MultiHeadAutomaton:
     """Translate a strongly reversible two-strand machine to a two-head one.
 

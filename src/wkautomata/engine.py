@@ -21,7 +21,7 @@ Every engine refuses a machine of another kind than it runs with a
 ``WrongKindError``, and a machine that fails ``validate`` with an
 ``InvalidMachineError``.  Machines are frozen, so the validation, the run
 loop (one build for both kinds, from the machine's ``grammar`` rows), the
-search's integer tables, the acceptor's static tables and the acceptor
+integer tables that the search and the acceptor share, and the acceptor
 itself, with the lazily built DFA it carries, are each built once per
 machine object and kept on that object, where they live and die with it;
 an equal but distinct machine, such as a copy, builds its own.  A refusal
@@ -42,7 +42,6 @@ from .machines import (
     MachineError,
     MultiHeadAutomaton,
     Record,
-    UnknownSymbolError,
     WKAutomaton,
     grammar,
     kept,
@@ -165,7 +164,15 @@ def run_mfa(
 
 
 class _CompiledWK(Record):
-    """Integer-indexed tables for the existential search hot path."""
+    """Integer-indexed tables for the existential search and the acceptor.
+
+    ``images`` lists the right end marker as its own image.  Column c of an
+    acceptor state reads symbol ``ups_of[c]``; the last column is the right
+    end marker.  ``live[x][q][u]`` holds the images of x that the lower head
+    may commit in state q over upper symbol u: an image that leaves a
+    non-final q stuck is left out, since that node neither moves nor
+    accepts.
+    """
 
     start: int
     finals: frozenset[int]
@@ -175,6 +182,9 @@ class _CompiledWK(Record):
     images: dict[int, tuple[int, ...]]
     delta: dict[tuple[int, int, int], tuple[int, int, int]]
     token_of: tuple[str, ...]
+    column: dict[str, int]
+    ups_of: tuple[int, ...]
+    live: dict[int, list[list[tuple[int, ...]]]]
 
 
 @kept
@@ -190,20 +200,55 @@ def _compile_wk(machine: WKAutomaton) -> _CompiledWK:
     )
     sym = {token: i for i, token in enumerate(token_of)}
     state = {q: i for i, q in enumerate(machine.states)}
+    right = sym[RIGHT_END]
+    images = {
+        sym[x]: tuple([sym[y] for y in machine.rho.images[x]]) for x in machine.upper_alphabet
+    }
+    images[right] = (right,)
+    finals = frozenset([state[q] for q in machine.finals])
+    delta = {
+        (state[q], sym[u], sym[l]): (state[t], d1, d2)
+        for (q, u, l), (t, d1, d2) in machine.delta.items()
+    }
+
+    # The end markers and the upper symbols are numbered first, so every
+    # upper read u < nu.  The live tables are built by list repetition:
+    # every final row of x's table is one shared row offering all of x's
+    # images, and every other row starts as the shared empty row.  One pass
+    # over delta then gives a non-final row that a lower read s reaches a
+    # row of its own, in the table of each symbol that s is an image of,
+    # and adds s to it.
+    nq, nu = len(state), len(machine.upper_alphabet) + 2
+    empty = [()] * nu
+    live = {}
+    tables_of: dict[int, list] = {}
+    for x, xs in images.items():
+        table = live[x] = [empty] * nq
+        every = [xs] * nu
+        for q in finals:
+            table[q] = every
+        for s in xs:
+            tables_of.setdefault(s, []).append(table)
+    for q, u, s in delta:
+        if q not in finals:
+            for table in tables_of.get(s, ()):
+                row = table[q]
+                if row is empty:
+                    row = table[q] = [()] * nu
+                row[u] += (s,)
+
     return _CompiledWK(
         start=state[machine.start],
-        finals=frozenset([state[q] for q in machine.finals]),
+        finals=finals,
         left=sym[LEFT_END],
-        right=sym[RIGHT_END],
+        right=right,
         upper_index={x: sym[x] for x in machine.upper_alphabet},
-        images={
-            sym[x]: tuple([sym[y] for y in machine.rho.images[x]]) for x in machine.upper_alphabet
-        },
-        delta={
-            (state[q], sym[u], sym[l]): (state[t], d1, d2)
-            for (q, u, l), (t, d1, d2) in machine.delta.items()
-        },
+        images=images,
+        delta=delta,
         token_of=token_of,
+        column={x: c for c, x in enumerate(machine.upper_alphabet)},
+        ups_of=tuple([sym[x] for x in (*machine.upper_alphabet, RIGHT_END)]),
+        live=live,
     )
 
 
@@ -211,17 +256,12 @@ def _search(
     compiled: _CompiledWK, w1: Word, want_witness: bool
 ) -> tuple[bool, Word | None, int]:
     upper_index = compiled.upper_index
-    try:
-        ups = [compiled.left] + [upper_index[x] for x in w1] + [compiled.right]
-    except KeyError as exc:
-        raise UnknownSymbolError(
-            f"symbol {exc.args[0]!r} is not in the upper alphabet"
-        ) from None
+    require_symbols(w1, upper_index, "upper alphabet")
+    ups = [compiled.left] + [upper_index[x] for x in w1] + [compiled.right]
     n = len(w1)
     delta = compiled.delta
     images = compiled.images
     finals = compiled.finals
-    right_only = (compiled.right,)
 
     start = (compiled.start, 0, 0, compiled.left)
     visited = {start}
@@ -241,8 +281,7 @@ def _search(
         np1 = p1 + d1
         if d2:
             np2 = p2 + 1
-            committed = images.get(ups[np2], ()) if np2 <= n else right_only
-            for s2 in committed:
+            for s2 in images[ups[np2]]:
                 nxt = (t, np1, np2, s2)
                 if nxt not in visited:
                     visited.add(nxt)
@@ -313,55 +352,6 @@ def _forget(memo: dict) -> None:
 
 
 @kept
-def _acceptor_tables(machine: WKAutomaton) -> tuple[dict, dict, tuple, dict]:
-    """The static tables that every ``existential_acceptor`` of ``machine``
-    reads, built from its ``_compile_wk`` tables: ``images`` with the right
-    end marker as its own image, ``column``, ``ups_of`` and ``live``.
-
-    They hold no reference to the machine or to any predicate's memo, and
-    no predicate mutates them.
-    """
-    compiled = _compile_wk(machine)
-    delta = compiled.delta
-    finals = compiled.finals
-    right = compiled.right
-    images = {**compiled.images, right: (right,)}
-    # Column c of a state reads symbol ups_of[c]; the last column is the
-    # right end marker, and the key sits in the slot after it.
-    column = {x: c for c, x in enumerate(compiled.upper_index)}
-    ups_of = (*compiled.upper_index.values(), right)
-
-    # live[x][q][u]: the images of x the lower head may commit in state q
-    # over upper symbol u.  An image that leaves a non-final q stuck is left
-    # out, since that node neither moves nor accepts.  _compile_wk numbers
-    # the end markers and the upper symbols first, so u < nu.  The tables
-    # are built by list repetition: every final row of x's table is one
-    # shared row offering all of x's images, and every other row starts as
-    # the shared empty row.  One pass over delta then gives a non-final row
-    # that a lower read s reaches a row of its own, in the table of each
-    # symbol that s is an image of, and adds s to it.
-    nq, nu = len(machine.states), len(column) + 2
-    empty = [()] * nu
-    live = {}
-    tables_of: dict[int, list] = {}
-    for x, xs in images.items():
-        table = live[x] = [empty] * nq
-        every = [xs] * nu
-        for q in finals:
-            table[q] = every
-        for s in xs:
-            tables_of.setdefault(s, []).append(table)
-    for q, u, s in delta:
-        if q not in finals:
-            for table in tables_of.get(s, ()):
-                row = table[q]
-                if row is empty:
-                    row = table[q] = [()] * nu
-                row[u] += (s,)
-    return images, column, ups_of, live
-
-
-@kept
 def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool]:
     """The acceptance predicate of ``machine`` for sweeping many words,
     built once per machine object.
@@ -416,11 +406,11 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     The predicate, its memo and its sinks are kept on the machine object,
     so every sweep of that object walks one DFA, and they die with it;
     ``existential_acceptor.__wrapped__(machine)`` builds a fresh predicate
-    with an empty memo.  The tables it reads are the ``_compile_wk`` tables
-    and the ``_acceptor_tables`` kept on the machine, never mutated.  Any
-    number of threads may share one predicate: a slot is filled in one
-    store and a frontier interned with one ``setdefault``, and no state is
-    ever taken away, so racing callers at worst run one stage twice.
+    with an empty memo.  It reads the tables of the ``_compile_wk`` record
+    kept on the machine, which no predicate mutates.  Any number of threads
+    may share one predicate: a slot is filled in one store and a frontier
+    interned with one ``setdefault``, and no state is ever taken away, so
+    racing callers at worst run one stage twice.
 
     The first sweep of a machine object pays once for those tables and for
     each stage it runs; a later sweep of the same words runs none unless
@@ -431,7 +421,10 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     compiled = _compile_wk(machine)
     delta = compiled.delta
     finals = compiled.finals
-    images, column, ups_of, live = _acceptor_tables(machine)
+    images = compiled.images
+    column = compiled.column
+    ups_of = compiled.ups_of
+    live = compiled.live
     close = len(column)
 
     def stage(ups: tuple[int, ...], heads, commits):

@@ -40,6 +40,7 @@ from .machines import (
     WKAutomaton,
     grammar,
     is_valid_token,
+    kept,
     read_columns,
     require_symbols,
     require_valid,
@@ -244,8 +245,13 @@ def _read_sort_key(reads: Sequence[str]):
     return tuple(category(sym) for sym in reads)
 
 
+@kept
 def serialize_machine(machine: Machine) -> str:
-    """Canonical text for a validated machine; round-trips exactly."""
+    """Canonical text for a validated machine; round-trips exactly.
+
+    The text is built once per machine object and kept on it; a machine
+    that fails ``validate`` raises on every call and keeps nothing.
+    """
     require_valid(machine, "machine to serialize")
 
     kind, alphabet, entries, _ = grammar(machine)

@@ -16,7 +16,6 @@ import this module, so a cold ``wka`` call does not compile it.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 
 from .construct import dfa_to_rwka
 from .engine import existential_acceptor, run_mfa
@@ -75,24 +74,15 @@ class BlockCounts(Record):
     block1_rejected: int
 
 
-def detectable(word: Sequence[str]) -> bool:
-    """Whether ``word`` has a witness pair (i, j) with i >= 2.
-
-    Such a pair lies in blocks 2 to n, which are the blocks after the
-    first '%'; and a well-formed word's later blocks form a well-formed
-    word.  So the word is detectable exactly when it and its part after
-    the first '%' are both members.  A member has two blocks, so it has
-    a '%'.
-    """
-    return theorem2_member(word) and theorem2_member(word[word.index("%") + 1 :])
-
-
 def block_language(machine: WKAutomaton, max_len: int, max_blocks: int) -> BlockCounts:
     """``machine`` against ``theorem2_member`` on every block word of
     ``enumerate_block_strings(max_len, max_blocks)``.
 
-    A member is classed as ``detectable`` would class it, but from its part
-    after the first '%' alone: its own membership is already known.
+    A member is detectable when it has a witness pair (i, j) with i >= 2.
+    Such a pair lies in blocks 2 to n, which are the blocks after the first
+    '%'; and a well-formed word's later blocks form a well-formed word.  So
+    a member is detectable exactly when its part after the first '%' is a
+    member.  A member has two blocks, so it has a '%'.
     """
     accept = existential_acceptor(machine)
     words = unsound = detected = missed = block1_only = block1_rejected = 0

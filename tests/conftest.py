@@ -37,9 +37,9 @@ CORPUS_FILES = (
 
 
 def clear_caches() -> None:
-    """Empty the CLI's parse memo, as in a fresh process.  The engines keep
-    their tables, and the CLI its sweep acceptors, on each machine object,
-    so a fresh machine starts with none."""
+    """Empty the CLI's parse memo, as in a fresh process.  Every build is
+    kept on the machine object it is made from, so a fresh machine starts
+    with none."""
     from wkautomata import cli
 
     cli._parse.cache_clear()

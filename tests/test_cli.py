@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkautomata import MultiHeadAutomaton, cli, engine, validate
+from wkautomata import MultiHeadAutomaton, cli, construct, engine, fileformat, validate
 from wkautomata.construct import dfa_to_rwka
 from wkautomata.fileformat import parse_machine, serialize_machine
 from wkautomata.oracle import enumerate_words
@@ -201,8 +201,8 @@ class TestTranslate:
         rwka, dfa = cli._load(corpus("example1-rwka.wk")), cli._load(corpus("example1-dfa.dfa"))
         assert sum(m is rwka for m in validations) == 1
         assert sum(m is dfa for m in validations) == 1
-        # The first from-dfa call also serializes the machine it builds,
-        # once; the later calls write the text kept on the parsed DFA.
+        # The first from-dfa call also validates the machine it builds, to
+        # serialize it once; the later calls write the text kept on it.
         assert len(validations) == 2 + 1
 
     @pytest.mark.parametrize(
@@ -211,31 +211,21 @@ class TestTranslate:
          ("to-mfa", "identity-rho.wk", "swk_to_mfa2"),
          ("from-mfa", "twohead-anbn1.mfa", "mfa2_to_swk")],
     )
-    def test_each_parsed_machine_is_translated_once(
-        self, tmp_path, monkeypatch, command, source, construction
-    ):
-        from wkautomata import construct, fileformat
-
+    def test_each_parsed_machine_is_translated_once(self, tmp_path, command, source, construction):
         clear_caches()
-        calls = []
-
-        def count(module, name):
-            real = getattr(module, name)
-
-            def counting(machine):
-                calls.append(name)
-                return real(machine)
-
-            monkeypatch.setattr(module, name, counting)
-
-        count(construct, construction)
-        count(fileformat, "serialize_machine")
+        build = getattr(construct, construction)
+        if build is construct.mfa2_to_swk:  # it checks, then returns the kept twin
+            build = construct.identity_twin
         outputs = [tmp_path / f"out{i}" for i in range(3)]
-        for out_path in outputs:
-            assert run_cli(command, corpus(source), "-o", str(out_path)) == (
-                0, f"wrote {out_path}\n", ""
-            )
-        assert calls == [construction, "serialize_machine"]
+        with kept_builds(build, fileformat.serialize_machine) as (built, serialized):
+            for out_path in outputs:
+                assert run_cli(command, corpus(source), "-o", str(out_path)) == (
+                    0, f"wrote {out_path}\n", ""
+                )
+        parsed = cli._load(corpus(source))
+        assert [id(m) for m in built] == [id(parsed)]
+        assert [id(m) for m in serialized] == [id(build(parsed))]
+        assert getattr(construct, construction)(parsed) is build(parsed)
         assert len({out_path.read_bytes() for out_path in outputs}) == 1
 
     @pytest.mark.parametrize(
@@ -546,8 +536,6 @@ class TestParseMemo:
     @pytest.fixture(autouse=True)
     def parses(self, monkeypatch) -> list:
         """Every text passed to ``parse_machine``, from empty caches."""
-        from wkautomata import fileformat
-
         clear_caches()
         texts = []
         real = fileformat.parse_machine
@@ -637,8 +625,8 @@ class TestParseMemo:
 
 class TestSweepAcceptor:
     """``compare`` and ``enumerate`` sweep with the acceptor kept on each WK
-    machine and 2-head MFA; other MFAs and DFAs decide each word on its
-    own."""
+    machine and on each 2-head MFA's kept twin; other MFAs and DFAs decide
+    each word on its own."""
 
     MFA = (CORPUS_DIR / "twohead-anbn1.mfa").read_text()
     WK = (CORPUS_DIR / "theorem2.wk").read_text()
@@ -672,17 +660,17 @@ class TestSweepAcceptor:
         for argv in self.SWEEPS[:2]:
             assert run_cli(*argv)[0] == 0
         machines = [cli._parse(self.MFA), cli._parse(self.WK)]
-        refs = [weakref.ref(m) for m in machines]
-        refs += [weakref.ref(cli._sweep_acceptor(machines[0]))]
-        refs += [weakref.ref(engine.existential_acceptor(machines[1]))]
-        del machines
+        twin = construct.identity_twin(machines[0])
+        refs = [weakref.ref(m) for m in machines + [twin]]
+        refs += [weakref.ref(engine.existential_acceptor(m)) for m in (twin, machines[1])]
+        del machines, twin
         path = tmp_path / "example1-dfa.dfa"
         text = (CORPUS_DIR / "example1-dfa.dfa").read_text()
         for i in range(8):
             path.write_text(f"# text {i}\n{text}")
             assert run_cli("check", str(path))[0] == 0
         gc.collect()
-        assert [ref() for ref in refs] == [None] * 4
+        assert [ref() for ref in refs] == [None] * 5
 
     @pytest.mark.parametrize(
         "machine",
@@ -851,10 +839,11 @@ class TestKeptCompareReport:
 @settings(max_examples=150, deadline=None)
 def test_a_two_head_sweep_decides_what_the_run_loop_decides(machine, order):
     accept, alphabet = cli._acceptor(machine)
+    twin = engine.existential_acceptor(construct.identity_twin(machine))
     words = list(enumerate_words(alphabet, 6))
     order.shuffle(words)
     assert [accept(w) for w in words] == [engine.run_mfa(machine, w).accepted for w in words]
-    assert cli._acceptor(machine)[0] is accept
+    assert engine.existential_acceptor(construct.identity_twin(machine)) is twin
 
 
 _STATES = ("q0", "q1", "qf")

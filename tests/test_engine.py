@@ -712,9 +712,9 @@ class TestOneBuildPerMachine:
 
 
 class TestAcceptorTables:
-    """The acceptor's static tables and the acceptor itself are built once
-    per machine object.  A fresh predicate from ``__wrapped__`` shares the
-    tables and keeps a memo of its own."""
+    """The compiled tables and the acceptor are each built once per machine
+    object.  A fresh predicate from ``__wrapped__`` shares the tables and
+    keeps a memo of its own."""
 
     @pytest.mark.parametrize("name", [n for n in CORPUS_FILES if n.endswith(".wk")])
     def test_predicates_share_tables_but_not_memos(self, name):
@@ -728,11 +728,11 @@ class TestAcceptorTables:
                 accept = existential_acceptor.__wrapped__(machine)
                 verdicts.append([accept(word) for word in words])
             stages.append(runs[0])
-            tables.append(vars(machine)["_acceptor_tables"])
+            tables.append(vars(machine)["_compile_wk"])
         assert verdicts[0] == verdicts[1]
         assert stages[0] == stages[1] > 0
         assert tables[0] is tables[1]
-        assert tables[0] == engine._acceptor_tables.__wrapped__(machine)
+        assert tables[0] == engine._compile_wk.__wrapped__(machine)
         # The kept predicate walks one DFA for every sweep of the machine.
         accept = existential_acceptor(machine)
         assert accept is existential_acceptor(machine)
@@ -814,7 +814,7 @@ class TestAcceptorTables:
             dfa_to_rwka,
             machines.validate,
             engine._compile_wk,
-            engine._acceptor_tables,
+            engine.existential_acceptor,
         )
         dfa = random_dfa(random.Random(3), max_states=8)
         with kept_builds(*builds) as runs:
@@ -843,28 +843,45 @@ class TestAcceptorTables:
 def reference_tables(machine):
     """``_compile_wk``'s tables by a plain numbering, one token at a time:
     symbols in first-seen order over the end markers, the upper alphabet
-    and the lower alphabet, and states in declaration order.  Dicts are
-    returned as item lists, so their order is compared too."""
+    and the lower alphabet, and states in declaration order.  The right
+    end marker is its own image, and each live row is read off ``delta``
+    one cell at a time.  Dicts are returned as item lists, so their order
+    is compared too."""
     sym, state = {}, {}
-    for token in ("#", "$", *machine.upper_alphabet, *machine.lower_alphabet):
+    upper = machine.upper_alphabet
+    for token in ("#", "$", *upper, *machine.lower_alphabet):
         if token not in sym:
             sym[token] = len(sym)
     for q in machine.states:
         state[q] = len(state)
+    finals = frozenset(state[q] for q in machine.finals)
+    delta = [
+        ((state[q], sym[u], sym[l]), (state[t], d1, d2))
+        for (q, u, l), (t, d1, d2) in machine.delta.items()
+    ]
+    images = [(sym[x], tuple(sym[y] for y in machine.rho.image(x))) for x in upper]
+    images.append((sym["$"], (sym["$"],)))
+
+    def live_row(q, u, xs):
+        if q in finals:
+            return xs
+        return tuple(s for (p, v, s), _ in delta if (p, v) == (q, u) and s in xs)
+
     return {
         "start": state[machine.start],
-        "finals": frozenset(state[q] for q in machine.finals),
+        "finals": finals,
         "left": sym["#"],
         "right": sym["$"],
-        "upper_index": [(x, sym[x]) for x in machine.upper_alphabet],
-        "images": [
-            (sym[x], tuple(sym[y] for y in machine.rho.image(x))) for x in machine.upper_alphabet
-        ],
-        "delta": [
-            ((state[q], sym[u], sym[l]), (state[t], d1, d2))
-            for (q, u, l), (t, d1, d2) in machine.delta.items()
-        ],
+        "upper_index": [(x, sym[x]) for x in upper],
+        "images": images,
+        "delta": delta,
         "token_of": tuple(sym),
+        "column": [(x, c) for c, x in enumerate(upper)],
+        "ups_of": tuple(sym[x] for x in (*upper, "$")),
+        "live": [
+            (x, [[live_row(q, u, xs) for u in range(len(upper) + 2)] for q in range(len(state))])
+            for x, xs in images
+        ],
     }
 
 

@@ -1,5 +1,6 @@
 """Types, structural validation, and the C1/C2 reversibility checkers."""
 
+import ast
 import copy
 import itertools
 import os
@@ -22,21 +23,23 @@ from wkautomata import (
     dfa_to_rwka,
     mfa2_to_swk,
     swk_to_mfa2,
+    theorem2_machine,
     validate,
 )
-from wkautomata import machines
+from wkautomata import cli, construct, engine, fileformat, machines, oracle
 from wkautomata.engine import Configuration, RunOutcome, SearchResult, Verdict, _CompiledWK
 from wkautomata.fileformat import parse_machine, serialize_machine
 from wkautomata.machines import (
     CheckReport,
     ClassicalDFA,
     InvalidMachineError,
+    MachineError,
     Violation,
     is_valid_token,
 )
 from wkautomata.oracle import DiffReport, LengthStats
-from wkautomata.samples import random_dfa
-from conftest import CORPUS_DIR, CORPUS_FILES, VALIDATION_RULES
+from wkautomata.samples import example1_dfa, identity_rho_wk, random_dfa, twohead_anbn1_mfa
+from conftest import CORPUS_DIR, CORPUS_FILES, VALIDATION_RULES, kept_builds
 
 
 def wk(delta, states, finals, alphabet=("a", "b"), rho=None, start=None):
@@ -83,9 +86,12 @@ def _records():
         left=0,
         right=1,
         upper_index={"a": 2},
-        images={2: (3,)},
+        images={2: (3,), 1: (1,)},
         delta={(0, 2, 3): (1, 1, 1)},
         token_of=("#", "$", "a", "x"),
+        column={"a": 0},
+        ups_of=(2, 1),
+        live={2: [[(), (), (3,)], [(3,)] * 3], 1: [[()] * 3, [(1,)] * 3]},
     )
     cases = [
         (
@@ -141,10 +147,12 @@ def _records():
         ),
         (
             compiled,
-            ("start", "finals", "left", "right", "upper_index", "images", "delta", "token_of"),
+            ("start", "finals", "left", "right", "upper_index", "images", "delta", "token_of",
+             "column", "ups_of", "live"),
             "_CompiledWK(start=0, finals=frozenset({1}), left=0, right=1,"
-            " upper_index={'a': 2}, images={2: (3,)}, delta={(0, 2, 3): (1, 1, 1)},"
-            " token_of=('#', '$', 'a', 'x'))",
+            " upper_index={'a': 2}, images={2: (3,), 1: (1,)}, delta={(0, 2, 3): (1, 1, 1)},"
+            " token_of=('#', '$', 'a', 'x'), column={'a': 0}, ups_of=(2, 1),"
+            " live={2: [[(), (), (3,)], [(3,), (3,), (3,)]], 1: [[(), (), ()], [(1,), (1,), (1,)]]})",
         ),
         (
             LengthStats(1, 1, 0, 0),
@@ -258,6 +266,73 @@ class TestFrozenValues:
             assert twin == machine, name
             assert hash(twin) == hash(machine), name
             assert {machine: name}[twin] == name
+
+
+def _ghost_start(machine):
+    """A copy of ``machine`` whose start state is undeclared."""
+    fields = {name: getattr(machine, name) for name in type(machine)._fields}
+    return type(machine)(**{**fields, "start": "ghost"})
+
+
+# Every ``machines.kept`` build of the package, with a function that makes a
+# fresh sample argument, and one that makes an argument the build refuses,
+# or None where it refuses none.
+KEPT_BUILDS = {
+    "validate": (machines.validate, theorem2_machine, None),
+    "_reversibility_report": (machines._reversibility_report, theorem2_machine, None),
+    "_run_loop": (engine._run_loop, theorem2_machine, lambda: _ghost_start(theorem2_machine())),
+    "_compile_wk": (engine._compile_wk, theorem2_machine, lambda: _ghost_start(theorem2_machine())),
+    "existential_acceptor": (
+        engine.existential_acceptor, theorem2_machine, lambda: _ghost_start(theorem2_machine())
+    ),
+    "_dfa_rows": (oracle._dfa_rows, example1_dfa, theorem2_machine),
+    "dfa_to_rwka": (construct.dfa_to_rwka, example1_dfa, lambda: _ghost_start(example1_dfa())),
+    "identity_twin": (construct.identity_twin, twohead_anbn1_mfa, None),
+    "swk_to_mfa2": (construct.swk_to_mfa2, identity_rho_wk, theorem2_machine),
+    "serialize_machine": (
+        fileformat.serialize_machine, theorem2_machine, lambda: _ghost_start(theorem2_machine())
+    ),
+    "_compare_reports": (cli._compare_reports, theorem2_machine, None),
+}
+
+
+class TestKept:
+    @pytest.mark.parametrize("name", KEPT_BUILDS)
+    def test_each_object_builds_once(self, name):
+        build, sample, _ = KEPT_BUILDS[name]
+        first, other = sample(), sample()
+        assert first == other and first is not other
+        with kept_builds(build) as (runs,):
+            value = build(first)
+            assert build(first) is value
+            assert build(other) is not value
+            assert build(other) is build(other)
+        assert [id(arg) for arg in runs] == [id(first), id(other)]
+        assert vars(first)[name] is value
+
+    @pytest.mark.parametrize("name", [n for n, row in KEPT_BUILDS.items() if row[2]])
+    def test_a_refusal_is_never_kept(self, name):
+        build, _, refused = KEPT_BUILDS[name]
+        arg = refused()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(MachineError) as info:
+                build(arg)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert name not in vars(arg)
+
+    def test_every_kept_build_has_a_row(self):
+        # A build's value is kept under its name, so two builds of one name
+        # would share a slot: the names are listed, not collected in a set.
+        names = []
+        for path in (CORPUS_DIR.parent / "src" / "wkautomata").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "kept" for d in node.decorator_list
+                ):
+                    names.append(node.name)
+        assert sorted(names) == sorted(KEPT_BUILDS)
 
 
 class TestTokens:

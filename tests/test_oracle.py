@@ -19,6 +19,7 @@ from wkautomata import (
     differential_compare,
     enumerate_block_strings,
     enumerate_words,
+    theorem2_machine,
     theorem2_member,
 )
 from wkautomata import oracle
@@ -31,7 +32,7 @@ from wkautomata.oracle import (
     _dfa_rows,
 )
 from wkautomata.samples import random_dfa
-from wkautomata.sweeps import compiled_dfa, detectable, seeded_dfas
+from wkautomata.sweeps import block_language, compiled_dfa, seeded_dfas
 from conftest import kept_builds
 
 
@@ -253,7 +254,22 @@ class TestTheorem2Member:
             witnesses = theorem2_witnesses(word)
             assert theorem2_member(word) == bool(witnesses), word
             assert theorem2_member("".join(word)) == bool(witnesses), word
-            assert detectable(word) == any(i >= 2 for i, _ in witnesses), word
+            # block_language's rule: a member has a witness pair (i, j) with
+            # i >= 2 exactly when its part after the first '%' is a member.
+            if witnesses:
+                rest = word[word.index("%") + 1 :]
+                assert theorem2_member(rest) == any(i >= 2 for i, _ in witnesses), word
+
+    def test_block_language_classes_members_by_their_witness_pairs(self):
+        words = list(enumerate_block_strings(9, 4))
+        assert len(words) == 14_756
+        pairs = [theorem2_witnesses(word) for word in words]
+        detectable = sum(any(i >= 2 for i, _ in p) for p in pairs)
+        block1_only = sum(bool(p) and all(i == 1 for i, _ in p) for p in pairs)
+        counts = block_language(theorem2_machine(), 9, 4)
+        assert (counts.words, counts.detectable, counts.block1_only) == (
+            len(words), detectable, block1_only
+        ) == (14_756, 740, 1_826)
 
     def test_foreign_and_multi_character_symbols_are_not_split(self):
         # Joined as text, these would read as well-formed words, the third
@@ -503,7 +519,7 @@ def depth_first_block_strings(max_total_len, max_blocks):
 
 def theorem2_blocks(word):
     """Parse ``w1*x1%...%wn*xn`` into (w, x) pairs, or None if malformed: a
-    reference for ``theorem2_member`` and ``sweeps.detectable``, which
+    reference for ``theorem2_member`` and ``sweeps.block_language``, which
     decide membership without building the pairs.
 
     Well-formed means: '%'-separated blocks, exactly one '*' per block, and
