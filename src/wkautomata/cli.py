@@ -162,13 +162,25 @@ def _run_existential(machine: WKAutomaton, word, trace: bool) -> int:
 
 
 def _translate(args, expect: type, construction) -> int:
+    """Write ``construction(machine)``'s text over the ``-o`` file.
+
+    The file is written in place and then cut to the text's length: the
+    opener drops ``O_TRUNC``, since emptying a file that holds data costs
+    more than the write.  As before, the write is neither atomic nor
+    fsynced.  A pipe or terminal is not seekable and is not cut.
+    """
     machine = _load(args.file)
     if not isinstance(machine, expect):
         raise MachineError(f"{args.command} expects a {expect.__name__} machine file")
     text = fileformat.serialize_machine(construction(machine))
     try:
-        with open(args.output, "w", encoding="utf-8") as file:
+        with open(
+            args.output, "w", encoding="utf-8",
+            opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666),
+        ) as file:
             file.write(text)
+            if file.seekable():
+                file.truncate()
     except OSError as exc:
         raise MachineError(f"cannot write {args.output}: {exc}") from exc
     print(f"wrote {args.output}")

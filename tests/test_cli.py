@@ -243,6 +243,11 @@ class TestTranslate:
         for _ in range(3):
             assert run_cli(command, str(source), "-o", str(out_path)) == (2, "", error)
         assert not out_path.exists()
+        # An existing output file is left as it was, byte for byte.
+        out_path.write_bytes(b"kept\n")
+        for _ in range(3):
+            assert run_cli(command, str(source), "-o", str(out_path)) == (2, "", error)
+        assert out_path.read_bytes() == b"kept\n"
 
     @pytest.mark.parametrize(
         "command, source",
@@ -250,16 +255,39 @@ class TestTranslate:
          ("from-mfa", "twohead-anbn1.mfa")],
     )
     def test_every_call_writes_its_output_file(self, tmp_path, command, source):
-        # A kept translation is still written on every call: junk of the
-        # same or a greater length is replaced by the exact bytes.
+        # A kept translation is still written on every call: junk of any
+        # length, none included, is replaced by the exact bytes.
         out_path = tmp_path / "out"
         argv = (command, corpus(source), "-o", str(out_path))
         assert run_cli(*argv)[0] == 0
         written = out_path.read_bytes()
-        for junk in (b"x" * len(written), b"x" * (len(written) + 10)):
+        for junk in (b"x" * len(written), b"x" * (len(written) + 10),
+                     b"x" * (len(written) // 2), b""):
             out_path.write_bytes(junk)
             assert run_cli(*argv) == (0, f"wrote {out_path}\n", "")
             assert out_path.read_bytes() == written
+
+    def test_a_new_output_file_gets_the_usual_mode(self, tmp_path):
+        out_path, usual = tmp_path / "out.wk", tmp_path / "usual"
+        usual.write_text("")
+        assert run_cli("from-dfa", corpus("example1-dfa.dfa"), "-o", str(out_path))[0] == 0
+        assert out_path.stat().st_mode == usual.stat().st_mode
+
+    def test_a_linked_output_is_rewritten_through_its_links(self, tmp_path):
+        golden = (CORPUS_DIR / "example1-rwka.wk").read_bytes()
+        target = tmp_path / "target"
+        target.write_bytes(b"")
+        inode = target.stat().st_ino
+        symlink, hardlink = tmp_path / "symlink", tmp_path / "hardlink"
+        symlink.symlink_to(target)
+        hardlink.hardlink_to(target)
+        for link, junk in ((symlink, b"x" * 3), (hardlink, b"x" * (len(golden) + 10))):
+            target.write_bytes(junk)
+            assert run_cli("from-dfa", corpus("example1-dfa.dfa"), "-o", str(link)) == (
+                0, f"wrote {link}\n", ""
+            )
+            assert symlink.is_symlink() and target.stat().st_ino == inode
+            assert [p.read_bytes() for p in (target, symlink, hardlink)] == [golden] * 3
 
     def test_an_edited_source_is_translated_anew(self, tmp_path):
         source, out_path = tmp_path / "source.dfa", tmp_path / "out.wk"
@@ -407,11 +435,28 @@ class TestUsage:
     )
     def test_unwritable_output_is_a_usage_error(self, tmp_path, command, source):
         target = tmp_path / "missing" / "out"
-        code, out, err = run_cli(command, corpus(source), "-o", str(target))
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: cannot write {target}: ")
-        assert err.count("\n") == 1
+        assert run_cli(command, corpus(source), "-o", str(target)) == (
+            2, "",
+            f"error: cannot write {target}: [Errno 2] No such file or directory: '{target}'\n",
+        )
         assert not target.parent.exists()
+        assert run_cli(command, corpus(source), "-o", str(tmp_path)) == (
+            2, "", f"error: cannot write {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+        )
+
+    def test_a_pipe_output_gets_the_text_uncut(self):
+        # A pipe cannot be cut to length; the text and the note share it.
+        src = str(CORPUS_DIR.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wkautomata", "from-dfa", corpus("example1-dfa.dfa"),
+             "-o", "/dev/stdout"],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (CORPUS_DIR / "example1-rwka.wk").read_bytes() + b"wrote /dev/stdout\n"
 
 
 class TestOneParserPerProcess:
