@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 
 from . import construct, engine, fileformat, oracle
@@ -164,10 +165,13 @@ def _run_existential(machine: WKAutomaton, word, trace: bool) -> int:
 def _translate(args, expect: type, construction) -> int:
     """Write ``construction(machine)``'s text over the ``-o`` file.
 
-    The file is written in place and then cut to the text's length: the
-    opener drops ``O_TRUNC``, since emptying a file that holds data costs
-    more than the write.  As before, the write is neither atomic nor
-    fsynced.  A pipe or terminal is not seekable and is not cut.
+    A regular file is written in place and then cut where the writing
+    stopped: the opener drops ``O_TRUNC``, since emptying a file that holds
+    data costs more than the write.  So a write that fails partway leaves
+    the new text's first bytes and none of the old file's.  The write is
+    neither atomic nor fsynced: after a crash the file may hold any mix of
+    old and new bytes.  Any other file (a pipe, a terminal, ``/dev/null``)
+    is written and not cut.
     """
     machine = _load(args.file)
     if not isinstance(machine, expect):
@@ -178,9 +182,13 @@ def _translate(args, expect: type, construction) -> int:
             args.output, "w", encoding="utf-8",
             opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666),
         ) as file:
-            file.write(text)
-            if file.seekable():
-                file.truncate()
+            try:
+                file.write(text)
+                file.flush()
+            finally:
+                fd = file.fileno()
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except OSError as exc:
         raise MachineError(f"cannot write {args.output}: {exc}") from exc
     print(f"wrote {args.output}")

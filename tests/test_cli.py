@@ -2,6 +2,7 @@
 
 import gc
 import os
+import resource
 import subprocess
 import sys
 import weakref
@@ -19,6 +20,16 @@ from conftest import CORPUS_DIR, clear_caches, kept_builds, mfa_machines, run_cl
 
 def corpus(name: str) -> str:
     return str(CORPUS_DIR / name)
+
+
+def _wka_process(*argv, launch=subprocess.run, **kwargs):
+    """``python -m wkautomata *argv`` in a fresh process, started by
+    ``launch`` with ``kwargs``, that imports this checkout's package."""
+    src = str(CORPUS_DIR.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return launch(
+        [sys.executable, "-m", "wkautomata", *argv], env=dict(os.environ, PYTHONPATH=path), **kwargs
+    )
 
 
 def _left_note(count: int) -> str:
@@ -417,11 +428,9 @@ class TestUsage:
     def test_a_reader_closing_stdout_early_ends_the_command_quietly(self):
         # The --max-len 9 listing is about 216 KB, more than a pipe holds,
         # so the command is still writing when the pipe closes.
-        src = str(CORPUS_DIR.parent / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        argv = [sys.executable, "-m", "wkautomata", "enumerate", corpus("theorem2.wk"), "--max-len", "9"]
-        with subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path)
+        with _wka_process(
+            "enumerate", corpus("theorem2.wk"), "--max-len", "9",
+            launch=subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         ) as proc:
             first = proc.stdout.readline()
             proc.stdout.close()
@@ -444,19 +453,30 @@ class TestUsage:
             2, "", f"error: cannot write {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
         )
 
-    def test_a_pipe_output_gets_the_text_uncut(self):
-        # A pipe cannot be cut to length; the text and the note share it.
-        src = str(CORPUS_DIR.parent / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "wkautomata", "from-dfa", corpus("example1-dfa.dfa"),
-             "-o", "/dev/stdout"],
-            capture_output=True,
-            env=dict(os.environ, PYTHONPATH=path),
-            timeout=60,
-        )
+    def test_an_output_that_is_not_a_regular_file_is_not_cut(self):
+        # A device is written and not cut: /dev/null takes the text, and a
+        # pipe gets the text and then the note.
+        argv = ("from-dfa", corpus("example1-dfa.dfa"), "-o")
+        assert run_cli(*argv, os.devnull) == (0, f"wrote {os.devnull}\n", "")
+        proc = _wka_process(*argv, "/dev/stdout", capture_output=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert proc.stdout == (CORPUS_DIR / "example1-rwka.wk").read_bytes() + b"wrote /dev/stdout\n"
+
+    def test_a_failed_write_leaves_none_of_the_old_file(self, tmp_path):
+        # Under a 100-byte file size limit the write stops with EFBIG after
+        # 100 bytes; the file is cut there, not left with the old tail.
+        out_path = tmp_path / "out.wk"
+        out_path.write_bytes(b"x" * 5000)
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        proc = _wka_process(
+            "from-dfa", corpus("example1-dfa.dfa"), "-o", str(out_path),
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (100, hard)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: cannot write {out_path}: [Errno 27] File too large\n"
+        )
+        assert out_path.read_bytes() == (CORPUS_DIR / "example1-rwka.wk").read_bytes()[:100]
 
 
 class TestOneParserPerProcess:
@@ -488,14 +508,8 @@ class TestOneParserPerProcess:
         assert first[6][0] == 0 and first[6][1].startswith("usage: wka")
 
     def test_fresh_process_matches_in_process(self):
-        src = str(CORPUS_DIR.parent / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "wkautomata", "check", corpus("theorem2.wk")],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-            timeout=60,
+        proc = _wka_process(
+            "check", corpus("theorem2.wk"), capture_output=True, text=True, timeout=60
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == run_cli("check", corpus("theorem2.wk"))[1]
