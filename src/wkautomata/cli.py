@@ -162,8 +162,17 @@ def _run_existential(machine: WKAutomaton, word, trace: bool) -> int:
     return 0
 
 
-def _translate(args, expect: type, construction) -> int:
-    """Write ``construction(machine)``'s text over the ``-o`` file.
+def _is_stdout(path: str) -> bool:
+    """Whether ``path`` names the file that ``sys.stdout`` writes to; never
+    for an in-memory stdout."""
+    try:
+        return os.path.samestat(os.fstat(sys.stdout.fileno()), os.stat(path))
+    except (OSError, ValueError):
+        return False
+
+
+def _write_over(path: str, text: str) -> None:
+    """Write ``text`` over the file at ``path``.
 
     A regular file is written in place and then cut where the writing
     stopped: the opener drops ``O_TRUNC``, since emptying a file that holds
@@ -173,13 +182,9 @@ def _translate(args, expect: type, construction) -> int:
     old and new bytes.  Any other file (a pipe, a terminal, ``/dev/null``)
     is written and not cut.
     """
-    machine = _load(args.file)
-    if not isinstance(machine, expect):
-        raise MachineError(f"{args.command} expects a {expect.__name__} machine file")
-    text = fileformat.serialize_machine(construction(machine))
     try:
         with open(
-            args.output, "w", encoding="utf-8",
+            path, "w", encoding="utf-8",
             opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666),
         ) as file:
             try:
@@ -190,7 +195,26 @@ def _translate(args, expect: type, construction) -> int:
                 if stat.S_ISREG(os.fstat(fd).st_mode):
                     os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except OSError as exc:
-        raise MachineError(f"cannot write {args.output}: {exc}") from exc
+        raise MachineError(f"cannot write {path}: {exc}") from exc
+
+
+def _translate(args, expect: type, construction) -> int:
+    """Write ``construction(machine)``'s text to the ``-o`` file, then a note.
+
+    A path that names stdout's own file, such as ``/dev/stdout``, is
+    written through ``sys.stdout``'s buffer, as UTF-8 like any output file,
+    so the note follows the text on a redirected stdout as it does on a
+    pipe; any other is ``_write_over``.
+    """
+    machine = _load(args.file)
+    if not isinstance(machine, expect):
+        raise MachineError(f"{args.command} expects a {expect.__name__} machine file")
+    text = fileformat.serialize_machine(construction(machine))
+    if _is_stdout(args.output):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:
+        _write_over(args.output, text)
     print(f"wrote {args.output}")
     return 0
 

@@ -24,23 +24,26 @@ checked, named C1 and C2 throughout, once per machine object:
 
 Machines are values.  Each is a ``Record``: a frozen, hashable record with
 named fields, built without ``dataclasses`` so that importing the package
-stays cheap; a changed copy is built with the constructor.  Every table (a
-``delta`` and the relation's ``images``) is a read-only ``FrozenDict``, so a
-machine cannot change after construction, equal machines hash equal, and a
-machine can key a cache.  Every function here is pure, so machines can be
-shared freely across threads.  That includes what other modules keep on a
-machine, where the engine's existential acceptor fills a memo as it runs:
-its sharing is safe only as far as ``tests/test_engine.py``'s
-``test_four_threads_share_one_predicate``, four threads sweeping one
-machine's acceptor, shows it.
+stays cheap.  A record binds its arguments exactly as a function whose
+parameters are its fields does, so a field without a default may not
+follow one with a default; a changed copy is built with the constructor.
+Every table (a ``delta`` and the relation's ``images``) is a read-only
+``FrozenDict``, so a machine cannot change after construction, equal
+machines hash equal, and a machine can key a cache.  Every function here
+is pure, so machines can be shared freely across threads.  That includes
+what other modules keep on a machine, where the engine's existential
+acceptor fills a memo as it runs: its sharing is safe only as far as
+``tests/test_engine.py``'s ``test_four_threads_share_one_predicate``, four
+threads sweeping one machine's acceptor, shows it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import keyword
 from collections.abc import Callable, Container, Iterable
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 LEFT_END = "#"
 RIGHT_END = "$"
@@ -98,13 +101,29 @@ class FrozenDict(dict):
         return type(self), (dict(self),)
 
 
-_set_field = object.__setattr__
-
-
-def _tuple_getter(getter, names: tuple[str, ...]):
-    """``getter(*names)``, returning a 1-tuple for a single name too."""
-    get = getter(*names)
-    return get if len(names) > 1 else lambda source: (get(source),)
+def _init_function(cls, fields: tuple[str, ...], defaults: dict):
+    """``cls.__init__``: a function whose parameters are ``fields``, with
+    ``defaults``.  Its source is generated and compiled once per class, so
+    Python binds each call's arguments and raises its own ``TypeError``
+    for a bad one; the field names are checked before they reach it."""
+    follows = None
+    for name in fields:
+        if not name.isidentifier() or keyword.iskeyword(name):
+            raise TypeError(f"{cls.__name__} field {name!r} is not an identifier")
+        if name in defaults:
+            follows = follows or name
+        elif follows:
+            raise TypeError(f"{cls.__name__} field {name!r} without a default follows {follows!r}")
+    params = "".join(f", {f}=__defaults[{f!r}]" if f in defaults else f", {f}" for f in fields)
+    body = "".join(f"\n    __set(__self, {f!r}, {f})" for f in fields)
+    post_init = getattr(cls, "__post_init__", None)
+    if post_init is not None:
+        body += "\n    __post_init(__self)"
+    namespace = {"__set": object.__setattr__, "__post_init": post_init, "__defaults": defaults}
+    exec(f"def __init__(__self{params}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
+    return init
 
 
 class Record:
@@ -112,16 +131,18 @@ class Record:
 
     A subclass declares its fields as annotations, in order, each with an
     optional default as the class attribute; an inherited record's fields
-    come first.  Construction takes the fields positionally or by keyword,
-    then calls ``__post_init__`` if the class has one, which may normalise
-    a field with ``object.__setattr__``.  A record equals only a record of
-    the same class with equal fields, hashes as the tuple of its fields,
-    reprs as ``Name(field=value, ...)``, refuses assignment and deletion,
-    and pickles and copies through its constructor.
+    come first, and a field without a default may not follow one with a
+    default.  A record binds its arguments exactly as a function whose
+    parameters are its fields does, then calls ``__post_init__`` if the
+    class has one, which may normalise a field with ``object.__setattr__``.
+    A record equals only a record of the same class with equal fields,
+    hashes as the tuple of its fields, reprs as ``Name(field=value, ...)``,
+    refuses assignment and deletion, and pickles and copies through its
+    constructor.
 
-    Each subclass gets its own ``__init__``, ``__eq__`` and ``__hash__``,
-    closed over its field names and attribute getters: a generic method
-    would look those up on the class at every call.  Anything else in an
+    Each subclass gets its own ``__init__`` (``_init_function``), and its
+    own ``__eq__`` and ``__hash__``, closed over its attribute getter: a
+    generic method would look the fields up on the class at every call.  Anything else in an
     instance's ``__dict__``, such as the tables the engines keep on a
     machine, takes no part in equality, hashing, repr or copies.
     """
@@ -132,43 +153,8 @@ class Record:
         fields = getattr(cls, "_fields", ()) + own
         defaults = dict(getattr(cls, "_defaults", {}))
         defaults.update((name, cls.__dict__[name]) for name in own if name in cls.__dict__)
-        values = _tuple_getter(attrgetter, fields)
-        by_name = _tuple_getter(itemgetter, fields)
-        post_init = getattr(cls, "__post_init__", None)
-        n = len(fields)
-
-        def bind(args: tuple, kwargs: dict):
-            """The field values of a call that does not pass every field
-            positionally, or the ``TypeError`` a function would raise."""
-            if not args and len(kwargs) == n:
-                try:
-                    return by_name(kwargs)
-                except KeyError:
-                    pass  # an unknown keyword, which the checks below name
-            if len(args) > n:
-                raise TypeError(
-                    f"{cls.__name__}() takes {n} positional arguments but {len(args)} were given"
-                )
-            bound = list(args)
-            for field in fields[len(args):]:
-                if field in kwargs:
-                    bound.append(kwargs.pop(field))
-                elif field in defaults:
-                    bound.append(defaults[field])
-                else:
-                    raise TypeError(f"{cls.__name__}() missing required argument: {field!r}")
-            for key in kwargs:
-                problem = "multiple values for" if key in fields else "an unexpected keyword"
-                raise TypeError(f"{cls.__name__}() got {problem} argument {key!r}")
-            return bound
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != n:
-                args = bind(args, kwargs)
-            # map() sets the fields without a bytecode loop; each set returns None.
-            any(map(_set_field.__get__(self), fields, args))
-            if post_init is not None:
-                post_init(self)
+        get = attrgetter(*fields)
+        values = get if len(fields) > 1 else lambda record: (get(record),)
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:
@@ -181,10 +167,9 @@ class Record:
         def __reduce__(self):
             return cls, values(self)
 
-        cls._fields = fields
-        cls._defaults = defaults
-        cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
-        cls.__reduce__ = __reduce__
+        cls._fields, cls._defaults = fields, defaults
+        cls.__init__ = _init_function(cls, fields, defaults)
+        cls.__eq__, cls.__hash__, cls.__reduce__ = __eq__, __hash__, __reduce__
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

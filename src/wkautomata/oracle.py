@@ -407,7 +407,6 @@ def differential_compare(
                 mismatches.append((word, "b" if a_rejects else "a"))
             else:
                 truncated = True
-    # Positional records: a keyword call binds its arguments by name.
     per_length = {n: LengthStats(w, w - a - b, a, b) for n, (w, a, b) in sorted(counts.items())}
     return DiffReport(
         max(counts, default=0), per_length, tuple(mismatches), truncated, mismatch_cap

@@ -1,5 +1,6 @@
 import io
 import contextlib
+import functools
 import itertools
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from wkautomata.samples import (
     stationary_loop_wk,
     twohead_anbn1_mfa,
 )
+from wkautomata.sweeps import block_language
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -92,6 +94,16 @@ def example1_rwka():
 @pytest.fixture
 def theorem2():
     return theorem2_machine()
+
+
+@pytest.fixture(scope="session")
+def theorem2_blocks_11_6():
+    """A function giving ``block_language`` of a fresh ``theorem2_machine()``
+    over every block word up to 11 symbols and 6 blocks.  It sweeps on its
+    first call and returns that record for the rest of the session, so the
+    first test to call it, criterion 5 in file order, pays for the sweep
+    inside its own timed budget."""
+    return functools.cache(lambda: block_language(theorem2_machine(), 11, 6))
 
 
 @pytest.fixture

@@ -129,7 +129,7 @@ def test_criterion_4_engine_oracle_equivalence():
                     assert replay.verdict is Verdict.ACCEPT_HALT
 
 
-def test_criterion_5_block_language_differential():
+def test_criterion_5_block_language_differential(theorem2_blocks_11_6):
     with criterion(5, "block-language-differential", 120.0):
         machine = theorem2_machine()
         assert block_language(machine, 12, 3) == BlockCounts(
@@ -137,8 +137,9 @@ def test_criterion_5_block_language_differential():
             block1_rejected=50_836,
         )
         # Up to 6 blocks, where a later separator's spare marker could once
-        # halt the final state and accept a non-member.
-        assert block_language(machine, 11, 6) == BlockCounts(
+        # halt the final state and accept a non-member; the sweep is shared
+        # with test_construct.py's copy of this check.
+        assert theorem2_blocks_11_6() == BlockCounts(
             words=132_854, unsound=0, detectable=11_790, missed=0, block1_only=18_304,
             block1_rejected=18_304,
         )

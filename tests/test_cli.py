@@ -454,13 +454,43 @@ class TestUsage:
         )
 
     def test_an_output_that_is_not_a_regular_file_is_not_cut(self):
-        # A device is written and not cut: /dev/null takes the text, and a
-        # pipe gets the text and then the note.
-        argv = ("from-dfa", corpus("example1-dfa.dfa"), "-o")
-        assert run_cli(*argv, os.devnull) == (0, f"wrote {os.devnull}\n", "")
-        proc = _wka_process(*argv, "/dev/stdout", capture_output=True, timeout=60)
+        # A device is written and not cut: /dev/null takes the text.
+        argv = ("from-dfa", corpus("example1-dfa.dfa"), "-o", os.devnull)
+        assert run_cli(*argv) == (0, f"wrote {os.devnull}\n", "")
+
+    @pytest.mark.parametrize("stdout", ["fresh file", "file opened for append", "pipe"])
+    def test_output_to_stdout_is_followed_by_the_note(self, tmp_path, stdout):
+        # /dev/stdout names stdout's own file, so the text goes out through
+        # stdout and the note lands after it: not over the text's first bytes
+        # on a redirected stdout, nor over the bytes a file already held.
+        argv = ("from-dfa", corpus("example1-dfa.dfa"), "-o", "/dev/stdout")
+        expected = (CORPUS_DIR / "example1-rwka.wk").read_bytes() + b"wrote /dev/stdout\n"
+        if stdout == "pipe":
+            proc = _wka_process(*argv, capture_output=True, timeout=60)
+            assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", expected)
+            return
+        out_path = tmp_path / "out.wk"
+        held = b"held\n" if stdout == "file opened for append" else b""
+        out_path.write_bytes(held)
+        with open(out_path, "ab" if held else "wb") as file:
+            proc = _wka_process(*argv, stdout=file, stderr=subprocess.PIPE, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, b"")
-        assert proc.stdout == (CORPUS_DIR / "example1-rwka.wk").read_bytes() + b"wrote /dev/stdout\n"
+        assert out_path.read_bytes() == held + expected
+
+    def test_output_to_stdout_is_utf8_whatever_stdout_encodes(self, tmp_path, monkeypatch):
+        source = tmp_path / "e.dfa"
+        source.write_text(
+            "type: dfa\nstates: q0 q1\nstart: q0\nfinal: q1\nalphabet: \u00e9\n"
+            "trans: q0 \u00e9 -> q1\n",
+            encoding="utf-8",
+        )
+        assert run_cli("from-dfa", str(source), "-o", str(tmp_path / "e.wk"))[0] == 0
+        monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+        proc = _wka_process(
+            "from-dfa", str(source), "-o", "/dev/stdout", capture_output=True, timeout=60
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (tmp_path / "e.wk").read_bytes() + b"wrote /dev/stdout\n"
 
     def test_a_failed_write_leaves_none_of_the_old_file(self, tmp_path):
         # Under a 100-byte file size limit the write stops with EFBIG after

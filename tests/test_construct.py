@@ -25,7 +25,6 @@ from wkautomata.machines import InvalidMachineError, NonInjectiveRhoError
 from wkautomata.samples import example1_dfa
 from wkautomata.sweeps import (
     BlockCounts,
-    block_language,
     compiled_dfa,
     seeded_dfas,
     strands_vs_heads,
@@ -312,7 +311,7 @@ class TestTheorem2Machine:
     def test_construction_is_pure(self):
         assert theorem2_machine() == theorem2_machine()
 
-    def test_sound_up_to_six_blocks(self, theorem2):
+    def test_sound_up_to_six_blocks(self, theorem2_blocks_11_6):
         """No non-member up to 11 symbols and 6 blocks is accepted, and
         every detectable member is.  The final state ``q3`` moves on
         ``(%, v_m1)`` and ``(%, v_m2)`` to ``q4``, so a spare marker on a
@@ -320,7 +319,7 @@ class TestTheorem2Machine:
         entries the machine accepted 539 non-members with 4 or more blocks,
         the first of them ``*%*%*%*``, and 264 block-1-only members.  Now it
         rejects all 18,304 block-1-only members."""
-        assert block_language(theorem2, 11, 6) == BlockCounts(
+        assert theorem2_blocks_11_6() == BlockCounts(
             words=132_854, unsound=0, detectable=11_790, missed=0, block1_only=18_304,
             block1_rejected=18_304,
         )

@@ -6,6 +6,7 @@ import itertools
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 
@@ -266,6 +267,40 @@ class TestFrozenValues:
             assert twin == machine, name
             assert hash(twin) == hash(machine), name
             assert {machine: name}[twin] == name
+
+
+def _record_class(annotations, **defaults):
+    """A ``Record`` subclass with ``annotations`` as its fields, made the way
+    a class statement makes it."""
+    return type("Probe", (machines.Record,), {"__annotations__": annotations, **defaults})
+
+
+class TestGeneratedInit:
+    def test_a_field_without_a_default_may_not_follow_one_with_a_default(self):
+        with pytest.raises(TypeError, match="Probe field 'late' without a default follows 'early'"):
+            _record_class({"first": int, "early": int, "late": int}, early=0)
+        base = _record_class({"early": int}, early=0)
+        with pytest.raises(TypeError, match="Sub field 'late' without a default follows 'early'"):
+            type("Sub", (base,), {"__annotations__": {"late": int}})
+        assert _record_class({"first": int, "early": int}, early=0)(1).early == 0
+
+    @pytest.mark.parametrize("name", ["not a name", "x=0): pass\n#", "1x", "", "class", "None"])
+    def test_a_field_name_that_no_parameter_may_have_is_refused_before_exec(
+        self, monkeypatch, name
+    ):
+        def no_exec(*args):
+            raise AssertionError("exec reached")
+
+        monkeypatch.setattr(machines, "exec", no_exec, raising=False)
+        with pytest.raises(TypeError, match=re.escape(f"Probe field {name!r} is not an identifier")):
+            _record_class({"ok": int, name: int})
+
+    def test_the_init_is_named_after_its_record(self):
+        for cls in (Configuration, RunOutcome, CheckReport, LengthStats, _record_class({"x": int})):
+            assert cls.__init__.__module__ == cls.__module__
+            assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+        with pytest.raises(TypeError, match=r"^RunOutcome\.__init__\(\) missing 1 required"):
+            RunOutcome(Verdict.REJECT_HALT)
 
 
 def _ghost_start(machine):
