@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import stat
 import sys
@@ -66,8 +67,9 @@ def _parse(text: str):
     side-B machines its reports name included.  Every other cache the
     package keeps for the whole process is bounded too: ``_build_parser``
     holds one set of parsers, ``oracle._TAIL_TABLE`` at most 23 completion
-    lists, and ``oracle.theorem2_member`` the last word head it parsed, one
-    head that any thread may read.
+    tables and ``oracle._word_table`` the 64 most recent, each with the walk
+    plans of at most 64 column assignments, and ``oracle.theorem2_member``
+    the last word head it parsed, one head that any thread may read.
     """
     return fileformat.parse_machine(text)
 
@@ -341,8 +343,9 @@ def _cmd_enumerate(args) -> int:
     machine = _load(args.file)
     accept, alphabet = _acceptor(machine)
     render = fileformat.word_separator(alphabet).join
-    for word in oracle.enumerate_words(alphabet, args.max_len):
-        if accept(word):
+    words = oracle.enumerate_words(alphabet, args.max_len)
+    for run, verdicts in oracle.sweep_verdicts(accept, words):
+        for word in itertools.compress(run, verdicts):
             print(render(word))
     return 0
 

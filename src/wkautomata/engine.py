@@ -417,6 +417,16 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     the memo filled.  A stage returns the key of the frontier it hands on,
     so a move not yet run costs one decode, one stage call and one memo
     lookup.
+
+    The predicate's ``walk_group(prefix, table)`` decides a whole group of
+    an enumeration, ``prefix`` joined to each completion of an
+    ``oracle._Completions`` table, with one walk: the fast walk of the
+    prefix, then the table's tree of shared prefixes level by level, with
+    the walk plan the table keeps for this machine's columns, so a shared
+    symbol is stepped once for all the words below it.  A group with a
+    symbol that has no column, and each word whose walk ends without a
+    verdict, go to the predicate itself in order, so they run the stages,
+    and raise the errors, that a word-by-word sweep would.
     """
     compiled = _compile_wk(machine)
     delta = compiled.delta
@@ -563,6 +573,34 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
             return walk(word)
         return verdict
 
+    def walk_group(prefix: Word, table) -> list[bool]:
+        """The verdict on ``prefix`` joined to each completion of ``table``,
+        in order; the last level of the table's tree reads the verdicts."""
+        plan = table.plan(column)
+        state = start
+        try:
+            for x in prefix:
+                state = state[column[x]]
+        except (KeyError, TypeError):  # a foreign or unhashable symbol
+            plan = None
+        if plan is None:
+            return list(map(accepts, map(prefix.__add__, table.words)))
+        levels, last = plan
+        if last is None:
+            verdicts = [state[close]]
+        else:
+            states = [state]
+            for level in levels:
+                states = [s[c] for s, cs in zip(states, level) for c in cs]
+            verdicts = [s[c][close] for s, cs in zip(states, last) for c in cs]
+        if None in verdicts:
+            words = table.words
+            for i, verdict in enumerate(verdicts):
+                if verdict is None:
+                    verdicts[i] = accepts(prefix + words[i])
+        return verdicts
+
+    accepts.walk_group = walk_group
     # States that move to each other form reference cycles; unlink them as
     # soon as the predicate is dropped, not at the next full collection.
     weakref.finalize(accepts, _forget, memo)

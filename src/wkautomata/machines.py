@@ -102,10 +102,11 @@ class FrozenDict(dict):
 
 
 def _init_function(cls, fields: tuple[str, ...], defaults: dict):
-    """``cls.__init__``: a function whose parameters are ``fields``, with
-    ``defaults``.  Its source is generated and compiled once per class, so
-    Python binds each call's arguments and raises its own ``TypeError``
-    for a bad one; the field names are checked before they reach it."""
+    """``cls.__init__``: on its first call, it compiles a function whose
+    parameters are ``fields``, with ``defaults``, puts that in its place
+    and calls it.  So Python binds each call's arguments and raises its own
+    ``TypeError`` for a bad one, and a class that is never built compiles
+    nothing.  The field names are checked here, when the class is made."""
     follows = None
     for name in fields:
         if not name.isidentifier() or keyword.iskeyword(name):
@@ -114,16 +115,22 @@ def _init_function(cls, fields: tuple[str, ...], defaults: dict):
             follows = follows or name
         elif follows:
             raise TypeError(f"{cls.__name__} field {name!r} without a default follows {follows!r}")
-    params = "".join(f", {f}=__defaults[{f!r}]" if f in defaults else f", {f}" for f in fields)
-    body = "".join(f"\n    __set(__self, {f!r}, {f})" for f in fields)
-    post_init = getattr(cls, "__post_init__", None)
-    if post_init is not None:
-        body += "\n    __post_init(__self)"
-    namespace = {"__set": object.__setattr__, "__post_init": post_init, "__defaults": defaults}
-    exec(f"def __init__(__self{params}):{body}", namespace)
-    init = namespace["__init__"]
-    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
-    return init
+
+    def __init__(self, *args, **kwargs):
+        params = "".join(f", {f}=__defaults[{f!r}]" if f in defaults else f", {f}" for f in fields)
+        body = "".join(f"\n    __set(__self, {f!r}, {f})" for f in fields)
+        post_init = getattr(cls, "__post_init__", None)
+        if post_init is not None:
+            body += "\n    __post_init(__self)"
+        namespace = {"__set": object.__setattr__, "__post_init": post_init, "__defaults": defaults}
+        exec(f"def __init__(__self{params}):{body}", namespace)
+        init = namespace["__init__"]
+        init.__module__, init.__qualname__ = __init__.__module__, __init__.__qualname__
+        cls.__init__ = init
+        init(self, *args, **kwargs)
+
+    __init__.__module__, __init__.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
+    return __init__
 
 
 class Record:
@@ -140,10 +147,11 @@ class Record:
     refuses assignment and deletion, and pickles and copies through its
     constructor.
 
-    Each subclass gets its own ``__init__`` (``_init_function``), and its
-    own ``__eq__`` and ``__hash__``, closed over its attribute getter: a
-    generic method would look the fields up on the class at every call.  Anything else in an
-    instance's ``__dict__``, such as the tables the engines keep on a
+    Each subclass gets its own ``__init__`` (``_init_function``), compiled
+    when the first record of the class is built, and its own ``__eq__``
+    and ``__hash__``, closed over its attribute getter: a generic method
+    would look the fields up on the class at every call.  Anything else in
+    an instance's ``__dict__``, such as the tables the engines keep on a
     machine, takes no part in equality, hashing, repr or copies.
     """
 

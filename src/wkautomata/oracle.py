@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .engine import _run_loop
 from .fileformat import word_separator
@@ -190,24 +190,152 @@ def accepts_existential_bruteforce(
     return any(run((w1, w2), False).accepted for w2 in strands)
 
 
+class _Completions:
+    """A completion table: same-length completions, in order, and the walk
+    plans of the kept acceptors over them.
+
+    The completions form a tree of shared prefixes.  A walk plan lists its
+    levels, from the root: at each depth, for every node in order, the
+    columns of its children in order; the children of the last level are
+    the completions themselves, one for each, repeats included.  So a walk
+    steps each shared prefix once.
+    """
+
+    __slots__ = ("words", "_plans")
+
+    def __init__(self, words: tuple[Word, ...]):
+        self.words = words
+        self._plans: dict[tuple, tuple[list, tuple | None] | None] = {}
+
+    def plan(self, column: dict) -> tuple[list, tuple | None] | None:
+        """The walk plan under ``column``, which maps each symbol to its
+        column, split into the levels above the last and the last (None
+        for a table of the empty completion), or None if some symbol has no
+        column.  A plan is built once per ``column`` and kept for at most 64
+        of them, so the acceptors of machines over one alphabet share one.
+        """
+        key = tuple(column.items())
+        plan = self._plans.get(key, self)
+        if plan is self:
+            try:
+                plan = self._levels(column)
+            except (KeyError, TypeError):  # a foreign or unhashable symbol
+                plan = None
+            if len(self._plans) >= 64:
+                self._plans.clear()
+            self._plans[key] = plan
+        return plan
+
+    def _levels(self, column: dict) -> tuple[list, tuple | None]:
+        words = self.words
+        length = len(words[0])
+        levels: list[list[list[int]]] = [[] for _ in range(length)]
+        previous = None
+        for word in words:
+            depth = 0
+            if previous is not None:  # a child of the deepest node the two share
+                while depth < length - 1 and previous[depth] == word[depth]:
+                    depth += 1
+                levels[depth][-1].append(column[word[depth]])
+                depth += 1
+            for k in range(depth, length):  # a new node at each depth below
+                levels[k].append([column[word[k]]])
+            previous = word
+        if not levels:
+            return [], None
+        plan = [tuple(map(tuple, level)) for level in levels]
+        return plan[:-1], plan[-1]
+
+
+class _Words(itertools.chain):
+    """An enumeration's words: the prefix of each pair that its ``groups``
+    generator yields joined to every completion of the pair's table,
+    chained in C."""
+
+    __slots__ = ("groups",)
+
+
+def _joined(prefix: Word, table: _Completions) -> Iterator[Word]:
+    return map(prefix.__add__, table.words) if prefix else iter(table.words)
+
+
+def _words(groups: Iterator[tuple[Word, _Completions]]) -> _Words:
+    """The words of the (prefix, table) generator ``groups``, lazily, with
+    one Python call per pair."""
+    words = _Words.from_iterable(itertools.starmap(_joined, groups))
+    words.groups = groups
+    return words
+
+
+def _unstarted(words: Iterable) -> bool:
+    """Whether ``words`` is an enumeration that has yielded no word yet:
+    its generator of groups has not run (``gi_suspended`` from Python 3.11
+    on), or has run out, which leaves no word to yield."""
+    if words.__class__ is not _Words:
+        return False
+    groups = words.groups
+    frame = groups.gi_frame
+    return frame is None or not getattr(groups, "gi_suspended", frame.f_lasti >= 0)
+
+
+# A block word's completions of at most this many symbols come from a
+# table, so the prefix walk stops this far from each word's end.
+# Enumerating the (11, 6) sweep in interleaved runs, 4 was 20-50% slower
+# than 5 (more prefixes to walk) and 6 no faster, with a table three times
+# as large.
+_TAIL = 5
+
+# A word table holds the completions of at most ``_WORD_TAIL`` symbols,
+# and at most ``_TABLE_WORDS`` of them, so a large alphabet gets shorter
+# completions and small tables.  On the ``regular`` benchmark's alphabets
+# of two and three symbols, a warm round of its 120 sweeps took 64 ms
+# with these tables, one per length up to 10 (or 6), against 74 ms with
+# tables of ``_TAIL`` symbols (best of 10, interleaved, in one process).
+_WORD_TAIL, _TABLE_WORDS = 10, 1024
+
+_NO_TAIL = _Completions(((),))
+
+
+@lru_cache(maxsize=64)
+def _word_table(alphabet: Word, size: int) -> _Completions:
+    """Every word of ``size`` symbols over ``alphabet``, in order."""
+    return _Completions(tuple(itertools.product(alphabet, repeat=size)))
+
+
+def _word_groups(alphabet: Word, max_len: int) -> Iterator[tuple[Word, _Completions]]:
+    tail, most = 0, min(max_len, _WORD_TAIL)
+    try:
+        hash(alphabet)
+    except TypeError:  # an unhashable symbol keys no table: one word per group
+        most = 0
+    while tail < most and len(alphabet) ** (tail + 1) <= _TABLE_WORDS:
+        tail += 1
+    if not alphabet:  # only the empty word
+        max_len = min(max_len, 0)
+    for n in range(max_len + 1):
+        size = min(n, tail)
+        table = _word_table(alphabet, size) if size else _NO_TAIL
+        if n == size:
+            yield (), table
+            continue
+        for prefix in itertools.product(alphabet, repeat=n - size):
+            yield prefix, table
+
+
 def enumerate_words(alphabet: Sequence[str], max_len: int) -> Iterator[Word]:
     """All words of length 0..max_len, shortest first, then lexicographic
     by the declared symbol order.
 
-    The words come out lazily through C iterators, one ``product`` per
-    length, so the sweep resumes no Python frame per word.
+    The words of each length come in groups: each prefix of the length's
+    ``product``, in order, joined to every completion in the table of the
+    last ``_WORD_TAIL`` symbols (fewer for a shorter word, or where the
+    table would list more than ``_TABLE_WORDS`` completions).  The tables
+    are kept per alphabet and size, for the 64 most recent.  The words
+    come out lazily through C iterators, one Python call per group, and
+    ``sweep_verdicts`` and ``differential_compare`` take the groups
+    themselves from an enumeration that has not started.
     """
-    alphabet = tuple(alphabet)
-    return itertools.chain.from_iterable(
-        itertools.product(alphabet, repeat=n) for n in range(max_len + 1)
-    )
-
-
-# Completions of at most this many symbols come from the tail table, so
-# the prefix walk stops this far from each word's end.  Enumerating the
-# (11, 6) sweep in interleaved runs, 4 was 20-50% slower than 5 (more
-# prefixes to walk) and 6 no faster, with a table three times as large.
-_TAIL = 5
+    return _words(_word_groups(tuple(alphabet), max_len))
 
 
 def _successors(left: int, room: int, starred: bool) -> tuple[tuple[str, int, bool], ...]:
@@ -227,23 +355,24 @@ def _successors(left: int, room: int, starred: bool) -> tuple[tuple[str, int, bo
     return ("a", room, True), ("b", room, True)
 
 
-# Every completion of at most ``_TAIL`` symbols, in order, under (symbols
-# left, blocks still allowed, block has its '*'), filled in by ``_tails``
-# on first use.  Room is capped at ``left // 2`` in the key, so the table
-# never holds more than 23 entries (864 words in all) whatever the bounds.
-_TAIL_TABLE: dict[tuple[int, int, bool], tuple[Word, ...]] = {}
+# The completion table of every completion of at most ``_TAIL`` symbols,
+# under (symbols left, blocks still allowed, block has its '*'), filled in
+# by ``_tails`` on first use.  Room is capped at ``left // 2`` in the key,
+# so it never holds more than 23 tables (864 words in all) whatever the
+# bounds.
+_TAIL_TABLE: dict[tuple[int, int, bool], _Completions] = {}
 
 
-def _tails(left: int, room: int, starred: bool) -> tuple[Word, ...]:
-    """Every completion of exactly ``left`` symbols, in order.
+def _tails(left: int, room: int, starred: bool) -> _Completions:
+    """The table of every completion of exactly ``left`` symbols.
 
     ``room`` must already be at most ``left // 2``: each further block needs
     a '%' and a '*', so more room opens no more words, and states that
     differ only there share one entry.
     """
     key = (left, room, starred)
-    tails = _TAIL_TABLE.get(key)
-    if tails is None:
+    table = _TAIL_TABLE.get(key)
+    if table is None:
         if not left:
             tails = ((),) if starred else ()  # a block ends only after its '*'
         else:
@@ -251,14 +380,14 @@ def _tails(left: int, room: int, starred: bool) -> tuple[Word, ...]:
             tails = tuple(
                 (sym, *tail)
                 for sym, after, star in _successors(left, room, starred)
-                for tail in _tails(rest, min(after, rest // 2), star)
+                for tail in _tails(rest, min(after, rest // 2), star).words
             )
-        _TAIL_TABLE[key] = tails
-    return tails
+        table = _TAIL_TABLE[key] = _Completions(tails)
+    return table
 
 
-def _block_words_by_prefix(max_total_len: int, max_blocks: int) -> Iterator[Iterator[Word]]:
-    """For each prefix, in order, an iterator over its words."""
+def _block_groups(max_total_len: int, max_blocks: int) -> Iterator[tuple[Word, _Completions]]:
+    """Each prefix, in order, with the table of its completions."""
     if max_blocks < 1:
         return
     for length in range(1, max_total_len + 1):
@@ -270,7 +399,7 @@ def _block_words_by_prefix(max_total_len: int, max_blocks: int) -> Iterator[Iter
         while stack:
             prefix, left, room, starred = stack.pop()
             if left == tail:
-                yield map(prefix.__add__, _tails(left, min(room, left // 2), starred))
+                yield prefix, _tails(left, min(room, left // 2), starred)
                 continue
             stack += [
                 (prefix + (sym,), left - 1, after, star)
@@ -285,14 +414,15 @@ def enumerate_block_strings(max_total_len: int, max_blocks: int) -> Iterator[Wor
     Only the prefixes are walked symbol by symbol: for each length, a
     depth-first walk stops ``_TAIL`` symbols short of the end (or at the
     empty prefix for shorter words), and each prefix's words are the prefix
-    joined to every completion in the tail table.  The table lists the
-    completions of each (symbols left, blocks still allowed, block has its
-    '*') in order, and is filled once per process; the walk and the table
-    follow the same successor rule, ``_successors``.  The words come out
-    lazily, one prefix at a time, through C iterators that resume no
-    Python frame per word.
+    joined to every completion in its tail table.  There is a table for
+    each (symbols left, blocks still allowed, block has its '*'), filled
+    once per process; the walk and the tables follow the same successor
+    rule, ``_successors``.  The words come out lazily, one prefix at a
+    time, through C iterators that resume no Python frame per word, and
+    ``sweep_verdicts`` and ``differential_compare`` take the (prefix,
+    table) groups themselves from an enumeration that has not started.
     """
-    return itertools.chain.from_iterable(_block_words_by_prefix(max_total_len, max_blocks))
+    return _words(_block_groups(max_total_len, max_blocks))
 
 
 class LengthStats(Record):
@@ -373,6 +503,72 @@ class DiffReport(Record):
         return "\n".join(lines)
 
 
+# A run of an iterable that is not an unstarted enumeration holds at most
+# this many words.
+_RUN = 1024
+
+
+def _runs(words: Iterable[Sequence[str]]) -> Iterator[tuple[Word, _Completions | None, list]]:
+    """``words`` as (prefix, completion table, words) runs of same-length
+    words, in order.
+
+    An enumeration that has not started gives its own groups: the words of
+    one are its prefix joined to every completion of its table.  Anything
+    else gives runs of at most ``_RUN`` consecutive words of one length, as
+    tuples, with the empty prefix and no table.
+    """
+    if _unstarted(words):
+        for prefix, table in words.groups:
+            yield prefix, table, list(_joined(prefix, table))
+        return
+    for _, run in itertools.groupby(map(tuple, words), len):
+        while chunk := list(itertools.islice(run, _RUN)):
+            yield (), None, chunk
+
+
+def _verdicts(accept, walk, prefix: Word, table: _Completions | None, run: list) -> list[bool]:
+    """Whether ``accept`` accepts each word of a run of ``_runs``: by its
+    group ``walk`` where it has one and the run has a table, and otherwise
+    word by word."""
+    if walk is not None and table is not None:
+        return walk(prefix, table)
+    return list(map(bool, map(accept, run)))
+
+
+def sweep_verdicts(
+    accept: Callable[[Word], bool], words: Iterable[Sequence[str]]
+) -> Iterator[tuple[list[Word], list[bool]]]:
+    """``words`` in runs, each with ``accept``'s verdict on every word.
+
+    A run is a group of an enumeration that has not started, or up to
+    ``_RUN`` consecutive words of one length of anything else; its words
+    are tuples, in order.  A predicate kept by
+    ``engine.existential_acceptor`` decides a group with its ``walk_group``:
+    one walk of the prefix, then one of the table's tree of shared
+    prefixes.  Any other predicate, or a run without a group, is called on
+    each word.
+    """
+    walk = getattr(accept, "walk_group", None)
+    for prefix, table, run in _runs(words):
+        yield run, _verdicts(accept, walk, prefix, table, run)
+
+
+def _word_by_word(accept_a, accept_b, run: list[Word]) -> tuple[list[bool], list[bool]]:
+    """Both sides' verdicts on ``run``, word by word, a before b; the first
+    call that raises is reported with its side and word."""
+    in_a, in_b = [], []
+    for word in run:
+        try:
+            in_a.append(bool(accept_a(word)))
+        except Exception as exc:  # noqa: BLE001 - reported with the word attached
+            raise AcceptorFailure("a", word, exc) from exc
+        try:
+            in_b.append(bool(accept_b(word)))
+        except Exception as exc:  # noqa: BLE001
+            raise AcceptorFailure("b", word, exc) from exc
+    return in_a, in_b
+
+
 def differential_compare(
     accept_a: Callable[[Word], bool],
     accept_b: Callable[[Word], bool],
@@ -380,33 +576,39 @@ def differential_compare(
     *,
     mismatch_cap: int = 100,
 ) -> DiffReport:
-    """Evaluate both acceptors on every word and aggregate per length."""
+    """Evaluate both acceptors on every word and aggregate per length.
+
+    The words go by in the runs of ``sweep_verdicts``: each side decides a
+    whole run, the two verdict lists are compared in one step, and only a
+    run where they differ is gone through word by word.  If either side
+    raises anywhere in a run, the run is decided again word by word, a
+    before b, so ``AcceptorFailure`` names the first side and word that a
+    word-by-word loop would fail on.
+    """
     counts: dict[int, list[int]] = {}  # length: [words, a_only, b_only]
     mismatches: list[tuple[Word, str]] = []
     truncated = False
-    length = row = None
-    for raw in words:
-        word = tuple(raw)
-        if len(word) != length:
-            length = len(word)
-            row = counts.get(length)
-            if row is None:
-                row = counts[length] = [0, 0, 0]
-        row[0] += 1
+    walk_a = getattr(accept_a, "walk_group", None)
+    walk_b = getattr(accept_b, "walk_group", None)
+    for prefix, table, run in _runs(words):
         try:
-            a_rejects = not accept_a(word)
-        except Exception as exc:  # noqa: BLE001 - reported with the word attached
-            raise AcceptorFailure("a", word, exc) from exc
-        try:
-            b_rejects = not accept_b(word)
-        except Exception as exc:  # noqa: BLE001
-            raise AcceptorFailure("b", word, exc) from exc
-        if a_rejects is not b_rejects:
-            row[2 if a_rejects else 1] += 1
-            if len(mismatches) < mismatch_cap:
-                mismatches.append((word, "b" if a_rejects else "a"))
-            else:
-                truncated = True
+            in_a = _verdicts(accept_a, walk_a, prefix, table, run)
+            in_b = _verdicts(accept_b, walk_b, prefix, table, run)
+        except Exception:  # noqa: BLE001 - rerun below, outside this handler
+            in_a = None
+        if in_a is None:
+            in_a, in_b = _word_by_word(accept_a, accept_b, run)
+        row = counts.setdefault(len(run[0]), [0, 0, 0])
+        row[0] += len(run)
+        if in_a == in_b:
+            continue
+        for word, a, b in zip(run, in_a, in_b):
+            if a is not b:
+                row[1 if a else 2] += 1
+                if len(mismatches) < mismatch_cap:
+                    mismatches.append((word, "a" if a else "b"))
+                else:
+                    truncated = True
     per_length = {n: LengthStats(w, w - a - b, a, b) for n, (w, a, b) in sorted(counts.items())}
     return DiffReport(
         max(counts, default=0), per_length, tuple(mismatches), truncated, mismatch_cap

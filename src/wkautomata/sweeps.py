@@ -26,6 +26,7 @@ from .oracle import (
     differential_compare,
     enumerate_block_strings,
     enumerate_words,
+    sweep_verdicts,
     theorem2_member,
 )
 from .samples import random_dfa
@@ -86,15 +87,15 @@ def block_language(machine: WKAutomaton, max_len: int, max_blocks: int) -> Block
     """
     accept = existential_acceptor(machine)
     words = unsound = detected = missed = block1_only = block1_rejected = 0
-    for word in enumerate_block_strings(max_len, max_blocks):
-        words += 1
-        accepted = accept(word)
-        if not theorem2_member(word):
-            unsound += accepted
-        elif theorem2_member(word[word.index("%") + 1 :]):
-            detected += 1
-            missed += not accepted
-        else:
-            block1_only += 1
-            block1_rejected += not accepted
+    for run, verdicts in sweep_verdicts(accept, enumerate_block_strings(max_len, max_blocks)):
+        words += len(run)
+        for word, accepted in zip(run, verdicts):
+            if not theorem2_member(word):
+                unsound += accepted
+            elif theorem2_member(word[word.index("%") + 1 :]):
+                detected += 1
+                missed += not accepted
+            else:
+                block1_only += 1
+                block1_rejected += not accepted
     return BlockCounts(words, unsound, detected, missed, block1_only, block1_rejected)

@@ -33,7 +33,7 @@ from wkautomata import (
     run_mfa,
     swk_to_mfa2,
 )
-from wkautomata import cli, engine, machines
+from wkautomata import cli, engine, machines, oracle
 from wkautomata.engine import StrandMismatchError
 from wkautomata.fileformat import parse_machine, serialize_machine
 from wkautomata.machines import (
@@ -43,7 +43,13 @@ from wkautomata.machines import (
     WrongKindError,
     validate,
 )
-from wkautomata.oracle import SearchBoundError, dfa_accepts, enumerate_block_strings, enumerate_words
+from wkautomata.oracle import (
+    SearchBoundError,
+    dfa_accepts,
+    enumerate_block_strings,
+    enumerate_words,
+    sweep_verdicts,
+)
 from wkautomata.samples import random_dfa
 from wkautomata.sweeps import compiled_dfa
 from conftest import (
@@ -387,6 +393,81 @@ class TestAcceptsExistential:
         assert result.accepted
         assert result.witness_lower == ("x", "x")
         assert run_deterministic(machine, "aa", result.witness_lower).accepted
+
+
+def group_sweep(accept, source):
+    """``accept``'s verdicts on ``source`` through ``oracle.sweep_verdicts``."""
+    return [v for _, verdicts in sweep_verdicts(accept, source) for v in verdicts]
+
+
+def _group_sweep_cases():
+    """A machine and a function making a fresh enumeration, for each corpus
+    WK machine, for the block words and for compiled random DFAs."""
+    cases = []
+    for name in [n for n in CORPUS_FILES if n.endswith(".wk")]:
+        machine = parse_machine((CORPUS_DIR / name).read_text(encoding="utf-8"))
+        max_len = 6 if len(machine.upper_alphabet) > 2 else 9
+        source = lambda m=machine, n=max_len: enumerate_words(m.upper_alphabet, n)  # noqa: E731
+        cases.append(pytest.param(machine, source, id=name))
+    theorem2 = parse_machine((CORPUS_DIR / "theorem2.wk").read_text(encoding="utf-8"))
+    cases.append(pytest.param(theorem2, lambda: enumerate_block_strings(9, 4), id="blocks"))
+    rng = random.Random(32)
+    for i in range(6):
+        dfa = random_dfa(rng, max_states=8)
+        source = lambda a=dfa.alphabet: enumerate_words(a, 7)  # noqa: E731
+        cases.append(pytest.param(dfa_to_rwka(dfa), source, id=f"dfa{i}"))
+    return cases
+
+
+class TestGroupWalk:
+    """A kept acceptor decides an enumeration's group with one walk, and
+    hands every word whose walk ends without a verdict to the per-word
+    predicate, in order."""
+
+    @pytest.mark.parametrize("machine, source", _group_sweep_cases())
+    def test_a_cold_group_sweep_runs_the_stages_of_a_cold_word_sweep(self, machine, source):
+        stages, sizes, verdicts = [], [], []
+        for sweep in (lambda a: [a(w) for w in source()], lambda a: group_sweep(a, source())):
+            accept = existential_acceptor.__wrapped__(machine)
+            with counting_calls(_STAGE) as runs:
+                verdicts.append(sweep(accept))
+            stages.append(runs[0])
+            sizes.append(len(_acceptor_memo(accept)))
+        assert verdicts[0] == verdicts[1]
+        assert stages[0] == stages[1]  # none for loop.wk, whose start is a sink
+        assert sizes[0] == sizes[1]
+        # Warm, the group walk decides every word without a careful walk.
+        with counting_calls(_WALK, _STAGE) as runs:
+            assert group_sweep(accept, source()) == verdicts[0]
+        assert runs == [0, 0]
+
+    @pytest.mark.parametrize("sweep", ["words", "blocks", "compiled-dfa"])
+    def test_a_full_memo_leaves_the_verdicts_unchanged(self, monkeypatch, theorem2, sweep):
+        machine, source = theorem2, lambda: enumerate_words(theorem2.upper_alphabet, 5)
+        if sweep == "blocks":
+            source = lambda: enumerate_block_strings(7, 3)  # noqa: E731
+        elif sweep == "compiled-dfa":
+            dfa = random_dfa(random.Random(4), max_states=8)
+            machine, source = dfa_to_rwka(dfa), lambda: enumerate_words(dfa.alphabet, 7)
+        expected = [existential_acceptor.__wrapped__(machine)(w) for w in source()]
+        monkeypatch.setattr(engine, "_MEMO_STATES", 1)
+        accept = existential_acceptor.__wrapped__(machine)
+        assert group_sweep(accept, source()) == expected
+        assert group_sweep(accept, source()) == expected
+        assert len(_acceptor_memo(accept)) <= 1
+
+    def test_a_foreign_symbol_is_named_by_the_per_word_predicate(self, example1_rwka):
+        accept = existential_acceptor(example1_rwka)
+        for prefix, tails in ((("a",), ("a", "?")), (("?",), ("a", "b"))):  # table, prefix
+            with pytest.raises(
+                UnknownSymbolError, match=r"^symbol '\?' is not in the upper alphabet$"
+            ):
+                accept.walk_group(prefix, oracle._word_table(tails, 2))
+        # A sweep decides the groups before the first foreign symbol.
+        runs = sweep_verdicts(accept, enumerate_words(("a", "b", "?"), 2))
+        assert next(runs) == ([()], [accept(())])
+        with pytest.raises(UnknownSymbolError):
+            next(runs)
 
 
 def _acceptor_code(name):

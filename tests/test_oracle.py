@@ -22,7 +22,7 @@ from wkautomata import (
     theorem2_machine,
     theorem2_member,
 )
-from wkautomata import oracle
+from wkautomata import existential_acceptor, oracle
 from wkautomata.machines import UnknownSymbolError, WrongKindError
 from wkautomata.oracle import (
     BLOCK_ALPHABET,
@@ -410,6 +410,28 @@ class TestEnumerateWords:
         assert len(words) == sum(k**n for n in range(max_len + 1))
         assert len(set(words)) == len(words)
 
+    @given(
+        alphabet=st.one_of(
+            st.lists(st.sampled_from("abc"), max_size=4),  # repeats included
+            st.integers(5, 40).map(lambda k: [f"s{i}" for i in range(k)]),
+        ),
+        max_len=st.integers(-1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_the_groups_spell_the_products_in_order(self, alphabet, max_len):
+        expected = [w for n in range(max_len + 1) for w in itertools.product(alphabet, repeat=n)]
+        assert list(enumerate_words(alphabet, max_len)) == expected
+        groups = list(enumerate_words(alphabet, max_len).groups)
+        assert [prefix + tail for prefix, table in groups for tail in table.words] == expected
+        assert all(len(table.words) <= oracle._TABLE_WORDS for _, table in groups)
+
+    def test_unhashable_symbols_make_one_group_per_word(self):
+        alphabet = (["a"], ["b"])
+        expected = [w for n in range(4) for w in itertools.product(alphabet, repeat=n)]
+        assert list(enumerate_words(alphabet, 3)) == expected
+        groups = list(enumerate_words(alphabet, 3).groups)
+        assert [prefix for prefix, _ in groups] == expected
+
 
 class TestEnumerateBlockStrings:
     def test_small_universe(self):
@@ -641,6 +663,138 @@ class TestDifferentialCompareReference:
         assert report == reference_compare(bool, bool, (), mismatch_cap=cap)
         assert report.max_len == 0 and not report.per_length
         assert report.to_tsv() == "total\t0\t0\t0\t0"
+
+
+THEOREM2 = theorem2_machine()
+
+
+def grouped_sources(draw_source):
+    """A function that makes a fresh enumeration of ``draw_source``:
+    ("words", alphabet, max_len) or ("blocks", max_len, max_blocks)."""
+    kind, *bounds = draw_source
+    return lambda: (enumerate_words if kind == "words" else enumerate_block_strings)(*bounds)
+
+
+class TestGroupedSweeps:
+    """An enumeration that has not started is compared group by group, and
+    a kept acceptor decides a whole group with one walk; everything else is
+    compared in runs of words.  Either way the report, the bytes and any
+    failure are those of the per-word loop."""
+
+    @given(
+        source=st.one_of(
+            st.tuples(
+                st.just("words"),
+                st.lists(st.sampled_from("ab*%c"), min_size=1, max_size=4),  # repeats, a foreign c
+                st.integers(-1, 5),
+            ),
+            st.tuples(st.just("blocks"), st.integers(0, 7), st.integers(0, 3)),
+        ),
+        sides=st.tuples(*[st.sampled_from(("fresh", "warm", "results", "raises"))] * 2),
+        rng=st.randoms(use_true_random=False),
+        cap=st.sampled_from((0, 1, 5, 100)),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_the_group_route_matches_the_per_word_loop(self, source, sides, rng, cap):
+        make = grouped_sources(source)
+        words = list(make())
+        failing = rng.choice(words) if words else None
+        results = {}
+
+        def acceptor(side, kind):
+            if kind == "fresh":
+                return existential_acceptor.__wrapped__(THEOREM2)
+            if kind == "warm":
+                return existential_acceptor(THEOREM2)
+
+            def accept(word):
+                if kind == "raises" and word == failing:
+                    raise ValueError(f"cannot read {word}")
+                if (side, word) not in results:
+                    results[side, word] = rng.choice(_RESULTS)
+                return results[side, word]
+
+            return accept
+
+        expected = comparison(
+            reference_compare, *(acceptor(s, k) for s, k in zip("ab", sides)), words,
+            mismatch_cap=cap,
+        )
+        got = comparison(
+            differential_compare, *(acceptor(s, k) for s, k in zip("ab", sides)), make(),
+            mismatch_cap=cap,
+        )
+        assert got == expected
+        if isinstance(got, DiffReport):
+            assert got.to_tsv() == expected.to_tsv()
+            assert got.to_text() == expected.to_text()
+
+    @given(
+        source=st.one_of(
+            st.tuples(
+                st.just("words"),
+                st.lists(st.sampled_from("ab*%"), min_size=1, max_size=5),  # repeats
+                st.integers(0, 5),
+            ),
+            st.tuples(st.just("blocks"), st.integers(0, 8), st.integers(0, 4)),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_kept_acceptor_decides_every_group_by_its_walk(self, source):
+        # Every run is a group that the walk decides, so the predicate
+        # itself is never called, and a plan that cannot be built raises.
+        make = grouped_sources(source)
+        words = list(make())
+        accept = existential_acceptor(THEOREM2)
+        expected = [accept(word) for word in words]
+
+        def no_call(word):
+            raise AssertionError(f"walked {word} alone")
+
+        no_call.walk_group = accept.walk_group
+        runs = list(oracle.sweep_verdicts(no_call, make()))
+        assert [w for run, _ in runs for w in run] == words
+        assert [v for _, verdicts in runs for v in verdicts] == expected
+
+    def test_an_unstarted_enumeration_goes_by_groups_and_a_started_one_by_words(self):
+        kept = existential_acceptor(THEOREM2)
+        calls = []
+
+        def accept(word):
+            calls.append("word")
+            return kept(word)
+
+        def walk_group(prefix, table):
+            calls.append("group")
+            return kept.walk_group(prefix, table)
+
+        accept.walk_group = walk_group
+        groups = len(list(enumerate_block_strings(7, 3).groups))
+        words = list(enumerate_block_strings(7, 3))
+        report = differential_compare(accept, theorem2_member, enumerate_block_strings(7, 3))
+        assert calls == ["group"] * groups
+        assert report == reference_compare(kept, theorem2_member, words)
+
+        calls.clear()
+        source = enumerate_block_strings(7, 3)
+        assert next(source) == words[0]
+        report = differential_compare(accept, theorem2_member, source)
+        assert calls == ["word"] * (len(words) - 1)
+        assert report == reference_compare(kept, theorem2_member, words[1:])
+
+    def test_sweep_verdicts_reads_the_groups_once(self, example1_rwka):
+        accept = existential_acceptor(example1_rwka)
+        words = list(enumerate_words(("a", "b"), 11))
+        runs = list(oracle.sweep_verdicts(accept, enumerate_words(("a", "b"), 11)))
+        assert len(runs) == 13  # lengths 0 to 10 in one table each, then two prefixes
+        assert [w for run, _ in runs for w in run] == words
+        assert [v for _, verdicts in runs for v in verdicts] == [accept(w) for w in words]
+        plain = list(oracle.sweep_verdicts(accept, iter(words)))
+        assert [(run, verdicts) for run, verdicts in plain] == [
+            (run[i : i + oracle._RUN], verdicts[i : i + oracle._RUN])
+            for run, verdicts in runs
+            for i in range(0, len(run), oracle._RUN)
+        ]
 
 
 class TestDifferentialCompare:
