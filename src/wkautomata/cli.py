@@ -66,9 +66,9 @@ def _parse(text: str):
     dropping a text drops its machine with all that is kept on it, the
     side-B machines its reports name included.  Every other cache the
     package keeps for the whole process is bounded too: ``_build_parser``
-    holds one set of parsers, ``oracle._TAIL_TABLE`` at most 23 completion
-    tables and ``oracle._word_table`` the 64 most recent, each with the walk
-    plans of at most 64 column assignments, and ``oracle.theorem2_member``
+    holds one set of parsers, ``oracle._table`` the 64 most recent
+    completion tables of the enumerators, each with the walk plans of at
+    most 64 column assignments, and ``oracle.theorem2_member``
     the last word head it parsed, one head that any thread may read.
     """
     return fileformat.parse_machine(text)

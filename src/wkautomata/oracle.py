@@ -278,151 +278,133 @@ def _unstarted(words: Iterable) -> bool:
     return frame is None or not getattr(groups, "gi_suspended", frame.f_lasti >= 0)
 
 
-# A block word's completions of at most this many symbols come from a
-# table, so the prefix walk stops this far from each word's end.
-# Enumerating the (11, 6) sweep in interleaved runs, 4 was 20-50% slower
-# than 5 (more prefixes to walk) and 6 no faster, with a table three times
-# as large.
-_TAIL = 5
-
-# A word table holds the completions of at most ``_WORD_TAIL`` symbols,
-# and at most ``_TABLE_WORDS`` of them, so a large alphabet gets shorter
-# completions and small tables.  On the ``regular`` benchmark's alphabets
-# of two and three symbols, a warm round of its 120 sweeps took 64 ms
-# with these tables, one per length up to 10 (or 6), against 74 ms with
-# tables of ``_TAIL`` symbols (best of 10, interleaved, in one process).
-_WORD_TAIL, _TABLE_WORDS = 10, 1024
+# A table holds at most this many completions: the tail rule, ``_tail``,
+# gives it completions of at most 10 symbols, fewer over a larger
+# alphabet.  On the ``regular`` benchmark's alphabets of two and three
+# symbols, a warm round of its 120 sweeps took 64 ms with tables of 10 (or
+# 6) symbols against 74 ms with tables of 5 (best of 10, interleaved, in
+# one process); enumerating the (11, 6) block words, tables of 4 symbols
+# were 20-50% slower than the 5 that four symbols get, and 6 no faster.
+_TABLE_WORDS = 1024
 
 _NO_TAIL = _Completions(((),))
 
 
+def _tail(symbols: int) -> int:
+    """The most symbols a table's completions may have over an alphabet of
+    ``symbols`` symbols: the largest t <= 10 with symbols**t <= ``_TABLE_WORDS``."""
+    tail = 10
+    while symbols**tail > _TABLE_WORDS:
+        tail -= 1
+    return tail
+
+
 @lru_cache(maxsize=64)
-def _word_table(alphabet: Word, size: int) -> _Completions:
-    """Every word of ``size`` symbols over ``alphabet``, in order."""
-    return _Completions(tuple(itertools.product(alphabet, repeat=size)))
+def _table(moves, left: int, state) -> _Completions:
+    """The table of every completion of exactly ``left`` symbols from
+    ``state``, in order, under the successor rule ``moves``.
+
+    ``moves(left, state)`` gives the symbols that may come next, in order,
+    each with its next state, and never one after which no word of ``left``
+    symbols can end, so every table is non-empty.  The tables are kept for
+    the 64 most recent (rule, symbols left, state).
+    """
+    if not left:
+        return _NO_TAIL
+    tails = [(sym, _table(moves, left - 1, after).words) for sym, after in moves(left, state)]
+    return _Completions(tuple((sym, *tail) for sym, words in tails for tail in words))
 
 
-def _word_groups(alphabet: Word, max_len: int) -> Iterator[tuple[Word, _Completions]]:
-    tail, most = 0, min(max_len, _WORD_TAIL)
-    try:
-        hash(alphabet)
-    except TypeError:  # an unhashable symbol keys no table: one word per group
-        most = 0
-    while tail < most and len(alphabet) ** (tail + 1) <= _TABLE_WORDS:
-        tail += 1
-    if not alphabet:  # only the empty word
-        max_len = min(max_len, 0)
-    for n in range(max_len + 1):
-        size = min(n, tail)
-        table = _word_table(alphabet, size) if size else _NO_TAIL
-        if n == size:
-            yield (), table
-            continue
-        for prefix in itertools.product(alphabet, repeat=n - size):
-            yield prefix, table
+def _groups(moves, starts: Iterable[tuple], tail: int) -> Iterator[tuple[Word, _Completions]]:
+    """For each (length, start state) of ``starts``, each prefix of the
+    words of that length under ``moves``, in order, with the table of its
+    completions of ``tail`` symbols (all of a shorter word's).
+
+    The prefixes come from a depth-first walk, its successors pushed in
+    reverse so that they pop in order.  A whole word takes ``_NO_TAIL``
+    without the cache, so a tail of 0 never hashes a state.
+    """
+    for length, start in starts:
+        size = min(length, tail)
+        stack: list[tuple[Word, int, object]] = [((), length, start)]
+        while stack:
+            prefix, left, state = stack.pop()
+            if left == size:
+                yield prefix, _table(moves, left, state) if left else _NO_TAIL
+                continue
+            nexts = reversed(moves(left, state))
+            stack += [(prefix + (sym,), left - 1, after) for sym, after in nexts]
+
+
+def _letters(left: int, alphabet: Word) -> tuple[tuple[str, Word], ...]:
+    """Every symbol of ``alphabet`` may come next; the state stays the alphabet."""
+    return tuple((x, alphabet) for x in alphabet)
 
 
 def enumerate_words(alphabet: Sequence[str], max_len: int) -> Iterator[Word]:
     """All words of length 0..max_len, shortest first, then lexicographic
     by the declared symbol order.
 
-    The words of each length come in groups: each prefix of the length's
-    ``product``, in order, joined to every completion in the table of the
-    last ``_WORD_TAIL`` symbols (fewer for a shorter word, or where the
-    table would list more than ``_TABLE_WORDS`` completions).  The tables
-    are kept per alphabet and size, for the 64 most recent.  The words
-    come out lazily through C iterators, one Python call per group, and
-    ``sweep_verdicts`` and ``differential_compare`` take the groups
-    themselves from an enumeration that has not started.
+    The words of each length come in groups: each prefix, in order, joined
+    to every completion in the table of the last ``_tail`` symbols (all of
+    a shorter word's).  An alphabet with an unhashable symbol keys no table
+    and makes one group per word.  The words come out lazily through C
+    iterators, one Python call per group, and ``sweep_verdicts`` and
+    ``differential_compare`` take the groups themselves from an
+    enumeration that has not started.
     """
-    return _words(_word_groups(tuple(alphabet), max_len))
+    alphabet = tuple(alphabet)
+    try:
+        hash(alphabet)
+        tail = _tail(len(alphabet))
+    except TypeError:  # an unhashable symbol keys no table
+        tail = 0
+    # No symbol spells only the empty word.
+    lengths = range(max_len + 1) if alphabet else range(min(max_len, 0) + 1)
+    return _words(_groups(_letters, zip(lengths, itertools.repeat(alphabet)), tail))
 
 
-def _successors(left: int, room: int, starred: bool) -> tuple[tuple[str, int, bool], ...]:
+def _successors(left: int, state: tuple[int, bool]) -> tuple[tuple[str, tuple[int, bool]], ...]:
     """The symbols that may come next, in the order a, b, *, %, each with
-    the blocks still allowed and whether the block has its '*' after it.
+    its next state: the blocks still allowed and whether the block has its
+    '*' after it.
 
-    ``left`` symbols remain (at least 1) and ``room`` more blocks may be
-    opened.  Every successor still ends in a word of exactly ``left``
-    symbols: a block without its '*' needs a symbol for it, and a '%'
-    needs a '*' after it.
+    ``left`` symbols remain (at least 1).  Every successor still ends in a
+    word of exactly ``left`` symbols: a block without its '*' needs a symbol
+    for it, and a '%' needs a '*' after it.  Each further block needs a '%'
+    and a '*', so the room of a next state is capped at half the symbols
+    left after it: more opens no more words, and states that differ only
+    there share one table.
     """
+    room, starred = state
+    kept = min(room, (left - 1) // 2)
+    letters = ("a", (kept, starred)), ("b", (kept, starred))
     if not starred:
-        star = ("*", room, True)
-        return (("a", room, False), ("b", room, False), star) if left >= 2 else (star,)
+        return (*letters, ("*", (kept, True))) if left >= 2 else (("*", (kept, True)),)
     if room and left >= 2:
-        return ("a", room, True), ("b", room, True), ("%", room - 1, False)
-    return ("a", room, True), ("b", room, True)
-
-
-# The completion table of every completion of at most ``_TAIL`` symbols,
-# under (symbols left, blocks still allowed, block has its '*'), filled in
-# by ``_tails`` on first use.  Room is capped at ``left // 2`` in the key,
-# so it never holds more than 23 tables (864 words in all) whatever the
-# bounds.
-_TAIL_TABLE: dict[tuple[int, int, bool], _Completions] = {}
-
-
-def _tails(left: int, room: int, starred: bool) -> _Completions:
-    """The table of every completion of exactly ``left`` symbols.
-
-    ``room`` must already be at most ``left // 2``: each further block needs
-    a '%' and a '*', so more room opens no more words, and states that
-    differ only there share one entry.
-    """
-    key = (left, room, starred)
-    table = _TAIL_TABLE.get(key)
-    if table is None:
-        if not left:
-            tails = ((),) if starred else ()  # a block ends only after its '*'
-        else:
-            rest = left - 1
-            tails = tuple(
-                (sym, *tail)
-                for sym, after, star in _successors(left, room, starred)
-                for tail in _tails(rest, min(after, rest // 2), star).words
-            )
-        table = _TAIL_TABLE[key] = _Completions(tails)
-    return table
-
-
-def _block_groups(max_total_len: int, max_blocks: int) -> Iterator[tuple[Word, _Completions]]:
-    """Each prefix, in order, with the table of its completions."""
-    if max_blocks < 1:
-        return
-    for length in range(1, max_total_len + 1):
-        tail = min(length, _TAIL)
-        # Depth first over (prefix, symbols left, blocks still allowed,
-        # block has its '*'), with successors pushed in reverse so that
-        # they pop as a, b, *, %: each length comes out sorted.
-        stack: list[tuple[Word, int, int, bool]] = [((), length, max_blocks - 1, False)]
-        while stack:
-            prefix, left, room, starred = stack.pop()
-            if left == tail:
-                yield prefix, _tails(left, min(room, left // 2), starred)
-                continue
-            stack += [
-                (prefix + (sym,), left - 1, after, star)
-                for sym, after, star in reversed(_successors(left, room, starred))
-            ]
+        return (*letters, ("%", (room - 1, False)))
+    return letters
 
 
 def enumerate_block_strings(max_total_len: int, max_blocks: int) -> Iterator[Word]:
     """All well-formed block words up to the given total length and block
     count, shortest first, then lexicographic under the order a, b, *, %.
 
-    Only the prefixes are walked symbol by symbol: for each length, a
-    depth-first walk stops ``_TAIL`` symbols short of the end (or at the
-    empty prefix for shorter words), and each prefix's words are the prefix
-    joined to every completion in its tail table.  There is a table for
-    each (symbols left, blocks still allowed, block has its '*'), filled
-    once per process; the walk and the tables follow the same successor
-    rule, ``_successors``.  The words come out lazily, one prefix at a
-    time, through C iterators that resume no Python frame per word, and
-    ``sweep_verdicts`` and ``differential_compare`` take the (prefix,
-    table) groups themselves from an enumeration that has not started.
+    The words come from the same walk as ``enumerate_words``'s under the
+    successor rule ``_successors``: each prefix of a length, in order,
+    joined to every completion in the table of the last ``_tail`` symbols,
+    five over four symbols (all of a shorter word's).  A table is keyed by
+    the symbols left and the state the prefix leaves open (blocks still
+    allowed, capped as ``_successors`` caps them, and whether the block has
+    its '*'), so all bounds together build at most 23.  The words come out
+    lazily, one prefix at a time, through C iterators that resume no Python
+    frame per word, and ``sweep_verdicts`` and ``differential_compare``
+    take the (prefix, table) groups themselves from an enumeration that has
+    not started.
     """
-    return _words(_block_groups(max_total_len, max_blocks))
+    lengths = range(1, max_total_len + 1) if max_blocks >= 1 else ()
+    starts = ((n, (min(max_blocks - 1, n // 2), False)) for n in lengths)
+    return _words(_groups(_successors, starts, _tail(len(BLOCK_ALPHABET))))
 
 
 class LengthStats(Record):
@@ -477,7 +459,7 @@ class DiffReport(Record):
             lines.append(
                 f"{label:>6} {s.words:>8} {s.agreements:>8} {s.a_only:>8} {s.b_only:>8}"
             )
-        if not self.mismatches:
+        if not self.mismatches and not self.truncated:
             lines.append("mismatches: none")
         else:
             shown = len(self.mismatches)
@@ -553,20 +535,15 @@ def sweep_verdicts(
         yield run, _verdicts(accept, walk, prefix, table, run)
 
 
-def _word_by_word(accept_a, accept_b, run: list[Word]) -> tuple[list[bool], list[bool]]:
-    """Both sides' verdicts on ``run``, word by word, a before b; the first
-    call that raises is reported with its side and word."""
-    in_a, in_b = [], []
+def _word_by_word(accept_a, accept_b, run: list[Word]) -> None:
+    """Decide ``run`` again word by word, a before b; the first call that
+    raises is reported with its side and word."""
     for word in run:
-        try:
-            in_a.append(bool(accept_a(word)))
-        except Exception as exc:  # noqa: BLE001 - reported with the word attached
-            raise AcceptorFailure("a", word, exc) from exc
-        try:
-            in_b.append(bool(accept_b(word)))
-        except Exception as exc:  # noqa: BLE001
-            raise AcceptorFailure("b", word, exc) from exc
-    return in_a, in_b
+        for side, accept in (("a", accept_a), ("b", accept_b)):
+            try:
+                bool(accept(word))
+            except Exception as exc:  # noqa: BLE001 - reported with the word attached
+                raise AcceptorFailure(side, word, exc) from exc
 
 
 def differential_compare(
@@ -583,7 +560,8 @@ def differential_compare(
     run where they differ is gone through word by word.  If either side
     raises anywhere in a run, the run is decided again word by word, a
     before b, so ``AcceptorFailure`` names the first side and word that a
-    word-by-word loop would fail on.
+    word-by-word loop would fail on; if neither side raises there, the
+    group route itself failed, and its exception is raised again.
     """
     counts: dict[int, list[int]] = {}  # length: [words, a_only, b_only]
     mismatches: list[tuple[Word, str]] = []
@@ -594,10 +572,12 @@ def differential_compare(
         try:
             in_a = _verdicts(accept_a, walk_a, prefix, table, run)
             in_b = _verdicts(accept_b, walk_b, prefix, table, run)
-        except Exception:  # noqa: BLE001 - rerun below, outside this handler
-            in_a = None
-        if in_a is None:
-            in_a, in_b = _word_by_word(accept_a, accept_b, run)
+            failure = None
+        except Exception as exc:  # noqa: BLE001 - rerun below, outside this handler
+            failure = exc
+        if failure is not None:
+            _word_by_word(accept_a, accept_b, run)
+            raise failure
         row = counts.setdefault(len(run[0]), [0, 0, 0])
         row[0] += len(run)
         if in_a == in_b:

@@ -462,7 +462,7 @@ class TestGroupWalk:
             with pytest.raises(
                 UnknownSymbolError, match=r"^symbol '\?' is not in the upper alphabet$"
             ):
-                accept.walk_group(prefix, oracle._word_table(tails, 2))
+                accept.walk_group(prefix, oracle._table(oracle._letters, 2, tails))
         # A sweep decides the groups before the first foreign symbol.
         runs = sweep_verdicts(accept, enumerate_words(("a", "b", "?"), 2))
         assert next(runs) == ([()], [accept(())])

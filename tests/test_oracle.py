@@ -513,6 +513,36 @@ class TestEnumerateBlockStrings:
         assert head == list(itertools.islice(depth_first_block_strings(40, 20), 50_000))
         assert len(head[-1]) == 11
 
+    @given(max_len=st.integers(-1, 9), max_blocks=st.integers(-1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_the_groups_spell_the_words_in_order(self, max_len, max_blocks):
+        expected = list(depth_first_block_strings(max_len, max_blocks))
+        assert list(enumerate_block_strings(max_len, max_blocks)) == expected
+        groups = list(enumerate_block_strings(max_len, max_blocks).groups)
+        assert [prefix + tail for prefix, table in groups for tail in table.words] == expected
+        assert all(0 < len(table.words) <= oracle._TABLE_WORDS for _, table in groups)
+
+    def test_the_table_cache_stays_small(self, monkeypatch):
+        # Each table a sweep needs, by its key, read through the cache.
+        cached, seen = oracle._table, {}
+
+        def table(moves, left, state):
+            seen[left, state] = found = cached(moves, left, state)
+            return found
+
+        monkeypatch.setattr(oracle, "_table", table)
+        cached.cache_clear()
+        for _ in enumerate_block_strings(11, 6).groups:
+            pass
+        assert len(seen) == cached.cache_info().currsize == 13
+        assert sum(len(found.words) for found in seen.values()) == 408
+        for max_len in range(13):
+            for max_blocks in range(8):
+                for _ in enumerate_block_strings(max_len, max_blocks).groups:
+                    pass
+        assert len(seen) == 23
+        assert sum(len(found.words) for found in seen.values()) == 864
+
 
 def depth_first_block_strings(max_total_len, max_blocks):
     """The block words built one symbol at a time: a reference for
@@ -782,6 +812,24 @@ class TestGroupedSweeps:
         assert calls == ["word"] * (len(words) - 1)
         assert report == reference_compare(kept, theorem2_member, words[1:])
 
+    def test_a_failure_of_the_group_walk_itself_is_raised(self, monkeypatch):
+        def broken(table, column):
+            raise IndexError("no plan")
+
+        monkeypatch.setattr(oracle._Completions, "plan", broken)
+        accept = existential_acceptor(THEOREM2)
+        with pytest.raises(IndexError, match="^no plan$"):
+            differential_compare(accept, theorem2_member, enumerate_block_strings(7, 3))
+        with pytest.raises(IndexError, match="^no plan$"):
+            list(oracle.sweep_verdicts(accept, enumerate_block_strings(7, 3)))
+        # An acceptor that fails word by word is still the one reported.
+        def refuse(word):
+            raise ValueError("refused")
+
+        with pytest.raises(AcceptorFailure) as failure:
+            differential_compare(accept, refuse, enumerate_block_strings(7, 3))
+        assert (failure.value.side, failure.value.word) == ("b", ("*",))
+
     def test_sweep_verdicts_reads_the_groups_once(self, example1_rwka):
         accept = existential_acceptor(example1_rwka)
         words = list(enumerate_words(("a", "b"), 11))
@@ -834,6 +882,14 @@ class TestDifferentialCompare:
         assert len(report.mismatches) == 5
         assert report.truncated
         assert report.total_mismatches == 127
+
+    def test_a_cap_of_zero_shows_how_many_it_hides(self):
+        report = differential_compare(
+            lambda w: True, lambda w: False, enumerate_words(("a",), 2), mismatch_cap=0
+        )
+        assert report.mismatches == () and report.truncated
+        assert report.to_text().splitlines()[-1] == "mismatches (showing 0 of 3):"
+        assert report.to_tsv().splitlines()[-1] == "mismatches-truncated\t3"
 
     def test_acceptor_errors_carry_the_word(self, example1):
         def broken(word):
