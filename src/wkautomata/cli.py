@@ -67,8 +67,8 @@ def _parse(text: str):
     side-B machines its reports name included.  Every other cache the
     package keeps for the whole process is bounded too: ``_build_parser``
     holds one set of parsers, ``oracle._table`` the 64 most recent
-    completion tables of the enumerators, each with the walk plans of at
-    most 64 column assignments, and ``oracle.theorem2_member``
+    completion tables of the enumerators, each with its subtables and the
+    walk plans of at most 64 alphabets, and ``oracle.theorem2_member``
     the last word head it parsed, one head that any thread may read.
     """
     return fileformat.parse_machine(text)
@@ -164,13 +164,16 @@ def _run_existential(machine: WKAutomaton, word, trace: bool) -> int:
     return 0
 
 
-def _is_stdout(path: str) -> bool:
-    """Whether ``path`` names the file that ``sys.stdout`` writes to; never
-    for an in-memory stdout."""
-    try:
-        return os.path.samestat(os.fstat(sys.stdout.fileno()), os.stat(path))
-    except (OSError, ValueError):
-        return False
+def _stream_to(path: str):
+    """``sys.stdout`` if it writes to the file that ``path`` names, else
+    ``sys.stderr`` if that one does, else None; never an in-memory stream."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if os.path.samestat(os.fstat(stream.fileno()), os.stat(path)):
+                return stream
+        except (OSError, ValueError):
+            pass
+    return None
 
 
 def _write_over(path: str, text: str) -> None:
@@ -203,18 +206,21 @@ def _write_over(path: str, text: str) -> None:
 def _translate(args, expect: type, construction) -> int:
     """Write ``construction(machine)``'s text to the ``-o`` file, then a note.
 
-    A path that names stdout's own file, such as ``/dev/stdout``, is
-    written through ``sys.stdout``'s buffer, as UTF-8 like any output file,
-    so the note follows the text on a redirected stdout as it does on a
-    pipe; any other is ``_write_over``.
+    A path that names stdout's or stderr's own file, such as
+    ``/dev/stdout`` or ``/dev/stderr``, is written through that stream's
+    buffer, as UTF-8 like any output file, so the text lands at the
+    stream's own offset: after what a file opened for append already holds,
+    and before the note when the note goes there too.  Any other path is
+    ``_write_over``.
     """
     machine = _load(args.file)
     if not isinstance(machine, expect):
         raise MachineError(f"{args.command} expects a {expect.__name__} machine file")
     text = fileformat.serialize_machine(construction(machine))
-    if _is_stdout(args.output):
-        sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
+    stream = _stream_to(args.output)
+    if stream is not None:
+        stream.flush()
+        stream.buffer.write(text.encode("utf-8"))
     else:
         _write_over(args.output, text)
     print(f"wrote {args.output}")

@@ -166,24 +166,24 @@ def run_mfa(
 class _CompiledWK(Record):
     """Integer-indexed tables for the existential search and the acceptor.
 
-    ``images`` lists the right end marker as its own image.  Column c of an
-    acceptor state reads symbol ``ups_of[c]``; the last column is the right
-    end marker.  ``live[x][q][u]`` holds the images of x that the lower head
-    may commit in state q over upper symbol u: an image that leaves a
-    non-final q stuck is left out, since that node neither moves nor
-    accepts.
+    The upper symbols are numbered first, in their alphabet's order, so
+    ``column`` maps each to its own number, which is also its column in an
+    acceptor state; the right end marker comes next, as the last column,
+    then the left end marker and the lower-only symbols.  ``images`` lists
+    the right end marker as its own image.  ``live[x][q][u]`` holds the
+    images of x that the lower head may commit in state q over upper symbol
+    u: an image that leaves a non-final q stuck is left out, since that node
+    neither moves nor accepts.
     """
 
     start: int
     finals: frozenset[int]
     left: int
     right: int
-    upper_index: dict[str, int]
     images: dict[int, tuple[int, ...]]
     delta: dict[tuple[int, int, int], tuple[int, int, int]]
     token_of: tuple[str, ...]
     column: dict[str, int]
-    ups_of: tuple[int, ...]
     live: dict[int, list[list[tuple[int, ...]]]]
 
 
@@ -192,18 +192,14 @@ def _compile_wk(machine: WKAutomaton) -> _CompiledWK:
     require_kind(machine, WKAutomaton)
     require_valid(machine)
     # A valid machine declares every state and symbol it uses, each once:
-    # number the end markers, then the upper symbols, then the lower ones,
-    # each in first-seen order.  So the upper symbols come before any lower
-    # symbol that is not one of them.
-    token_of = tuple(
-        dict.fromkeys((LEFT_END, RIGHT_END, *machine.upper_alphabet, *machine.lower_alphabet))
-    )
+    # number the upper symbols, then the right and the left end marker,
+    # then the lower symbols that are not upper ones, in first-seen order.
+    upper = machine.upper_alphabet
+    token_of = tuple(dict.fromkeys((*upper, RIGHT_END, LEFT_END, *machine.lower_alphabet)))
     sym = {token: i for i, token in enumerate(token_of)}
     state = {q: i for i, q in enumerate(machine.states)}
     right = sym[RIGHT_END]
-    images = {
-        sym[x]: tuple([sym[y] for y in machine.rho.images[x]]) for x in machine.upper_alphabet
-    }
+    images = {sym[x]: tuple([sym[y] for y in machine.rho.images[x]]) for x in upper}
     images[right] = (right,)
     finals = frozenset([state[q] for q in machine.finals])
     delta = {
@@ -211,43 +207,31 @@ def _compile_wk(machine: WKAutomaton) -> _CompiledWK:
         for (q, u, l), (t, d1, d2) in machine.delta.items()
     }
 
-    # The end markers and the upper symbols are numbered first, so every
-    # upper read u < nu.  The live tables are built by list repetition:
-    # every final row of x's table is one shared row offering all of x's
-    # images, and every other row starts as the shared empty row.  One pass
-    # over delta then gives a non-final row that a lower read s reaches a
-    # row of its own, in the table of each symbol that s is an image of,
-    # and adds s to it.
-    nq, nu = len(state), len(machine.upper_alphabet) + 2
-    empty = [()] * nu
+    # Every upper read u is an upper symbol or an end marker, so u < nu.  A
+    # final row of x offers all of x's images, and every other row starts
+    # empty.  holders[s] lists the tables of the symbols that s is an image
+    # of, and one pass over delta adds each lower read s to its row in each.
+    nq, nu = len(state), len(upper) + 2
     live = {}
-    tables_of: dict[int, list] = {}
+    holders: dict[int, list] = {}
     for x, xs in images.items():
-        table = live[x] = [empty] * nq
-        every = [xs] * nu
-        for q in finals:
-            table[q] = every
+        table = live[x] = [[xs] * nu if q in finals else [()] * nu for q in range(nq)]
         for s in xs:
-            tables_of.setdefault(s, []).append(table)
+            holders.setdefault(s, []).append(table)
     for q, u, s in delta:
         if q not in finals:
-            for table in tables_of.get(s, ()):
-                row = table[q]
-                if row is empty:
-                    row = table[q] = [()] * nu
-                row[u] += (s,)
+            for table in holders.get(s, ()):
+                table[q][u] += (s,)
 
     return _CompiledWK(
         start=state[machine.start],
         finals=finals,
         left=sym[LEFT_END],
         right=right,
-        upper_index={x: sym[x] for x in machine.upper_alphabet},
         images=images,
         delta=delta,
         token_of=token_of,
-        column={x: c for c, x in enumerate(machine.upper_alphabet)},
-        ups_of=tuple([sym[x] for x in (*machine.upper_alphabet, RIGHT_END)]),
+        column={x: sym[x] for x in upper},
         live=live,
     )
 
@@ -255,9 +239,9 @@ def _compile_wk(machine: WKAutomaton) -> _CompiledWK:
 def _search(
     compiled: _CompiledWK, w1: Word, want_witness: bool
 ) -> tuple[bool, Word | None, int]:
-    upper_index = compiled.upper_index
-    require_symbols(w1, upper_index, "upper alphabet")
-    ups = [compiled.left] + [upper_index[x] for x in w1] + [compiled.right]
+    column = compiled.column
+    require_symbols(w1, column, "upper alphabet")
+    ups = [compiled.left] + [column[x] for x in w1] + [compiled.right]
     n = len(w1)
     delta = compiled.delta
     images = compiled.images
@@ -422,20 +406,21 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     an enumeration, ``prefix`` joined to each completion of an
     ``oracle._Completions`` table, with one walk: the fast walk of the
     prefix, then the table's tree of shared prefixes level by level, with
-    the walk plan the table keeps for this machine's columns, so a shared
-    symbol is stepped once for all the words below it.  A group with a
-    symbol that has no column, and each word whose walk ends without a
-    verdict, go to the predicate itself in order, so they run the stages,
-    and raise the errors, that a word-by-word sweep would.
+    the walk plan the table keeps for this machine's upper alphabet, whose
+    order is the columns' order, so a shared symbol is stepped once for all
+    the words below it.  A group with a symbol that has no column, and each
+    word whose walk ends without a verdict, go to the predicate itself in
+    order, so they run the stages, and raise the errors, that a
+    word-by-word sweep would.
     """
     compiled = _compile_wk(machine)
     delta = compiled.delta
     finals = compiled.finals
     images = compiled.images
     column = compiled.column
-    ups_of = compiled.ups_of
     live = compiled.live
-    close = len(column)
+    close = compiled.right
+    alphabet = machine.upper_alphabet
 
     def stage(ups: tuple[int, ...], heads, commits):
         """Run stage ``j = len(ups) - 1`` on the ``heads`` and ``commits``
@@ -521,14 +506,15 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
         state or a verdict's sink, and a verdict in the end marker's column.
         A new frontier that a full memo cannot intern is returned unlinked.
         """
-        # Decode the state's key and run the stage from its frontier.
+        # Decode the state's key and run the stage from its frontier on the
+        # symbol numbered c, which column c reads.
         ints = list(map(ord, state[-1]))
         n = ints[0]
         h = n + 2 + 4 * ints[n + 1]
         flat = iter(ints[n + 2 : h])
         heads = zip(flat, flat, flat, flat)
         flat = iter(ints[h:])
-        result = stage((*ints[1 : n + 1], ups_of[c]), heads, zip(flat, flat))
+        result = stage((*ints[1 : n + 1], c), heads, zip(flat, flat))
         if result is True or result is False:
             if c != close:
                 result = sinks[result]
@@ -576,7 +562,7 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     def walk_group(prefix: Word, table) -> list[bool]:
         """The verdict on ``prefix`` joined to each completion of ``table``,
         in order; the last level of the table's tree reads the verdicts."""
-        plan = table.plan(column)
+        plan = table.plan(alphabet)
         state = start
         try:
             for x in prefix:

@@ -450,8 +450,6 @@ def grammar(machine: Machine) -> tuple[str, tuple[str, ...], list[Entry], tuple[
 
 
 def _name_violations(kind: str, names: tuple[str, ...]) -> list[Violation]:
-    if len(set(names)) == len(names) and all(map(is_valid_token, names)):
-        return []  # the usual case; the walk below only reports
     out = []
     seen = set()
     for name in names:
@@ -494,8 +492,6 @@ _DISPLACEMENTS = frozenset((0, 1))
 def _entry_violations(
     entries: list[Entry], states: set[str], columns: tuple[Column, ...]
 ) -> list[Violation]:
-    # Each check first tests the whole entry at C speed and walks its reads
-    # or moves one by one only to report what it found.
     out = []
     first, later = columns[0][0], columns[-1][0]
     for entry in entries:
@@ -504,26 +500,21 @@ def _entry_violations(
             out.append(Violation("unknown-state", (entry,), f"state {q!r} is not declared"))
         if t not in states:
             out.append(Violation("unknown-state", (entry,), f"state {t!r} is not declared"))
-        if not (first.issuperset(reads[:1]) and later.issuperset(reads[1:])):
-            for pos, r in enumerate(reads):
-                if r not in (later if pos else first):
-                    out.append(Violation("unknown-symbol", (entry,), f"read symbol {r!r} is not available"))
-        if not _DISPLACEMENTS.issuperset(moves):
-            for d in moves:
-                if d not in _DISPLACEMENTS:
-                    out.append(Violation("bad-displacement", (entry,), f"displacement {d!r} is not 0 or 1"))
-        if RIGHT_END in reads:
-            for pos, (r, d) in enumerate(zip(reads, moves)):
-                if r == RIGHT_END and d == 1:
-                    word = columns[min(pos, len(columns) - 1)][1]
-                    head = f"{word}head" if word else f"head {pos + 1}"
-                    out.append(
-                        Violation(
-                            "move-on-endmarker",
-                            (entry,),
-                            f"{head} may not move while reading '{RIGHT_END}'",
-                        )
+        for pos, r in enumerate(reads):
+            if r not in (later if pos else first):
+                out.append(Violation("unknown-symbol", (entry,), f"read symbol {r!r} is not available"))
+        for d in moves:
+            if d not in _DISPLACEMENTS:
+                out.append(Violation("bad-displacement", (entry,), f"displacement {d!r} is not 0 or 1"))
+        for pos, (r, d) in enumerate(zip(reads, moves)):
+            if r == RIGHT_END and d == 1:
+                word = columns[min(pos, len(columns) - 1)][1]
+                head = f"{word}head" if word else f"head {pos + 1}"
+                out.append(
+                    Violation(
+                        "move-on-endmarker", (entry,), f"{head} may not move while reading '{RIGHT_END}'"
                     )
+                )
     return out
 
 

@@ -191,60 +191,56 @@ def accepts_existential_bruteforce(
 
 
 class _Completions:
-    """A completion table: same-length completions, in order, and the walk
-    plans of the kept acceptors over them.
+    """A completion table: same-length completions, in order, as a tree of
+    shared prefixes, and the walk plans of the kept acceptors over them.
 
-    The completions form a tree of shared prefixes.  A walk plan lists its
+    ``children`` pairs each first symbol, in order, with the table of what
+    may follow it; ``words`` spells the completions out, and the table of
+    the empty completion has no children.  A walk plan lists the tree's
     levels, from the root: at each depth, for every node in order, the
     columns of its children in order; the children of the last level are
-    the completions themselves, one for each, repeats included.  So a walk
-    steps each shared prefix once.
+    the completions themselves.  So a walk steps each shared prefix once.
     """
 
-    __slots__ = ("words", "_plans")
+    __slots__ = ("children", "words", "_plans")
 
-    def __init__(self, words: tuple[Word, ...]):
-        self.words = words
+    def __init__(self, children: tuple[tuple[str, _Completions], ...]):
+        self.children = children
+        self.words = (
+            tuple([(sym, *tail) for sym, table in children for tail in table.words])
+            if children
+            else ((),)
+        )
         self._plans: dict[tuple, tuple[list, tuple | None] | None] = {}
 
-    def plan(self, column: dict) -> tuple[list, tuple | None] | None:
-        """The walk plan under ``column``, which maps each symbol to its
-        column, split into the levels above the last and the last (None
-        for a table of the empty completion), or None if some symbol has no
-        column.  A plan is built once per ``column`` and kept for at most 64
-        of them, so the acceptors of machines over one alphabet share one.
+    def plan(self, alphabet: tuple) -> tuple[list, tuple | None] | None:
+        """The walk plan with each symbol's index in ``alphabet`` as its
+        column, split into the levels above the last and the last (None for
+        the table of the empty completion), or None if some symbol is not
+        in ``alphabet``.  A plan is built once per alphabet and kept for at
+        most 64 of them, so the acceptors of machines over one alphabet
+        share one.
         """
-        key = tuple(column.items())
-        plan = self._plans.get(key, self)
+        plan = self._plans.get(alphabet, self)
         if plan is self:
             try:
-                plan = self._levels(column)
+                levels = self._levels({x: c for c, x in enumerate(alphabet)})
+                plan = (levels[:-1], levels[-1]) if levels else ([], None)
             except (KeyError, TypeError):  # a foreign or unhashable symbol
                 plan = None
             if len(self._plans) >= 64:
                 self._plans.clear()
-            self._plans[key] = plan
+            self._plans[alphabet] = plan
         return plan
 
-    def _levels(self, column: dict) -> tuple[list, tuple | None]:
-        words = self.words
-        length = len(words[0])
-        levels: list[list[list[int]]] = [[] for _ in range(length)]
-        previous = None
-        for word in words:
-            depth = 0
-            if previous is not None:  # a child of the deepest node the two share
-                while depth < length - 1 and previous[depth] == word[depth]:
-                    depth += 1
-                levels[depth][-1].append(column[word[depth]])
-                depth += 1
-            for k in range(depth, length):  # a new node at each depth below
-                levels[k].append([column[word[k]]])
-            previous = word
-        if not levels:
-            return [], None
-        plan = [tuple(map(tuple, level)) for level in levels]
-        return plan[:-1], plan[-1]
+    def _levels(self, column: dict) -> list[tuple[tuple[int, ...], ...]]:
+        """The tree's levels: the children's columns, then, depth by
+        depth, the children's own levels joined in order."""
+        if not self.children:
+            return []
+        below = [table._levels(column) for _, table in self.children]
+        root = tuple([column[sym] for sym, _ in self.children])
+        return [(root,), *[tuple(itertools.chain(*level)) for level in zip(*below)]]
 
 
 class _Words(itertools.chain):
@@ -287,7 +283,7 @@ def _unstarted(words: Iterable) -> bool:
 # were 20-50% slower than the 5 that four symbols get, and 6 no faster.
 _TABLE_WORDS = 1024
 
-_NO_TAIL = _Completions(((),))
+_NO_TAIL = _Completions(())
 
 
 def _tail(symbols: int) -> int:
@@ -311,8 +307,9 @@ def _table(moves, left: int, state) -> _Completions:
     """
     if not left:
         return _NO_TAIL
-    tails = [(sym, _table(moves, left - 1, after).words) for sym, after in moves(left, state)]
-    return _Completions(tuple((sym, *tail) for sym, words in tails for tail in words))
+    return _Completions(
+        tuple([(sym, _table(moves, left - 1, after)) for sym, after in moves(left, state)])
+    )
 
 
 def _groups(moves, starts: Iterable[tuple], tail: int) -> Iterator[tuple[Word, _Completions]]:

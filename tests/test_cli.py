@@ -477,6 +477,20 @@ class TestUsage:
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert out_path.read_bytes() == held + expected
 
+    @pytest.mark.parametrize("stderr", ["fresh file", "file opened for append"])
+    def test_output_to_stderr_goes_after_what_stderr_holds(self, tmp_path, stderr):
+        # /dev/stderr names stderr's own file, so the text goes out through
+        # stderr at its own offset: after the bytes a log opened for append
+        # already holds, which a second open at offset 0 would write over.
+        argv = ("from-dfa", corpus("example1-dfa.dfa"), "-o", "/dev/stderr")
+        log_path = tmp_path / "log"
+        held = b"held\n" if stderr == "file opened for append" else b""
+        log_path.write_bytes(held)
+        with open(log_path, "ab" if held else "wb") as file:
+            proc = _wka_process(*argv, stdout=subprocess.PIPE, stderr=file, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, b"wrote /dev/stderr\n")
+        assert log_path.read_bytes() == held + (CORPUS_DIR / "example1-rwka.wk").read_bytes()
+
     def test_output_to_stdout_is_utf8_whatever_stdout_encodes(self, tmp_path, monkeypatch):
         source = tmp_path / "e.dfa"
         source.write_text(

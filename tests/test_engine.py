@@ -923,14 +923,15 @@ class TestAcceptorTables:
 
 def reference_tables(machine):
     """``_compile_wk``'s tables by a plain numbering, one token at a time:
-    symbols in first-seen order over the end markers, the upper alphabet
-    and the lower alphabet, and states in declaration order.  The right
-    end marker is its own image, and each live row is read off ``delta``
-    one cell at a time.  Dicts are returned as item lists, so their order
-    is compared too."""
+    symbols in first-seen order over the upper alphabet, the right and the
+    left end marker and the lower alphabet, and states in declaration
+    order.  So each upper symbol's number is its column.  The right end
+    marker is its own image, and each live row is read off ``delta`` one
+    cell at a time.  Dicts are returned as item lists, so their order is
+    compared too."""
     sym, state = {}, {}
     upper = machine.upper_alphabet
-    for token in ("#", "$", *upper, *machine.lower_alphabet):
+    for token in (*upper, "$", "#", *machine.lower_alphabet):
         if token not in sym:
             sym[token] = len(sym)
     for q in machine.states:
@@ -953,12 +954,10 @@ def reference_tables(machine):
         "finals": finals,
         "left": sym["#"],
         "right": sym["$"],
-        "upper_index": [(x, sym[x]) for x in upper],
         "images": images,
         "delta": delta,
         "token_of": tuple(sym),
         "column": [(x, c) for c, x in enumerate(upper)],
-        "ups_of": tuple(sym[x] for x in (*upper, "$")),
         "live": [
             (x, [[live_row(q, u, xs) for u in range(len(upper) + 2)] for q in range(len(state))])
             for x, xs in images

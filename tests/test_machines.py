@@ -84,15 +84,13 @@ def _records():
     compiled = _CompiledWK(
         start=0,
         finals=frozenset({1}),
-        left=0,
+        left=2,
         right=1,
-        upper_index={"a": 2},
-        images={2: (3,), 1: (1,)},
-        delta={(0, 2, 3): (1, 1, 1)},
-        token_of=("#", "$", "a", "x"),
+        images={0: (3,), 1: (1,)},
+        delta={(0, 0, 3): (1, 1, 1)},
+        token_of=("a", "$", "#", "x"),
         column={"a": 0},
-        ups_of=(2, 1),
-        live={2: [[(), (), (3,)], [(3,)] * 3], 1: [[()] * 3, [(1,)] * 3]},
+        live={0: [[(3,), (), ()], [(3,)] * 3], 1: [[()] * 3, [(1,)] * 3]},
     )
     cases = [
         (
@@ -148,12 +146,11 @@ def _records():
         ),
         (
             compiled,
-            ("start", "finals", "left", "right", "upper_index", "images", "delta", "token_of",
-             "column", "ups_of", "live"),
-            "_CompiledWK(start=0, finals=frozenset({1}), left=0, right=1,"
-            " upper_index={'a': 2}, images={2: (3,), 1: (1,)}, delta={(0, 2, 3): (1, 1, 1)},"
-            " token_of=('#', '$', 'a', 'x'), column={'a': 0}, ups_of=(2, 1),"
-            " live={2: [[(), (), (3,)], [(3,), (3,), (3,)]], 1: [[(), (), ()], [(1,), (1,), (1,)]]})",
+            ("start", "finals", "left", "right", "images", "delta", "token_of", "column", "live"),
+            "_CompiledWK(start=0, finals=frozenset({1}), left=2, right=1,"
+            " images={0: (3,), 1: (1,)}, delta={(0, 0, 3): (1, 1, 1)},"
+            " token_of=('a', '$', '#', 'x'), column={'a': 0},"
+            " live={0: [[(3,), (), ()], [(3,), (3,), (3,)]], 1: [[(), (), ()], [(1,), (1,), (1,)]]})",
         ),
         (
             LengthStats(1, 1, 0, 0),
@@ -695,6 +692,26 @@ class TestValidationRules:
         assert report.violations[0].rule == rule
         assert [str(v) for v in report.violations] == lines
         assert report.notes == (() if kind == "dfa" else (_LEFT_NOTE,))
+
+    @pytest.mark.parametrize(
+        "kind, entry, head",
+        [
+            ("wk", (("p", "$", "z"), ("r", 1, 2)), "upper head"),
+            ("mfa", (("p", ("$", "z")), ("r", (1, 2))), "head 1"),
+        ],
+        ids=["wk", "mfa"],
+    )
+    def test_one_transition_that_breaks_every_entry_rule(self, kind, entry, head):
+        # Its violations come in the order of the rules, one rule at a time.
+        report = validate(_rule_machine(kind, [entry]))
+        at = " :: p ($ z) -> r (1 2)"
+        assert [str(v) for v in report.violations] == [
+            "unknown-state: state 'p' is not declared" + at,
+            "unknown-state: state 'r' is not declared" + at,
+            "unknown-symbol: read symbol 'z' is not available" + at,
+            "bad-displacement: displacement 2 is not 0 or 1" + at,
+            _ON_END.format(head) + at[4:],
+        ]
 
 
 class TestReversibilityWK:

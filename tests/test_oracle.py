@@ -786,6 +786,37 @@ class TestGroupedSweeps:
         assert [w for run, _ in runs for w in run] == words
         assert [v for _, verdicts in runs for v in verdicts] == expected
 
+    @given(
+        source=st.one_of(
+            st.tuples(
+                st.just("words"),
+                st.lists(st.sampled_from("ab*%"), min_size=1, max_size=4),  # repeats
+                st.integers(0, 6),
+            ),
+            st.tuples(st.just("blocks"), st.integers(0, 9), st.integers(0, 4)),
+        ),
+        extra=st.lists(st.sampled_from("xyz"), unique=True),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_plan_spells_each_completion_in_its_columns(self, source, extra, rng):
+        # With each symbol's index in the order as its column, walking a
+        # plan level by level spells the table's completions in order; an
+        # order without one of the table's symbols has no plan.
+        for _, table in grouped_sources(source)().groups:
+            symbols = list(dict.fromkeys(itertools.chain(*table.words)))
+            order = symbols + extra
+            rng.shuffle(order)
+            levels, last = table.plan(tuple(order))
+            paths = [()]
+            for level in levels if last is None else [*levels, last]:
+                assert len(level) == len(paths)
+                paths = [path + (c,) for path, cs in zip(paths, level) for c in cs]
+            assert paths == [tuple(map(order.index, word)) for word in table.words]
+            if symbols:
+                order.remove(rng.choice(symbols))
+                assert table.plan(tuple(order)) is None
+
     def test_an_unstarted_enumeration_goes_by_groups_and_a_started_one_by_words(self):
         kept = existential_acceptor(THEOREM2)
         calls = []
