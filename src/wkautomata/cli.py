@@ -16,6 +16,7 @@ import itertools
 import os
 import stat
 import sys
+import weakref
 
 from . import construct, engine, fileformat, oracle
 from .machines import (
@@ -63,13 +64,14 @@ def _parse(text: str):
     propagates and is never kept.
 
     The memo holds more texts than the corpus has machine files, and
-    dropping a text drops its machine with all that is kept on it, the
-    side-B machines its reports name included.  Every other cache the
-    package keeps for the whole process is bounded too: ``_build_parser``
-    holds one set of parsers, ``oracle._table`` the 64 most recent
-    completion tables of the enumerators, each with its subtables and the
-    walk plans of at most 64 alphabets, and ``oracle.theorem2_member``
-    the last word head it parsed, one head that any thread may read.
+    dropping a text drops its machine with all that is kept on it; the
+    compare reports kept on side A that name it as side B go with it too.
+    Every other cache the package keeps for the whole process is bounded
+    too: ``_build_parser`` holds one set of parsers, ``oracle._table`` the
+    64 most recent completion tables of the enumerators, each with its
+    subtables, ``engine._plan`` the walk plans of the 64 most recent
+    (table, alphabet) pairs, and ``oracle.theorem2_member`` the last word
+    head it parsed, one head that any thread may read.
     """
     return fileformat.parse_machine(text)
 
@@ -278,7 +280,8 @@ def _compare_reports(machine):
     side A, by side B and the bounds that choose the words.
 
     The dict lives on the machine that ``_parse`` holds for A's text, so it
-    and every side-B machine it names die with that machine.
+    dies with that machine, and an entry whose side B is a machine goes
+    with that machine, which the entry does not keep alive.
     """
     return {}
 
@@ -289,7 +292,8 @@ def _cmd_compare(args) -> int:
     Every check that can refuse without a sweep runs on every call, in the
     same order, so a repeated call exits and prints as the first did.  A
     report is kept on A's parsed machine under side B (``"theorem2"`` or
-    B's parsed machine, by identity) and the bounds that choose the words;
+    B's parsed machine, by identity, while it lives) and the bounds that
+    choose the words;
     ``--format`` is not part of the key, as both formats render one report.
     A sweep that fails keeps nothing and is run again on the next call.
     """
@@ -319,7 +323,9 @@ def _cmd_compare(args) -> int:
         accept_b, _ = _acceptor(side_b)
 
     # Keyed by B's identity: B's value would be hashed and compared on every
-    # call.  The entry holds B itself, so its id is not reused while kept.
+    # call.  An entry holds B's machine by a weak reference whose callback
+    # drops the entry as B dies, so the entry goes with B and B's id is not
+    # reused while kept; "theorem2" is held as it is.
     reports = _compare_reports(machine_a)
     key = (id(side_b), args.max_len, max_blocks)
     render = fileformat.word_separator(alphabet).join
@@ -339,6 +345,8 @@ def _cmd_compare(args) -> int:
                 raise
             word = render(exc.word)
             raise MachineError(f"acceptor {exc.side} failed on word {word!r}: {exc.__cause__}") from exc
+        if not isinstance(side_b, str):
+            side_b = weakref.ref(side_b, lambda _: reports.pop(key, None))
         reports[key] = (side_b, report)
     print(report.to_tsv(render) if args.format == "tsv" else report.to_text(render))
     return 0 if report.total_mismatches == 0 else 1

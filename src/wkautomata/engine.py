@@ -30,9 +30,11 @@ is never kept: a machine that fails validation raises on every call.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from collections.abc import Callable, Sequence
 from enum import Enum
+from functools import lru_cache
 from operator import add, getitem
 
 from .machines import (
@@ -328,6 +330,33 @@ def accepts_existential(
 _MEMO_STATES = 32_768
 
 
+@lru_cache(maxsize=64)
+def _plan(table, alphabet: tuple) -> list | None:
+    """The walk plan of the ``oracle._Completions`` table ``table`` over
+    ``alphabet``, or None if some symbol of the table is not in ``alphabet``.
+
+    A plan lists the tree's levels, from the root: at each depth, for every
+    node in order, the columns of its children in order, a symbol's column
+    being its index in ``alphabet``; the children of the last level are the
+    completions themselves, so a walk steps each shared prefix once.  The
+    levels are the root's columns, then, depth by depth, the subtables' own
+    plans joined in order, and the table of the empty completion has the
+    plan ``[]``.  Plans are kept for the 64 most recent (table, alphabet)
+    pairs, so a subtable that several children share is planned once, and
+    the acceptors of machines over one alphabet share one plan.
+    """
+    if not table.children:
+        return []
+    try:
+        root = tuple([alphabet.index(sym) for sym, _ in table.children])
+    except ValueError:
+        return None
+    below = [_plan(sub, alphabet) for _, sub in table.children]
+    if None in below:
+        return None
+    return [(root,), *[tuple(itertools.chain(*level)) for level in zip(*below)]]
+
+
 def _forget(memo: dict) -> None:
     """Empty a dropped acceptor's memo and the move slots of its states."""
     for state in memo.values():
@@ -406,11 +435,13 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     an enumeration, ``prefix`` joined to each completion of an
     ``oracle._Completions`` table, with one walk: the fast walk of the
     prefix, then the table's tree of shared prefixes level by level, with
-    the walk plan the table keeps for this machine's upper alphabet, whose
+    the ``_plan`` of the table over this machine's upper alphabet, whose
     order is the columns' order, so a shared symbol is stepped once for all
-    the words below it.  A group with a symbol that has no column, and each
-    word whose walk ends without a verdict, go to the predicate itself in
-    order, so they run the stages, and raise the errors, that a
+    the words below it.  The last level's comprehension also reads the end
+    marker's slot, and the table of the empty completion reads the verdict
+    of the prefix's state.  A group with a symbol that has no column, and
+    each word whose walk ends without a verdict, go to the predicate itself
+    in order, so they run the stages, and raise the errors, that a
     word-by-word sweep would.
     """
     compiled = _compile_wk(machine)
@@ -562,7 +593,7 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     def walk_group(prefix: Word, table) -> list[bool]:
         """The verdict on ``prefix`` joined to each completion of ``table``,
         in order; the last level of the table's tree reads the verdicts."""
-        plan = table.plan(alphabet)
+        plan = _plan(table, alphabet)
         state = start
         try:
             for x in prefix:
@@ -571,14 +602,13 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
             plan = None
         if plan is None:
             return list(map(accepts, map(prefix.__add__, table.words)))
-        levels, last = plan
-        if last is None:
-            verdicts = [state[close]]
-        else:
+        if plan:
             states = [state]
-            for level in levels:
+            for level in plan[:-1]:
                 states = [s[c] for s, cs in zip(states, level) for c in cs]
-            verdicts = [s[c][close] for s, cs in zip(states, last) for c in cs]
+            verdicts = [s[c][close] for s, cs in zip(states, plan[-1]) for c in cs]
+        else:
+            verdicts = [state[close]]
         if None in verdicts:
             words = table.words
             for i, verdict in enumerate(verdicts):

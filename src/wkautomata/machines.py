@@ -253,9 +253,7 @@ class ComplementarityRelation(Record):
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> ComplementarityRelation:
         images: dict[str, list[str]] = {}
         for x, y in pairs:
-            bucket = images.setdefault(x, [])
-            if y not in bucket:
-                bucket.append(y)
+            images.setdefault(x, []).append(y)
         return cls({x: tuple(ys) for x, ys in images.items()})
 
     @classmethod

@@ -192,17 +192,15 @@ def accepts_existential_bruteforce(
 
 class _Completions:
     """A completion table: same-length completions, in order, as a tree of
-    shared prefixes, and the walk plans of the kept acceptors over them.
+    shared prefixes.
 
     ``children`` pairs each first symbol, in order, with the table of what
     may follow it; ``words`` spells the completions out, and the table of
-    the empty completion has no children.  A walk plan lists the tree's
-    levels, from the root: at each depth, for every node in order, the
-    columns of its children in order; the children of the last level are
-    the completions themselves.  So a walk steps each shared prefix once.
+    the empty completion has no children.  A kept acceptor walks the tree
+    by ``engine._plan``.
     """
 
-    __slots__ = ("children", "words", "_plans")
+    __slots__ = ("children", "words")
 
     def __init__(self, children: tuple[tuple[str, _Completions], ...]):
         self.children = children
@@ -211,36 +209,6 @@ class _Completions:
             if children
             else ((),)
         )
-        self._plans: dict[tuple, tuple[list, tuple | None] | None] = {}
-
-    def plan(self, alphabet: tuple) -> tuple[list, tuple | None] | None:
-        """The walk plan with each symbol's index in ``alphabet`` as its
-        column, split into the levels above the last and the last (None for
-        the table of the empty completion), or None if some symbol is not
-        in ``alphabet``.  A plan is built once per alphabet and kept for at
-        most 64 of them, so the acceptors of machines over one alphabet
-        share one.
-        """
-        plan = self._plans.get(alphabet, self)
-        if plan is self:
-            try:
-                levels = self._levels({x: c for c, x in enumerate(alphabet)})
-                plan = (levels[:-1], levels[-1]) if levels else ([], None)
-            except (KeyError, TypeError):  # a foreign or unhashable symbol
-                plan = None
-            if len(self._plans) >= 64:
-                self._plans.clear()
-            self._plans[alphabet] = plan
-        return plan
-
-    def _levels(self, column: dict) -> list[tuple[tuple[int, ...], ...]]:
-        """The tree's levels: the children's columns, then, depth by
-        depth, the children's own levels joined in order."""
-        if not self.children:
-            return []
-        below = [table._levels(column) for _, table in self.children]
-        root = tuple([column[sym] for sym, _ in self.children])
-        return [(root,), *[tuple(itertools.chain(*level)) for level in zip(*below)]]
 
 
 class _Words(itertools.chain):

@@ -938,6 +938,22 @@ class TestKeptCompareReport:
         assert [ref() for ref in refs] == [None] * 6
 
 
+    def test_a_churned_side_b_takes_its_reports_with_it(self, tmp_path, sweeps):
+        # Ten copies of theorem2.wk as B, each with its own comment line,
+        # cycle through the 8-text parse memo, so every pass parses each B
+        # anew while A stays held.  An entry goes with its B machine, so A
+        # keeps reports for at most the 7 B machines the memo still holds.
+        text = (CORPUS_DIR / "theorem2.wk").read_text()
+        paths = [tmp_path / f"t{j}.wk" for j in range(10)]
+        for j, path in enumerate(paths):
+            path.write_text(f"# copy {j}\n{text}")
+        for i in range(30):
+            assert run_cli("compare", self.T2, str(paths[i % 10]), "--max-len", "4")[0] == 0
+        assert len(sweeps) == 30
+        reports = cli._compare_reports(cli._load(self.T2))
+        assert 0 < len(reports) <= 7
+        assert all(held() is not None for held, _ in reports.values())
+
 @given(machine=mfa_machines(2), order=st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_a_two_head_sweep_decides_what_the_run_loop_decides(machine, order):

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import gc
+import itertools
 import pickle
 import random
 import sys
@@ -800,7 +801,9 @@ class TestAcceptorTables:
     @pytest.mark.parametrize("name", [n for n in CORPUS_FILES if n.endswith(".wk")])
     def test_predicates_share_tables_but_not_memos(self, name):
         machine = parse_machine((CORPUS_DIR / name).read_text(encoding="utf-8"))
-        words = list(enumerate_words(machine.upper_alphabet, 8))
+        # Every word up to length 8, at most the first 5,461: theorem2.wk's
+        # words up to length 6.
+        words = list(itertools.islice(enumerate_words(machine.upper_alphabet, 8), 5_461))
         verdicts, stages, tables = [], [], []
         for _ in range(2):
             # A predicate runs its first stage when it is made, so its
@@ -857,11 +860,12 @@ class TestAcceptorTables:
             assert sizes == [size] * 3
 
     def test_four_threads_share_one_predicate(self, monkeypatch, theorem2):
-        # With room for 200 states, the threads race through unlinked
-        # states as well as through interned ones they fill at once.
+        # With room for 200 states, of the 1,335 these words intern, the
+        # threads race through unlinked states as well as through interned
+        # ones they fill at once.
         monkeypatch.setattr(engine, "_MEMO_STATES", 200)
-        words = list(enumerate_words(theorem2.upper_alphabet, 7))
-        assert len(words) == 21_845
+        words = list(enumerate_words(theorem2.upper_alphabet, 6))
+        assert len(words) == 5_461
         expected = {
             word: accepts_existential(theorem2, word, want_witness=False).accepted
             for word in words

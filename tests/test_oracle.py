@@ -22,7 +22,7 @@ from wkautomata import (
     theorem2_machine,
     theorem2_member,
 )
-from wkautomata import existential_acceptor, oracle
+from wkautomata import engine, existential_acceptor, oracle
 from wkautomata.machines import UnknownSymbolError, WrongKindError
 from wkautomata.oracle import (
     BLOCK_ALPHABET,
@@ -802,20 +802,37 @@ class TestGroupedSweeps:
     def test_a_plan_spells_each_completion_in_its_columns(self, source, extra, rng):
         # With each symbol's index in the order as its column, walking a
         # plan level by level spells the table's completions in order; an
-        # order without one of the table's symbols has no plan.
+        # order without one of the table's symbols has no plan, and the
+        # table of the empty completion has the plan [] under any order.
         for _, table in grouped_sources(source)().groups:
             symbols = list(dict.fromkeys(itertools.chain(*table.words)))
             order = symbols + extra
             rng.shuffle(order)
-            levels, last = table.plan(tuple(order))
+            plan = engine._plan(table, tuple(order))
+            assert (plan == []) == (table.words == ((),))
             paths = [()]
-            for level in levels if last is None else [*levels, last]:
+            for level in plan:
                 assert len(level) == len(paths)
                 paths = [path + (c,) for path, cs in zip(paths, level) for c in cs]
             assert paths == [tuple(map(order.index, word)) for word in table.words]
             if symbols:
                 order.remove(rng.choice(symbols))
-                assert table.plan(tuple(order)) is None
+                assert engine._plan(table, tuple(order)) is None
+
+    @pytest.mark.parametrize(
+        "source, plans",
+        [(("blocks", 11, 6), 13), (("words", ("a", "b"), 12), 11)],
+        ids=["blocks-11-6", "words-ab-12"],
+    )
+    def test_each_table_is_planned_once(self, example1_rwka, source, plans):
+        # A subtable that several children share is planned once, so a
+        # sweep builds one plan per table it builds.
+        accept = existential_acceptor(THEOREM2 if source[0] == "blocks" else example1_rwka)
+        engine._plan.cache_clear()
+        oracle._table.cache_clear()
+        differential_compare(accept, theorem2_member, grouped_sources(source)())
+        assert engine._plan.cache_info().misses == plans
+        assert oracle._table.cache_info().misses == plans
 
     def test_an_unstarted_enumeration_goes_by_groups_and_a_started_one_by_words(self):
         kept = existential_acceptor(THEOREM2)
@@ -847,7 +864,7 @@ class TestGroupedSweeps:
         def broken(table, column):
             raise IndexError("no plan")
 
-        monkeypatch.setattr(oracle._Completions, "plan", broken)
+        monkeypatch.setattr(engine, "_plan", broken)
         accept = existential_acceptor(THEOREM2)
         with pytest.raises(IndexError, match="^no plan$"):
             differential_compare(accept, theorem2_member, enumerate_block_strings(7, 3))
