@@ -12,7 +12,9 @@ nothing on the other stream, and matches the line as the row says:
 
 * ``has``: the line is a whole line of the stream;
 * ``first`` / ``last``: it is the stream's first / last line;
-* ``is``: the stream is exactly that one line, or empty if the line is.
+* ``is``: the stream is exactly that one line, or empty if the line is;
+* ``sha256``: the line is the whole stream's size in bytes and its
+  sha256 digest, ``SIZE HEXDIGEST``, so the row pins every byte.
 
 The argv runs once as ``python -m wkautomata`` in a fresh process and
 twice in this process through ``cli.main``, and the two in-process runs
@@ -29,6 +31,7 @@ line per failing row:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import shlex
@@ -48,7 +51,7 @@ from wkautomata import cli  # noqa: E402
 
 WIDTH = {"COLUMNS": "80"}
 STREAMS = ("stdout", "stderr")
-MATCHES = ("has", "first", "last", "is")
+MATCHES = ("has", "first", "last", "is", "sha256")
 
 Run = tuple[int, str, str]  # exit code, stdout, stderr
 
@@ -64,13 +67,17 @@ class Row(NamedTuple):
 
 def parse_row(lineno: int, text: str) -> Row:
     """The row on line ``lineno`` of the table; ``ValueError`` if it has
-    too few fields, an exit code that is not an integer, or an unknown
-    stream or match kind."""
+    too few fields, an exit code that is not an integer, an unknown stream
+    or match kind, or a ``sha256`` line that is not a size and a digest."""
     try:
         code, stream, match, argv, line = text.split("\t", 4)
         row = Row(lineno, int(code), stream, match, tuple(shlex.split(argv)), line)
     except ValueError:
         row = None
+    if row is not None and match == "sha256":
+        size, _, digest = line.partition(" ")
+        if not (size.isdigit() and len(digest) == 64 and set(digest) <= set("0123456789abcdef")):
+            row = None
     if row is None or stream not in STREAMS or match not in MATCHES:
         raise ValueError(f"{TABLE.name}:{lineno}: malformed row {text!r}")
     return row
@@ -110,7 +117,16 @@ def in_process(argv: Sequence[str]) -> list[Run]:
 ROUTES = (("subprocess", in_subprocess), ("in-process", in_process))
 
 
+def digest(text: str) -> str:
+    """The size in bytes and the sha256 digest of ``text`` in UTF-8, as a
+    ``sha256`` row states them."""
+    data = text.encode("utf-8")
+    return f"{len(data)} {hashlib.sha256(data).hexdigest()}"
+
+
 def _matches(text: str, match: str, line: str) -> bool:
+    if match == "sha256":
+        return digest(text) == line
     if match == "is":
         return text == (line + "\n" if line else "")
     lines = text.splitlines()
@@ -132,7 +148,10 @@ def check_row(row: Row, route: Callable[[Sequence[str]], list[Run]]) -> str | No
             other_name = "stderr" if row.stream == "stdout" else "stdout"
             found.append(f"{other_name} not empty: {other.splitlines()[0]!r}")
         if not _matches(text, row.match, row.line):
-            found.append(f"no {row.match} line {row.line!r} on {row.stream}")
+            if row.match == "sha256":
+                found.append(f"{row.stream} is {digest(text)!r}, want {row.line!r}")
+            else:
+                found.append(f"no {row.match} line {row.line!r} on {row.stream}")
     if any(run != runs[0] for run in runs):
         found.append("repeated runs differ")
     return "; ".join(dict.fromkeys(found)) or None

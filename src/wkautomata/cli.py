@@ -70,8 +70,10 @@ def _parse(text: str):
     too: ``_build_parser`` holds one set of parsers, ``oracle._table`` the
     64 most recent completion tables of the enumerators, each with its
     subtables, ``engine._plan`` the walk plans of the 64 most recent
-    (table, alphabet) pairs, and ``oracle.theorem2_member`` the last word
-    head it parsed, one head that any thread may read.
+    (table, alphabet) pairs, ``oracle._cuts`` the completion texts of the
+    64 most recent tables that membership decided by group, and
+    ``oracle.theorem2_member`` the last word head it parsed, one head that
+    any thread may read.
     """
     return fileformat.parse_machine(text)
 

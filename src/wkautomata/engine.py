@@ -440,9 +440,11 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     the words below it.  The last level's comprehension also reads the end
     marker's slot, and the table of the empty completion reads the verdict
     of the prefix's state.  A group with a symbol that has no column, and
-    each word whose walk ends without a verdict, go to the predicate itself
-    in order, so they run the stages, and raise the errors, that a
-    word-by-word sweep would.
+    each word whose walk ends without a verdict, go to the predicate's
+    careful walk in order, so they run the stages, and raise the errors,
+    that a word-by-word sweep would.  The group walk does not call the
+    predicate, so the two form no reference cycle, and a dropped predicate
+    unlinks its memo at once.
     """
     compiled = _compile_wk(machine)
     delta = compiled.delta
@@ -601,7 +603,7 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
         except (KeyError, TypeError):  # a foreign or unhashable symbol
             plan = None
         if plan is None:
-            return list(map(accepts, map(prefix.__add__, table.words)))
+            return list(map(walk, map(prefix.__add__, table.words)))
         if plan:
             states = [state]
             for level in plan[:-1]:
@@ -613,7 +615,7 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
             words = table.words
             for i, verdict in enumerate(verdicts):
                 if verdict is None:
-                    verdicts[i] = accepts(prefix + words[i])
+                    verdicts[i] = walk(prefix + words[i])
         return verdicts
 
     accepts.walk_group = walk_group

@@ -142,7 +142,8 @@ def theorem2_member(word: Sequence[str]) -> bool:
     share their head (74% of the block words of (11, 6) in enumeration
     order, half of all words up to length 8 over ``BLOCK_ALPHABET``), and
     such a word parses one block.  The memo holds one head at a time, and
-    any thread may call this function.
+    any thread may call this function.  Its ``walk_group`` decides a whole
+    group of an enumeration (``_member_group``).
     """
     global _last_head
     if not _BLOCK_SYMBOLS.issuperset(word):
@@ -160,6 +161,65 @@ def theorem2_member(word: Sequence[str]) -> bool:
     if summary.__class__ is bool:
         return summary
     return summary.get(w, x) != x  # a w part the head lacks reads as agreeing
+
+
+@lru_cache(maxsize=64)
+def _cuts(table: _Completions) -> tuple[tuple[str, str, str], ...] | None:
+    """Each completion of ``table`` as text cut at its last '%' by
+    ``str.rpartition``, or ``None`` if some completion has a symbol outside
+    ``BLOCK_ALPHABET``.  The cuts are kept for the 64 most recent tables,
+    like ``_table``'s."""
+    try:
+        if _BLOCK_SYMBOLS.issuperset(itertools.chain.from_iterable(table.words)):
+            return tuple(["".join(completion).rpartition("%") for completion in table.words])
+    except TypeError:  # an unhashable symbol
+        pass
+    return None
+
+
+def _member_group(prefix: Word, table: _Completions) -> list[bool]:
+    """``theorem2_member`` on ``prefix`` joined to each completion of
+    ``table``, in order, with the prefix's text joined once.
+
+    A completion with no '%' extends the prefix's last block, so its word
+    has the prefix's head, summarised once for the group.  A completion
+    with a '%' has its own head, whose summary is kept for the latest head
+    only: consecutive completions often share it.  A group with a symbol
+    outside ``BLOCK_ALPHABET``, or an unhashable one, goes word by word.
+    """
+    try:
+        cuts = _BLOCK_SYMBOLS.issuperset(prefix) and _cuts(table)
+    except TypeError:  # an unhashable symbol
+        cuts = None
+    if not cuts:
+        return list(map(theorem2_member, _joined(prefix, table)))
+    text = "".join(prefix)
+    head, _, tail = text.rpartition("%")
+    prefix_summary = _head_summary(head)
+    kept_head = kept_summary = None
+    verdicts: list[bool] = []
+    append = verdicts.append
+    for head, cut, last in cuts:
+        if not cut:
+            summary = prefix_summary
+            if summary is False:
+                append(False)
+                continue
+            last = tail + last
+        elif head != kept_head:
+            kept_head = head
+            summary = kept_summary = _head_summary(text + head)
+        else:
+            summary = kept_summary
+        w, star, x = last.partition("*")
+        if not star or "*" in x or summary is False:
+            append(False)
+        else:
+            append(summary is True or summary.get(w, x) != x)
+    return verdicts
+
+
+theorem2_member.walk_group = _member_group
 
 
 def complement_strands(machine: WKAutomaton, upper: Sequence[str]) -> Iterator[Word]:
@@ -455,28 +515,34 @@ class DiffReport(Record):
 _RUN = 1024
 
 
-def _runs(words: Iterable[Sequence[str]]) -> Iterator[tuple[Word, _Completions | None, list]]:
+def _runs(words: Iterable[Sequence[str]]) -> Iterator[tuple[Word, _Completions | None, list | None]]:
     """``words`` as (prefix, completion table, words) runs of same-length
     words, in order.
 
-    An enumeration that has not started gives its own groups: the words of
-    one are its prefix joined to every completion of its table.  Anything
+    An enumeration that has not started gives its own groups, with no
+    words: the words of one are its prefix joined to every completion of
+    its table, spelled by ``_spelled`` only where they are read.  Anything
     else gives runs of at most ``_RUN`` consecutive words of one length, as
     tuples, with the empty prefix and no table.
     """
     if _unstarted(words):
         for prefix, table in words.groups:
-            yield prefix, table, list(_joined(prefix, table))
+            yield prefix, table, None
         return
     for _, run in itertools.groupby(map(tuple, words), len):
         while chunk := list(itertools.islice(run, _RUN)):
             yield (), None, chunk
 
 
-def _verdicts(accept, walk, prefix: Word, table: _Completions | None, run: list) -> list[bool]:
+def _spelled(prefix: Word, table: _Completions | None, run: list | None) -> list[Word]:
+    """The words of a run of ``_runs``, spelled if it is a group."""
+    return list(_joined(prefix, table)) if run is None else run
+
+
+def _verdicts(accept, walk, prefix: Word, table: _Completions | None, run: list | None) -> list[bool]:
     """Whether ``accept`` accepts each word of a run of ``_runs``: by its
     group ``walk`` where it has one and the run has a table, and otherwise
-    word by word."""
+    word by word over ``run``, which must then be spelled."""
     if walk is not None and table is not None:
         return walk(prefix, table)
     return list(map(bool, map(accept, run)))
@@ -489,14 +555,15 @@ def sweep_verdicts(
 
     A run is a group of an enumeration that has not started, or up to
     ``_RUN`` consecutive words of one length of anything else; its words
-    are tuples, in order.  A predicate kept by
-    ``engine.existential_acceptor`` decides a group with its ``walk_group``:
-    one walk of the prefix, then one of the table's tree of shared
-    prefixes.  Any other predicate, or a run without a group, is called on
-    each word.
+    are tuples, in order.  A predicate with a ``walk_group`` (the one kept
+    by ``engine.existential_acceptor``, and ``theorem2_member``) decides a
+    group with it; the kept acceptor walks the prefix once, then the
+    table's tree of shared prefixes.  Any other predicate, or a run without
+    a group, is called on each word.
     """
     walk = getattr(accept, "walk_group", None)
     for prefix, table, run in _runs(words):
+        run = _spelled(prefix, table, run)
         yield run, _verdicts(accept, walk, prefix, table, run)
 
 
@@ -520,9 +587,12 @@ def differential_compare(
 ) -> DiffReport:
     """Evaluate both acceptors on every word and aggregate per length.
 
-    The words go by in the runs of ``sweep_verdicts``: each side decides a
-    whole run, the two verdict lists are compared in one step, and only a
-    run where they differ is gone through word by word.  If either side
+    The words go by in the runs of ``_runs``: each side decides a whole run,
+    by its ``walk_group`` where it has one and the run is a group, the two
+    verdict lists are compared in one step, and only a run where they
+    differ is gone through word by word.  A group's words are spelled only
+    when a side has no group walk, when the verdicts differ, or when a side
+    fails; its row is counted from its prefix and table.  If either side
     raises anywhere in a run, the run is decided again word by word, a
     before b, so ``AcceptorFailure`` names the first side and word that a
     word-by-word loop would fail on; if neither side raises there, the
@@ -533,7 +603,10 @@ def differential_compare(
     truncated = False
     walk_a = getattr(accept_a, "walk_group", None)
     walk_b = getattr(accept_b, "walk_group", None)
+    walks = walk_a is not None and walk_b is not None
     for prefix, table, run in _runs(words):
+        if not walks:
+            run = _spelled(prefix, table, run)
         try:
             in_a = _verdicts(accept_a, walk_a, prefix, table, run)
             in_b = _verdicts(accept_b, walk_b, prefix, table, run)
@@ -541,13 +614,17 @@ def differential_compare(
         except Exception as exc:  # noqa: BLE001 - rerun below, outside this handler
             failure = exc
         if failure is not None:
-            _word_by_word(accept_a, accept_b, run)
+            _word_by_word(accept_a, accept_b, _spelled(prefix, table, run))
             raise failure
-        row = counts.setdefault(len(run[0]), [0, 0, 0])
-        row[0] += len(run)
+        if run is None:
+            row = counts.setdefault(len(prefix) + len(table.words[0]), [0, 0, 0])
+            row[0] += len(table.words)
+        else:
+            row = counts.setdefault(len(run[0]), [0, 0, 0])
+            row[0] += len(run)
         if in_a == in_b:
             continue
-        for word, a, b in zip(run, in_a, in_b):
+        for word, a, b in zip(_spelled(prefix, table, run), in_a, in_b):
             if a is not b:
                 row[1 if a else 2] += 1
                 if len(mismatches) < mismatch_cap:

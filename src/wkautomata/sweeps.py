@@ -26,7 +26,6 @@ from .oracle import (
     differential_compare,
     enumerate_block_strings,
     enumerate_words,
-    sweep_verdicts,
     theorem2_member,
 )
 from .samples import random_dfa
@@ -84,15 +83,22 @@ def block_language(machine: WKAutomaton, max_len: int, max_blocks: int) -> Block
     '%'; and a well-formed word's later blocks form a well-formed word.  So
     a member is detectable exactly when its part after the first '%' is a
     member.  A member has two blocks, so it has a '%'.
+
+    Both sides decide each group of the enumeration with their
+    ``walk_group``, and only a member is spelled, to check that part.
     """
     accept = existential_acceptor(machine)
     words = unsound = detected = missed = block1_only = block1_rejected = 0
-    for run, verdicts in sweep_verdicts(accept, enumerate_block_strings(max_len, max_blocks)):
-        words += len(run)
-        for word, accepted in zip(run, verdicts):
-            if not theorem2_member(word):
+    for prefix, table in enumerate_block_strings(max_len, max_blocks).groups:
+        completions = table.words
+        words += len(completions)
+        walks = accept.walk_group(prefix, table), theorem2_member.walk_group(prefix, table)
+        for accepted, member, completion in zip(*walks, completions):
+            if not member:
                 unsound += accepted
-            elif theorem2_member(word[word.index("%") + 1 :]):
+                continue
+            word = prefix + completion
+            if theorem2_member(word[word.index("%") + 1 :]):
                 detected += 1
                 missed += not accepted
             else:

@@ -470,6 +470,24 @@ class TestGroupWalk:
         with pytest.raises(UnknownSymbolError):
             next(runs)
 
+    def test_a_dropped_predicate_unlinks_its_memo_at_once(self, theorem2):
+        # The group walk does not call the predicate, so the two form no
+        # reference cycle: with the cyclic collector off, dropping the last
+        # reference to a fresh predicate runs its finalizer at once.
+        accept = existential_acceptor.__wrapped__(theorem2)
+        expected = [accept(w) for w in enumerate_words(theorem2.upper_alphabet, 4)]
+        assert group_sweep(accept, enumerate_words(theorem2.upper_alphabet, 4)) == expected
+        memo = _acceptor_memo(accept)
+        assert memo
+        ref = weakref.ref(accept)
+        gc.disable()
+        try:
+            del accept
+            assert ref() is None
+            assert not memo
+        finally:
+            gc.enable()
+
 
 def _acceptor_code(name):
     """The code object of the function ``name`` nested in every acceptor."""

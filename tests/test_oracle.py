@@ -3,10 +3,12 @@ word enumeration, and differential comparison."""
 
 import bisect
 import copy
+import inspect
 import itertools
 import pickle
 import random
 import sys
+import textwrap
 import threading
 
 import pytest
@@ -698,6 +700,67 @@ class TestDifferentialCompareReference:
 THEOREM2 = theorem2_machine()
 
 
+def member_outcomes(walk, groups):
+    """``walk``'s verdicts on each (prefix, table) group, or the type and
+    message of the ``TypeError`` it raised there; every verdict is a bool."""
+    outcomes = []
+    for prefix, table in groups:
+        try:
+            verdicts = walk(prefix, table)
+        except TypeError as exc:
+            outcomes.append((type(exc), str(exc)))
+            continue
+        assert all(v.__class__ is bool for v in verdicts), verdicts
+        outcomes.append(verdicts)
+    return outcomes
+
+
+def members_word_by_word(prefix, table):
+    return [theorem2_member(word) for word in oracle._joined(prefix, table)]
+
+
+def table_of(words):
+    """The completion table of ``words``, same-length tuples in order."""
+    if words == [()]:
+        return oracle._NO_TAIL
+    return oracle._Completions(tuple(
+        (sym, table_of([w[1:] for w in group]))
+        for sym, group in itertools.groupby(words, lambda w: w[0])
+    ))
+
+
+def shared_table_groups():
+    """One table whose completions all open a block under many prefixes,
+    malformed ones included: each word's head is its whole prefix."""
+    table = table_of([tuple("%a*a"), tuple("%a*b"), tuple("%b*a")])
+    return [(prefix, table) for prefix in enumerate_words(BLOCK_ALPHABET, 5)]
+
+
+def member_group_sources():
+    """The groups that ``theorem2_member.walk_group`` is checked on: all
+    words up to length 8, malformed ones included, the (11, 6) block
+    words, one table under many prefixes, and tables and prefixes with a
+    foreign or unhashable symbol."""
+    blocks = oracle._table(oracle._letters, 2, BLOCK_ALPHABET)
+    unhashable = oracle._Completions(((["a"], oracle._NO_TAIL), ("a", oracle._NO_TAIL)))
+    foreign = [
+        *enumerate_words(("a", "*", "%", "c"), 6).groups,
+        *enumerate_words(("a*", "%", "*", "b"), 4).groups,  # a two-symbol text
+        (("a", "*"), unhashable),
+        ((["a"],), blocks),
+        (("c",), blocks),
+    ]
+    return {
+        "words-8": lambda: enumerate_words(BLOCK_ALPHABET, 8).groups,
+        "blocks-11-6": lambda: enumerate_block_strings(11, 6).groups,
+        "shared-table": shared_table_groups,
+        "foreign": lambda: foreign,
+    }
+
+
+MEMBER_SOURCES = member_group_sources()
+
+
 def grouped_sources(draw_source):
     """A function that makes a fresh enumeration of ``draw_source``:
     ("words", alphabet, max_len) or ("blocks", max_len, max_blocks)."""
@@ -707,9 +770,11 @@ def grouped_sources(draw_source):
 
 class TestGroupedSweeps:
     """An enumeration that has not started is compared group by group, and
-    a kept acceptor decides a whole group with one walk; everything else is
-    compared in runs of words.  Either way the report, the bytes and any
-    failure are those of the per-word loop."""
+    a kept acceptor or ``theorem2_member`` decides a whole group with one
+    walk; everything else is compared in runs of words.  Either way the
+    verdicts, the report, the bytes and any failure are those of the
+    per-word loop, and a compare spells a group's words only where they
+    are read."""
 
     @given(
         source=st.one_of(
@@ -891,6 +956,63 @@ class TestGroupedSweeps:
             for run, verdicts in runs
             for i in range(0, len(run), oracle._RUN)
         ]
+
+    @pytest.mark.parametrize("source", MEMBER_SOURCES.values(), ids=list(MEMBER_SOURCES))
+    def test_group_verdicts_equal_the_per_word_verdicts(self, source):
+        groups = list(source())
+        assert member_outcomes(theorem2_member.walk_group, groups) == member_outcomes(
+            members_word_by_word, groups
+        )
+
+    def test_a_planted_fault_in_the_group_walk_is_seen(self):
+        groups = [*enumerate_block_strings(11, 6).groups, *shared_table_groups()]
+        expected = member_outcomes(members_word_by_word, groups)
+        walk = theorem2_member.walk_group
+        target = tuple("a*a%a*b")
+
+        def flipped(prefix, table):  # one verdict of the sweep flipped
+            return [v != (prefix + c == target) for v, c in zip(walk(prefix, table), table.words)]
+
+        assert member_outcomes(flipped, groups) != expected
+        # A head summary kept from one group into the next.
+        source = textwrap.dedent(inspect.getsource(oracle._member_group))
+        stale = source.replace(
+            "    kept_head = kept_summary = None\n", "    global kept_head, kept_summary\n"
+        )
+        assert stale != source
+        namespace = {**vars(oracle), "kept_head": None, "kept_summary": None}
+        exec(stale, namespace)
+        assert member_outcomes(namespace["_member_group"], groups) != expected
+
+    @pytest.mark.parametrize(
+        "sides, cap",
+        [(("member", "member"), 100), (("acceptor", "acceptor"), 100),
+         (("acceptor", "member"), 5), (("member", "acceptor"), 100)],
+    )
+    def test_a_compare_spells_only_the_groups_where_the_sides_differ(
+        self, monkeypatch, sides, cap
+    ):
+        kept = existential_acceptor(THEOREM2)
+        accept_a, accept_b = (theorem2_member if s == "member" else kept for s in sides)
+        words = list(enumerate_block_strings(11, 6))
+        expected = reference_compare(accept_a, accept_b, words, mismatch_cap=cap)
+        differ = sum(
+            accept_a.walk_group(prefix, table) != accept_b.walk_group(prefix, table)
+            for prefix, table in enumerate_block_strings(11, 6).groups
+        )
+        assert differ == (0 if sides[0] == sides[1] else 817)  # of 1,097 groups
+        spelled = []
+        joined = oracle._joined
+        monkeypatch.setattr(
+            oracle, "_joined", lambda prefix, table: spelled.append(prefix) or joined(prefix, table)
+        )
+        report = differential_compare(
+            accept_a, accept_b, enumerate_block_strings(11, 6), mismatch_cap=cap
+        )
+        assert len(spelled) == differ
+        assert report == expected
+        assert report.to_tsv() == expected.to_tsv()
+        assert report.truncated == (differ > 0)  # 18,304 mismatches
 
 
 class TestDifferentialCompare:
