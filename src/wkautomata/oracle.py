@@ -192,7 +192,7 @@ def _member_group(prefix: Word, table: _Completions) -> list[bool]:
     except TypeError:  # an unhashable symbol
         cuts = None
     if not cuts:
-        return list(map(theorem2_member, _joined(prefix, table)))
+        return list(map(theorem2_member, _joined(prefix, table.words)))
     text = "".join(prefix)
     head, _, tail = text.rpartition("%")
     prefix_summary = _head_summary(head)
@@ -271,35 +271,32 @@ class _Completions:
         )
 
 
-class _Words(itertools.chain):
-    """An enumeration's words: the prefix of each pair that its ``groups``
-    generator yields joined to every completion of the pair's table,
-    chained in C."""
-
-    __slots__ = ("groups",)
+def _joined(prefix: Word, completions: Sequence[Word]) -> Iterator[Word]:
+    """``prefix`` joined to each of ``completions``, lazily."""
+    return map(prefix.__add__, completions) if prefix else iter(completions)
 
 
-def _joined(prefix: Word, table: _Completions) -> Iterator[Word]:
-    return map(prefix.__add__, table.words) if prefix else iter(table.words)
+class _Enumeration:
+    """An enumeration's words, iterable again and again like ``range``: it
+    keeps only the arguments of ``_groups``.
 
+    Each read of ``groups`` gives a fresh generator of the (prefix,
+    completion table) pairs, and each iteration a fresh iterator of their
+    words, each prefix joined to every completion of its table, chained in
+    C with one Python step per pair.
+    """
 
-def _words(groups: Iterator[tuple[Word, _Completions]]) -> _Words:
-    """The words of the (prefix, table) generator ``groups``, lazily, with
-    one Python call per pair."""
-    words = _Words.from_iterable(itertools.starmap(_joined, groups))
-    words.groups = groups
-    return words
+    __slots__ = ("_args",)
 
+    def __init__(self, *args):
+        self._args = args
 
-def _unstarted(words: Iterable) -> bool:
-    """Whether ``words`` is an enumeration that has yielded no word yet:
-    its generator of groups has not run (``gi_suspended`` from Python 3.11
-    on), or has run out, which leaves no word to yield."""
-    if words.__class__ is not _Words:
-        return False
-    groups = words.groups
-    frame = groups.gi_frame
-    return frame is None or not getattr(groups, "gi_suspended", frame.f_lasti >= 0)
+    @property
+    def groups(self) -> Iterator[tuple[Word, _Completions]]:
+        return _groups(*self._args)
+
+    def __iter__(self) -> Iterator[Word]:
+        return itertools.chain.from_iterable(_joined(p, t.words) for p, t in _groups(*self._args))
 
 
 # A table holds at most this many completions: the tail rule, ``_tail``,
@@ -340,18 +337,18 @@ def _table(moves, left: int, state) -> _Completions:
     )
 
 
-def _groups(moves, starts: Iterable[tuple], tail: int) -> Iterator[tuple[Word, _Completions]]:
-    """For each (length, start state) of ``starts``, each prefix of the
-    words of that length under ``moves``, in order, with the table of its
-    completions of ``tail`` symbols (all of a shorter word's).
+def _groups(moves, lengths: Iterable[int], start, tail: int) -> Iterator[tuple[Word, _Completions]]:
+    """For each of ``lengths``, each prefix of the words of that length
+    from the state ``start(length)`` under ``moves``, in order, with the
+    table of its completions of ``tail`` symbols (all of a shorter word's).
 
     The prefixes come from a depth-first walk, its successors pushed in
     reverse so that they pop in order.  A whole word takes ``_NO_TAIL``
     without the cache, so a tail of 0 never hashes a state.
     """
-    for length, start in starts:
+    for length in lengths:
         size = min(length, tail)
-        stack: list[tuple[Word, int, object]] = [((), length, start)]
+        stack: list[tuple[Word, int, object]] = [((), length, start(length))]
         while stack:
             prefix, left, state = stack.pop()
             if left == size:
@@ -366,17 +363,19 @@ def _letters(left: int, alphabet: Word) -> tuple[tuple[str, Word], ...]:
     return tuple((x, alphabet) for x in alphabet)
 
 
-def enumerate_words(alphabet: Sequence[str], max_len: int) -> Iterator[Word]:
+def enumerate_words(alphabet: Sequence[str], max_len: int) -> Iterable[Word]:
     """All words of length 0..max_len, shortest first, then lexicographic
     by the declared symbol order.
 
     The words of each length come in groups: each prefix, in order, joined
     to every completion in the table of the last ``_tail`` symbols (all of
     a shorter word's).  An alphabet with an unhashable symbol keys no table
-    and makes one group per word.  The words come out lazily through C
-    iterators, one Python call per group, and ``sweep_verdicts`` and
-    ``differential_compare`` take the groups themselves from an
-    enumeration that has not started.
+    and makes one group per word.  The alphabet is read once, by this call.
+    The result may be iterated again, like ``range``, each time lazily
+    through C iterators, one Python step per group; ``next()`` needs
+    ``iter()`` first.  Its ``groups`` attribute gives the (prefix, table)
+    groups afresh on each read, and ``sweep_verdicts`` and
+    ``differential_compare`` sweep an enumeration by them.
     """
     alphabet = tuple(alphabet)
     try:
@@ -386,7 +385,7 @@ def enumerate_words(alphabet: Sequence[str], max_len: int) -> Iterator[Word]:
         tail = 0
     # No symbol spells only the empty word.
     lengths = range(max_len + 1) if alphabet else range(min(max_len, 0) + 1)
-    return _words(_groups(_letters, zip(lengths, itertools.repeat(alphabet)), tail))
+    return _Enumeration(_letters, lengths, lambda length: alphabet, tail)
 
 
 def _successors(left: int, state: tuple[int, bool]) -> tuple[tuple[str, tuple[int, bool]], ...]:
@@ -411,7 +410,7 @@ def _successors(left: int, state: tuple[int, bool]) -> tuple[tuple[str, tuple[in
     return letters
 
 
-def enumerate_block_strings(max_total_len: int, max_blocks: int) -> Iterator[Word]:
+def enumerate_block_strings(max_total_len: int, max_blocks: int) -> Iterable[Word]:
     """All well-formed block words up to the given total length and block
     count, shortest first, then lexicographic under the order a, b, *, %.
 
@@ -421,15 +420,14 @@ def enumerate_block_strings(max_total_len: int, max_blocks: int) -> Iterator[Wor
     five over four symbols (all of a shorter word's).  A table is keyed by
     the symbols left and the state the prefix leaves open (blocks still
     allowed, capped as ``_successors`` caps them, and whether the block has
-    its '*'), so all bounds together build at most 23.  The words come out
-    lazily, one prefix at a time, through C iterators that resume no Python
-    frame per word, and ``sweep_verdicts`` and ``differential_compare``
-    take the (prefix, table) groups themselves from an enumeration that has
-    not started.
+    its '*'), so all bounds together build at most 23.  The result is
+    iterable again and again and has ``groups``, as ``enumerate_words``'s
+    has; its words come out lazily, one prefix at a time, through C
+    iterators that resume no Python frame per word.
     """
     lengths = range(1, max_total_len + 1) if max_blocks >= 1 else ()
-    starts = ((n, (min(max_blocks - 1, n // 2), False)) for n in lengths)
-    return _words(_groups(_successors, starts, _tail(len(BLOCK_ALPHABET))))
+    start = lambda n: (min(max_blocks - 1, n // 2), False)  # noqa: E731
+    return _Enumeration(_successors, lengths, start, _tail(len(BLOCK_ALPHABET)))
 
 
 class LengthStats(Record):
@@ -510,42 +508,36 @@ class DiffReport(Record):
         return "\n".join(lines)
 
 
-# A run of an iterable that is not an unstarted enumeration holds at most
-# this many words.
+# A run of an iterable that is not an enumeration holds at most this many
+# words.
 _RUN = 1024
 
 
-def _runs(words: Iterable[Sequence[str]]) -> Iterator[tuple[Word, _Completions | None, list | None]]:
-    """``words`` as (prefix, completion table, words) runs of same-length
-    words, in order.
+def _runs(words: Iterable[Sequence[str]]) -> Iterator[tuple[Word, _Completions | None, Sequence[Word]]]:
+    """``words`` as (prefix, completion table, completions) runs of
+    same-length words, in order; the words of a run are its prefix joined
+    to each completion, spelled by ``_joined`` only where they are read.
 
-    An enumeration that has not started gives its own groups, with no
-    words: the words of one are its prefix joined to every completion of
-    its table, spelled by ``_spelled`` only where they are read.  Anything
-    else gives runs of at most ``_RUN`` consecutive words of one length, as
-    tuples, with the empty prefix and no table.
+    An enumeration gives its own groups, each with its table's completions.
+    Anything else gives runs of at most ``_RUN`` consecutive words of one
+    length, as tuples, with the empty prefix and no table.
     """
-    if _unstarted(words):
+    if isinstance(words, _Enumeration):
         for prefix, table in words.groups:
-            yield prefix, table, None
+            yield prefix, table, table.words
         return
     for _, run in itertools.groupby(map(tuple, words), len):
         while chunk := list(itertools.islice(run, _RUN)):
             yield (), None, chunk
 
 
-def _spelled(prefix: Word, table: _Completions | None, run: list | None) -> list[Word]:
-    """The words of a run of ``_runs``, spelled if it is a group."""
-    return list(_joined(prefix, table)) if run is None else run
-
-
-def _verdicts(accept, walk, prefix: Word, table: _Completions | None, run: list | None) -> list[bool]:
+def _verdicts(accept, walk, prefix: Word, table: _Completions | None, completions) -> list[bool]:
     """Whether ``accept`` accepts each word of a run of ``_runs``: by its
     group ``walk`` where it has one and the run has a table, and otherwise
-    word by word over ``run``, which must then be spelled."""
+    word by word over the run's words, spelled."""
     if walk is not None and table is not None:
         return walk(prefix, table)
-    return list(map(bool, map(accept, run)))
+    return list(map(bool, map(accept, _joined(prefix, completions))))
 
 
 def sweep_verdicts(
@@ -553,21 +545,21 @@ def sweep_verdicts(
 ) -> Iterator[tuple[list[Word], list[bool]]]:
     """``words`` in runs, each with ``accept``'s verdict on every word.
 
-    A run is a group of an enumeration that has not started, or up to
-    ``_RUN`` consecutive words of one length of anything else; its words
-    are tuples, in order.  A predicate with a ``walk_group`` (the one kept
-    by ``engine.existential_acceptor``, and ``theorem2_member``) decides a
-    group with it; the kept acceptor walks the prefix once, then the
-    table's tree of shared prefixes.  Any other predicate, or a run without
-    a group, is called on each word.
+    A run is a group of an enumeration, or up to ``_RUN`` consecutive words
+    of one length of anything else, such as a list, a generator or an
+    enumeration's ``iter()``; its words are tuples, in order.  A predicate
+    with a ``walk_group`` (the one kept by ``engine.existential_acceptor``,
+    and ``theorem2_member``) decides a group with it; the kept acceptor
+    walks the prefix once, then the table's tree of shared prefixes.  Any
+    other predicate, or a run without a group, is called on each word.
     """
     walk = getattr(accept, "walk_group", None)
-    for prefix, table, run in _runs(words):
-        run = _spelled(prefix, table, run)
-        yield run, _verdicts(accept, walk, prefix, table, run)
+    for prefix, table, completions in _runs(words):
+        run = list(_joined(prefix, completions))
+        yield run, walk(prefix, table) if walk and table else list(map(bool, map(accept, run)))
 
 
-def _word_by_word(accept_a, accept_b, run: list[Word]) -> None:
+def _word_by_word(accept_a, accept_b, run: Iterable[Word]) -> None:
     """Decide ``run`` again word by word, a before b; the first call that
     raises is reported with its side and word."""
     for word in run:
@@ -587,44 +579,41 @@ def differential_compare(
 ) -> DiffReport:
     """Evaluate both acceptors on every word and aggregate per length.
 
-    The words go by in the runs of ``_runs``: each side decides a whole run,
-    by its ``walk_group`` where it has one and the run is a group, the two
-    verdict lists are compared in one step, and only a run where they
-    differ is gone through word by word.  A group's words are spelled only
-    when a side has no group walk, when the verdicts differ, or when a side
-    fails; its row is counted from its prefix and table.  If either side
-    raises anywhere in a run, the run is decided again word by word, a
-    before b, so ``AcceptorFailure`` names the first side and word that a
-    word-by-word loop would fail on; if neither side raises there, the
-    group route itself failed, and its exception is raised again.
+    The words go by in the runs of ``_runs``: an enumeration's groups, or
+    runs of up to ``_RUN`` words of any other iterable.  Each side decides
+    a whole run, by its ``walk_group`` where it has one and the run is a
+    group, the two verdict lists are compared in one step, and only a run
+    where they differ is gone through word by word.  A run's words are
+    spelled only for a side with no group walk, where the verdicts differ,
+    or where a side fails; its row is counted from its prefix and
+    completions.  If either side raises anywhere in a run, the run is
+    decided again word by word, a before b, so ``AcceptorFailure`` names
+    the first side and word that a word-by-word loop would fail on; if
+    neither side raises there, the group route itself failed, and its
+    exception is raised again.
     """
     counts: dict[int, list[int]] = {}  # length: [words, a_only, b_only]
     mismatches: list[tuple[Word, str]] = []
     truncated = False
     walk_a = getattr(accept_a, "walk_group", None)
     walk_b = getattr(accept_b, "walk_group", None)
-    walks = walk_a is not None and walk_b is not None
-    for prefix, table, run in _runs(words):
-        if not walks:
-            run = _spelled(prefix, table, run)
+    for prefix, table, completions in _runs(words):
+        if walk_a is walk_b is None:  # neither side walks: spell the run once for both
+            prefix, table, completions = (), None, list(_joined(prefix, completions))
         try:
-            in_a = _verdicts(accept_a, walk_a, prefix, table, run)
-            in_b = _verdicts(accept_b, walk_b, prefix, table, run)
+            in_a = _verdicts(accept_a, walk_a, prefix, table, completions)
+            in_b = _verdicts(accept_b, walk_b, prefix, table, completions)
             failure = None
         except Exception as exc:  # noqa: BLE001 - rerun below, outside this handler
             failure = exc
         if failure is not None:
-            _word_by_word(accept_a, accept_b, _spelled(prefix, table, run))
+            _word_by_word(accept_a, accept_b, _joined(prefix, completions))
             raise failure
-        if run is None:
-            row = counts.setdefault(len(prefix) + len(table.words[0]), [0, 0, 0])
-            row[0] += len(table.words)
-        else:
-            row = counts.setdefault(len(run[0]), [0, 0, 0])
-            row[0] += len(run)
+        row = counts.setdefault(len(prefix) + len(completions[0]), [0, 0, 0])
+        row[0] += len(completions)
         if in_a == in_b:
             continue
-        for word, a, b in zip(_spelled(prefix, table, run), in_a, in_b):
+        for word, a, b in zip(_joined(prefix, completions), in_a, in_b):
             if a is not b:
                 row[1 if a else 2] += 1
                 if len(mismatches) < mismatch_cap:

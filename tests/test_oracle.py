@@ -12,7 +12,7 @@ import textwrap
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wkautomata import (
@@ -375,6 +375,10 @@ class TestTheorem2MemberHeadMemo:
         assert not theorem2_member(("c", ["a"]))  # a foreign symbol rejects first
 
 
+def symbols(k):
+    return [f"s{i}" for i in range(k)]
+
+
 class TestEnumerateWords:
     def test_two_letter_example(self):
         words = list(enumerate_words(("a", "b"), 2))
@@ -393,7 +397,9 @@ class TestEnumerateWords:
 
     def test_lazy_and_reads_the_alphabet_once(self):
         words = enumerate_words(iter("ab"), 10**9)
-        assert list(itertools.islice(words, 4)) == [(), ("a",), ("b",), ("a", "a")]
+        first = [(), ("a",), ("b",), ("a", "a")]
+        assert list(itertools.islice(words, 4)) == first
+        assert list(itertools.islice(words, 4)) == first  # iterated again, from the start
         assert list(enumerate_words(("a", "b"), -1)) == []
 
     def test_single_letter(self):
@@ -413,17 +419,25 @@ class TestEnumerateWords:
         assert len(set(words)) == len(words)
 
     @given(
-        alphabet=st.one_of(
-            st.lists(st.sampled_from("abc"), max_size=4),  # repeats included
-            st.integers(5, 40).map(lambda k: [f"s{i}" for i in range(k)]),
-        ),
-        max_len=st.integers(-1, 4),
+        st.one_of(
+            # Up to four of a, b and c, repeats included: tables of 10, 6 and 5 symbols.
+            st.tuples(st.lists(st.sampled_from("abc"), max_size=4), st.integers(-1, 4)),
+            # Tables of 4 and 3 symbols; from 6 symbols on, prefixes too.
+            st.tuples(st.integers(5, 10).map(symbols), st.integers(-1, 4)),
+            # Tables of 2 and 1 symbols under prefixes, at most 40**3 words.
+            st.tuples(st.integers(11, 40).map(symbols), st.integers(-1, 3)),
+        )
     )
+    @example(case=(symbols(6), 4))  # each of the tails 3, 2 and 1 under prefixes
+    @example(case=(symbols(11), 3))
+    @example(case=(symbols(33), 3))
     @settings(max_examples=60, deadline=None)
-    def test_the_groups_spell_the_products_in_order(self, alphabet, max_len):
+    def test_the_groups_spell_the_products_in_order(self, case):
+        alphabet, max_len = case
         expected = [w for n in range(max_len + 1) for w in itertools.product(alphabet, repeat=n)]
-        assert list(enumerate_words(alphabet, max_len)) == expected
-        groups = list(enumerate_words(alphabet, max_len).groups)
+        words = enumerate_words(alphabet, max_len)
+        assert list(words) == expected
+        groups = list(words.groups)
         assert [prefix + tail for prefix, table in groups for tail in table.words] == expected
         assert all(len(table.words) <= oracle._TABLE_WORDS for _, table in groups)
 
@@ -716,7 +730,7 @@ def member_outcomes(walk, groups):
 
 
 def members_word_by_word(prefix, table):
-    return [theorem2_member(word) for word in oracle._joined(prefix, table)]
+    return [theorem2_member(word) for word in oracle._joined(prefix, table.words)]
 
 
 def table_of(words):
@@ -899,7 +913,9 @@ class TestGroupedSweeps:
         assert engine._plan.cache_info().misses == plans
         assert oracle._table.cache_info().misses == plans
 
-    def test_an_unstarted_enumeration_goes_by_groups_and_a_started_one_by_words(self):
+    def test_an_enumeration_goes_by_groups_on_every_sweep_and_other_iterables_by_words(
+        self, monkeypatch
+    ):
         kept = existential_acceptor(THEOREM2)
         calls = []
 
@@ -912,18 +928,36 @@ class TestGroupedSweeps:
             return kept.walk_group(prefix, table)
 
         accept.walk_group = walk_group
-        groups = len(list(enumerate_block_strings(7, 3).groups))
-        words = list(enumerate_block_strings(7, 3))
-        report = differential_compare(accept, theorem2_member, enumerate_block_strings(7, 3))
-        assert calls == ["group"] * groups
-        assert report == reference_compare(kept, theorem2_member, words)
-
-        calls.clear()
         source = enumerate_block_strings(7, 3)
-        assert next(source) == words[0]
-        report = differential_compare(accept, theorem2_member, source)
-        assert calls == ["word"] * (len(words) - 1)
-        assert report == reference_compare(kept, theorem2_member, words[1:])
+        groups = len(list(source.groups))
+        # Listed and peeked at first: neither uses the enumeration up.
+        words = list(source)
+        assert next(iter(source)) == words[0]
+        expected = reference_compare(kept, theorem2_member, words)
+        assert expected.total_words == len(words) > groups > 1
+        for _ in range(2):
+            calls.clear()
+            assert differential_compare(accept, theorem2_member, source) == expected
+            assert calls == ["group"] * groups
+        for other in (iter(source), list(source), (word for word in source)):
+            calls.clear()
+            assert differential_compare(accept, theorem2_member, other) == expected
+            assert calls == ["word"] * len(words)
+
+        # Two sides without a group walk: each group is spelled once for both.
+        spelled = []
+        joined = oracle._joined
+
+        def counted(prefix, completions):  # counts the words a prefix is joined to
+            spelled.append(len(completions) if prefix else 0)
+            return joined(prefix, completions)
+
+        monkeypatch.setattr(oracle, "_joined", counted)
+        plain = lambda word: kept(word)  # noqa: E731
+        assert differential_compare(plain, plain, source) == reference_compare(kept, kept, words)
+        assert sum(spelled) == sum(len(table.words) for prefix, table in source.groups if prefix)
+        member = lambda word: theorem2_member(word)  # noqa: E731
+        assert differential_compare(plain, member, source) == expected
 
     def test_a_failure_of_the_group_walk_itself_is_raised(self, monkeypatch):
         def broken(table, column):
