@@ -8,14 +8,16 @@ applies) in a final state.  Getting stuck in a non-final state rejects, and
 so does revisiting a configuration, which is the only way a one-way machine
 can run forever.
 
-The existential engine does not enumerate whole lower strands.  Because the
+The existential search does not enumerate whole lower strands.  Because the
 lower head is one-way, the only part of the strand that can still matter is
 the symbol currently under the head, so the search commits the guess one
 position at a time and explores the finite graph of
-(state, upper position, lower position, committed symbol) nodes.
-
-Sweeps use ``existential_acceptor``, which runs the same search in stages
-memoised as the states of a lazily built DFA; its docstring tells how.
+(state, upper position, lower position, committed symbol) nodes.  One
+depth-first loop, ``_explore``, explores that graph up to a position.
+Sweeps use ``existential_acceptor``, which runs it in stages, one per
+position, memoised as the states of a lazily built DFA; its docstring tells
+how.  The witness search of ``accepts_existential`` and ``wka run`` is that
+acceptor's stage run once, on the whole end-marked word.
 
 Every engine refuses a machine of another kind than it runs with a
 ``WrongKindError``, and a machine that fails ``validate`` with an
@@ -87,6 +89,12 @@ class RunOutcome(Record):
 
 
 class SearchResult(Record):
+    """The verdict of ``accepts_existential``, an accepting lower strand if
+    one was asked for, and the number of search nodes explored.  The lower
+    head commits only the images under which a node can still move or
+    accept, so a commit that would leave a non-final state stuck makes no
+    node and is not counted."""
+
     accepted: bool
     witness_lower: Word | None
     explored: int
@@ -174,8 +182,9 @@ class _CompiledWK(Record):
     then the left end marker and the lower-only symbols.  ``images`` lists
     the right end marker as its own image.  ``live[x][q][u]`` holds the
     images of x that the lower head may commit in state q over upper symbol
-    u: an image that leaves a non-final q stuck is left out, since that node
-    neither moves nor accepts.
+    u, in the order ``rho`` declares them: an image that leaves a non-final
+    q stuck is left out, since that node neither moves nor accepts.  So a
+    depth-first search tries the images it keeps in their declared order.
     """
 
     start: int
@@ -210,19 +219,19 @@ def _compile_wk(machine: WKAutomaton) -> _CompiledWK:
     }
 
     # Every upper read u is an upper symbol or an end marker, so u < nu.  A
-    # final row of x offers all of x's images, and every other row starts
-    # empty.  holders[s] lists the tables of the symbols that s is an image
-    # of, and one pass over delta adds each lower read s to its row in each.
+    # final row of x offers all of x's images, and every other row the
+    # images of x, in their declared order, that delta reads there: one pass
+    # over delta lists the (q, u) cells of non-final q that read each s.
     nq, nu = len(state), len(upper) + 2
+    cells: dict[int, list] = {}
+    for q, u, s in delta:
+        if q not in finals:
+            cells.setdefault(s, []).append((q, u))
     live = {}
-    holders: dict[int, list] = {}
     for x, xs in images.items():
         table = live[x] = [[xs] * nu if q in finals else [()] * nu for q in range(nq)]
         for s in xs:
-            holders.setdefault(s, []).append(table)
-    for q, u, s in delta:
-        if q not in finals:
-            for table in holders.get(s, ()):
+            for q, u in cells.get(s, ()):
                 table[q][u] += (s,)
 
     return _CompiledWK(
@@ -238,54 +247,88 @@ def _compile_wk(machine: WKAutomaton) -> _CompiledWK:
     )
 
 
-def _search(
-    compiled: _CompiledWK, w1: Word, want_witness: bool
-) -> tuple[bool, Word | None, int]:
-    column = compiled.column
-    require_symbols(w1, column, "upper alphabet")
-    ups = [compiled.left] + [column[x] for x in w1] + [compiled.right]
-    n = len(w1)
-    delta = compiled.delta
-    images = compiled.images
-    finals = compiled.finals
+def _explore(delta, finals, images, live, ups, heads, commits, parent=None):
+    """Explore, depth first, the search nodes with both heads at most at
+    position ``j = len(ups) - 1`` that ``heads`` and ``commits`` reach, over
+    the upper symbols ``ups`` of positions 0 to j and the tables of a
+    ``_CompiledWK``.
 
-    start = (compiled.start, 0, 0, compiled.left)
-    visited = {start}
-    stack = [start]
-    parent: dict[tuple, tuple | None] | None = {start: None} if want_witness else None
-    accepting = None
+    ``heads`` are nodes; ``commits`` are (target, p1) pairs whose lower head
+    has just moved onto j, expanded over the live images of its symbol.  The
+    lower head commits only ``live`` images, so no commit makes a node that
+    can neither move nor accept.  Returns the accepting node or None,
+    the heads (nodes whose upper head moves past j) and commits (whose
+    lower head moves past j) it hands on, and the set of nodes it saw.
+    Given a ``parent`` dict, it maps each node made from another to that
+    node.
+    """
+    # Plain loops throughout: a comprehension would turn the names it reads
+    # (j, t, np1, ...) into closure cells, slower at every node.
+    j = len(ups) - 1
+    seen = set(heads)
+    for t, p1 in commits:
+        for s in live[ups[j]][t][ups[p1]]:
+            seen.add((t, p1, j, s))
+    stack = list(seen)
+    next_heads = set()
+    next_commits = set()
     while stack:
         node = stack.pop()
         q, p1, p2, s = node
         found = delta.get((q, ups[p1], s))
         if found is None:
             if q in finals:
-                accepting = node
-                break
+                return node, next_heads, next_commits, seen
             continue
         t, d1, d2 = found
         np1 = p1 + d1
         if d2:
+            if p2 == j:
+                next_commits.add((t, np1))
+                continue
             np2 = p2 + 1
-            for s2 in images[ups[np2]]:
+            if np1 > j:
+                for s2 in images[ups[np2]]:
+                    next_heads.add((t, np1, np2, s2))
+                continue
+            for s2 in live[ups[np2]][t][ups[np1]]:
                 nxt = (t, np1, np2, s2)
-                if nxt not in visited:
-                    visited.add(nxt)
+                if nxt not in seen:
+                    seen.add(nxt)
                     if parent is not None:
                         parent[nxt] = node
                     stack.append(nxt)
+        elif np1 > j:
+            next_heads.add((t, np1, p2, s))
         else:
             nxt = (t, np1, p2, s)
-            if nxt not in visited:
-                visited.add(nxt)
+            if nxt not in seen:
+                seen.add(nxt)
                 if parent is not None:
                     parent[nxt] = node
                 stack.append(nxt)
+    return None, next_heads, next_commits, seen
+
+
+def _search(compiled: _CompiledWK, w1: Word, want_witness: bool) -> tuple[bool, Word | None, int]:
+    """The acceptor's stage run once on the whole tape from the start node.
+    A valid machine moves no head off the right end marker, so it hands
+    nothing on."""
+    column = compiled.column
+    require_symbols(w1, column, "upper alphabet")
+    ups = [compiled.left] + [column[x] for x in w1] + [compiled.right]
+    n = len(w1)
+    images = compiled.images
+    start = (compiled.start, 0, 0, compiled.left)
+    parent = {start: None} if want_witness else None
+    accepting, _, _, seen = _explore(
+        compiled.delta, compiled.finals, images, compiled.live, ups, (start,), (), parent
+    )
 
     if accepting is None:
-        return False, None, len(visited)
+        return False, None, len(seen)
     if not want_witness:
-        return True, None, len(visited)
+        return True, None, len(seen)
 
     # Rebuild the committed symbols along the accepting path; positions the
     # lower head never reached take each position's first declared image.
@@ -300,7 +343,7 @@ def _search(
         compiled.token_of[s if s is not None else images[ups[i + 1]][0]]
         for i, s in enumerate(chosen)
     )
-    return True, witness, len(visited)
+    return True, witness, len(seen)
 
 
 def accepts_existential(
@@ -309,13 +352,13 @@ def accepts_existential(
     """Decide acceptance over every complementary lower strand.
 
     Accepts exactly when some reachable search node is stuck in a final
-    state.  On acceptance the returned witness strand replays to an
-    accepting halt under ``run_deterministic``.
+    state.  The search is the acceptor's stage run once on the whole
+    end-marked word, from the start node; it tries the images of a position
+    in the order ``rho`` declares them, the last one first.  On acceptance
+    the returned witness strand replays to an accepting halt under
+    ``run_deterministic``.
     """
-    accepted, witness, explored = _search(
-        _compile_wk(machine), tuple(upper), want_witness
-    )
-    return SearchResult(accepted, witness, explored)
+    return SearchResult(*_search(_compile_wk(machine), tuple(upper), want_witness))
 
 
 # An acceptor interns at most this many frontiers.  Once its memo is full, a
@@ -369,16 +412,18 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     """The acceptance predicate of ``machine`` for sweeping many words,
     built once per machine object.
 
-    The predicate decides what ``accepts_existential`` decides, but it
-    searches in stages and runs them as the moves of a lazily built DFA.
-    Both heads are one-way, so a node whose positions are both <= k depends
-    only on the length-k prefix.  Stage j explores exactly the reached nodes
-    with a head at position j.  It hands stage j + 1 a frontier of two
-    kinds: *heads*, the nodes whose upper head moved to j + 1, and
-    *commits*, the (target, p1) pairs whose lower head moves onto j + 1,
-    which stage j + 1 expands over the images of its symbol.  Nodes of
-    different stages are disjoint, so each stage deduplicates with a set of
-    its own, and no visited set outlives its stage.  Acceptance found at
+    The predicate decides what ``accepts_existential`` decides, with the
+    same search loop, ``_explore``, but it searches in stages and runs them
+    as the moves of a lazily built DFA.  Both heads are one-way, so a node
+    whose positions are both <= k depends only on the length-k prefix.
+    Stage j explores exactly the reached nodes with a head at position j.
+    It hands stage j + 1 a frontier of two kinds: *heads*, the nodes whose
+    upper head moved to j + 1, and *commits*, the (target, p1) pairs whose
+    lower head moves onto j + 1, which stage j + 1 expands over the images
+    of its symbol.  Nodes of different stages are disjoint, so each stage
+    deduplicates with a set of its own, and no visited set outlives its
+    stage.  ``accepts_existential`` is the one stage whose j is the right
+    end marker's position.  Acceptance found at
     stage j holds for every extension of the prefix, and so does rejection
     once a stage hands on nothing.  Raises ``InvalidMachineError`` for a
     machine that fails ``validate``.
@@ -447,11 +492,8 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     unlinks its memo at once.
     """
     compiled = _compile_wk(machine)
-    delta = compiled.delta
-    finals = compiled.finals
-    images = compiled.images
+    delta, finals, images, live = compiled.delta, compiled.finals, compiled.images, compiled.live
     column = compiled.column
-    live = compiled.live
     close = compiled.right
     alphabet = machine.upper_alphabet
 
@@ -462,61 +504,24 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
         Returns True on acceptance, False when nothing reaches position
         j + 1, and otherwise the key of the frontier for stage j + 1.
         """
-        # Plain loops throughout: a comprehension would turn the names it
-        # reads (j, t, np1, ...) into closure cells, slower at every node.
-        j = len(ups) - 1
-        seen = set(heads)
-        for t, p1 in commits:
-            for s in live[ups[j]][t][ups[p1]]:
-                seen.add((t, p1, j, s))
-        stack = list(seen)
-        next_heads = set()
-        next_commits = set()
-        while stack:
-            q, p1, p2, s = stack.pop()
-            found = delta.get((q, ups[p1], s))
-            if found is None:
-                if q in finals:
-                    return True
-                continue
-            t, d1, d2 = found
-            np1 = p1 + d1
-            if d2:
-                if p2 == j:
-                    next_commits.add((t, np1))
-                    continue
-                np2 = p2 + 1
-                if np1 > j:
-                    for s2 in images[ups[np2]]:
-                        next_heads.add((t, np1, np2, s2))
-                    continue
-                for s2 in live[ups[np2]][t][ups[np1]]:
-                    nxt = (t, np1, np2, s2)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            elif np1 > j:
-                next_heads.add((t, np1, p2, s))
-            else:
-                nxt = (t, np1, p2, s)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if not (next_heads or next_commits):
+        found, heads, commits, _ = _explore(delta, finals, images, live, ups, heads, commits)
+        if found is not None:
+            return True
+        if not (heads or commits):
             return False
         # The key: positions shifted down by the lowest one, base, and the
         # window of ups from base on.
-        base = j + 1  # every head has p1 == j + 1
-        for _, _, p2, _ in next_heads:
+        base = len(ups)  # every head has p1 == j + 1
+        for _, _, p2, _ in heads:
             if p2 < base:
                 base = p2
-        for _, p1 in next_commits:
+        for _, p1 in commits:
             if p1 < base:
                 base = p1
-        key = [j + 1 - base, *ups[base:], len(next_heads)]
-        for q, p1, p2, s in sorted(next_heads):
+        key = [len(ups) - base, *ups[base:], len(heads)]
+        for q, p1, p2, s in sorted(heads):
             key += (q, p1 - base, p2 - base, s)
-        for t, p1 in sorted(next_commits):
+        for t, p1 in sorted(commits):
             key += (t, p1 - base)
         return "".join(map(chr, key))
 

@@ -12,7 +12,7 @@ import weakref
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wkautomata import (
@@ -948,9 +948,10 @@ def reference_tables(machine):
     symbols in first-seen order over the upper alphabet, the right and the
     left end marker and the lower alphabet, and states in declaration
     order.  So each upper symbol's number is its column.  The right end
-    marker is its own image, and each live row is read off ``delta`` one
-    cell at a time.  Dicts are returned as item lists, so their order is
-    compared too."""
+    marker is its own image, and each live row lists the images of x, in
+    their declared order, that ``delta`` reads in its cell, or all of them
+    in a final state's row.  Dicts are returned as item lists, so their
+    order is compared too."""
     sym, state = {}, {}
     upper = machine.upper_alphabet
     for token in (*upper, "$", "#", *machine.lower_alphabet):
@@ -969,7 +970,8 @@ def reference_tables(machine):
     def live_row(q, u, xs):
         if q in finals:
             return xs
-        return tuple(s for (p, v, s), _ in delta if (p, v) == (q, u) and s in xs)
+        reads = {s for (p, v, s), _ in delta if (p, v) == (q, u)}
+        return tuple(s for s in xs if s in reads)
 
     return {
         "start": state[machine.start],
@@ -1009,6 +1011,16 @@ class TestCompiledTables:
             alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
             dfa = random_dfa(rng, max_states=rng.randint(1, 12), alphabet=alphabet)
             self.assert_reference_numbering(dfa_to_rwka(dfa))
+
+    @given(machine=wk_machines())
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_machines(self, machine):
+        # The corpus machines and compiled DFAs never have two live images
+        # of one symbol in a cell whose delta order differs from their
+        # declared order.  These machines list delta over the sorted lower
+        # symbols but declare each symbol's images in drawn order, so a live
+        # row in delta order fails here.
+        self.assert_reference_numbering(machine)
 
 
 # Each entry point of the run loop, called with a word none of the corpus
@@ -1117,6 +1129,34 @@ class TestEngineProperties:
         if result.accepted:
             replay = run_deterministic(machine, word, result.witness_lower)
             assert replay.verdict is Verdict.ACCEPT_HALT
+
+    @given(machine=wk_machines())
+    @example(
+        # It accepts "ba" only by moving both heads off b, into q1 on (a, y):
+        # a loop that looked up the live images of y in q1 over b, where the
+        # upper head was, not over a, where it goes, would reject it.  Few
+        # drawn machines show that fault.
+        machine=WKAutomaton(
+            ("q0", "q1"), ("a", "b"), "q0", {"q0"},
+            ComplementarityRelation({"a": ("y",), "b": ("x",)}),
+            {("q0", "#", "#"): ("q0", 1, 1), ("q0", "b", "x"): ("q1", 1, 1),
+             ("q1", "a", "y"): ("q0", 0, 0)},
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_search_and_acceptor_agree_with_bruteforce_on_arbitrary_machines(self, machine):
+        # The search and the acceptor run one loop, so the brute force over
+        # whole lower strands is the independent side.  Every word up to
+        # length 4, not one drawn word: a wrong position read in the loop
+        # shows on few words of a machine.
+        accept = existential_acceptor.__wrapped__(machine)
+        for word in enumerate_words(machine.upper_alphabet, 4):
+            result = accepts_existential(machine, word)
+            assert result.accepted == accepts_existential_bruteforce(machine, word), word
+            assert accept(word) == result.accepted, word
+            if result.accepted:
+                replay = run_deterministic(machine, word, result.witness_lower)
+                assert replay.verdict is Verdict.ACCEPT_HALT, word
 
     def test_heads_are_monotone_along_traces(self, example1_rwka, theorem2):
         cases = [
