@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 
@@ -106,16 +107,19 @@ def dfa_accepts(dfa: ClassicalDFA, word: Sequence[str]) -> bool:
     return row[_FINAL]
 
 
-def _head_summary(head: str) -> bool | dict[str, str]:
+def _head_summary(head: str, before: bool | dict[str, str] | None = None) -> bool | dict[str, str]:
     """What the blocks of ``head``, a word's text before its last '%',
-    decide about the word.
+    decide about the word, after the blocks whose summary is ``before``
+    (none by default).
 
     ``False`` if some block is malformed, ``True`` if two blocks share a w
     part but differ in the x part, and otherwise the map from each w part
-    to its x part.
+    to its x part.  ``before`` is read, never changed.
     """
-    xs: dict[str, str] = {}
-    conflict = False
+    if before is False:
+        return False
+    conflict = before is True
+    xs: dict[str, str] = {} if conflict or before is None else dict(before)
     for block in head.split("%"):
         w, star, x = block.partition("*")
         if not star or "*" in x:
@@ -143,7 +147,8 @@ def theorem2_member(word: Sequence[str]) -> bool:
     order, half of all words up to length 8 over ``BLOCK_ALPHABET``), and
     such a word parses one block.  The memo holds one head at a time, and
     any thread may call this function.  Its ``walk_group`` decides a whole
-    group of an enumeration (``_member_group``).
+    group of an enumeration (``_member_group``) over completions parsed
+    once per table (``_lasts``), joining no word's text.
     """
     global _last_head
     if not _BLOCK_SYMBOLS.issuperset(word):
@@ -164,58 +169,71 @@ def theorem2_member(word: Sequence[str]) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _cuts(table: _Completions) -> tuple[tuple[str, str, str], ...] | None:
-    """Each completion of ``table`` as text cut at its last '%' by
-    ``str.rpartition``, or ``None`` if some completion has a symbol outside
-    ``BLOCK_ALPHABET``.  The cuts are kept for the 64 most recent tables,
-    like ``_table``'s."""
-    try:
-        if _BLOCK_SYMBOLS.issuperset(itertools.chain.from_iterable(table.words)):
-            return tuple(["".join(completion).rpartition("%") for completion in table.words])
-    except TypeError:  # an unhashable symbol
-        pass
-    return None
+def _lasts(table: _Completions) -> tuple[tuple[str | None, tuple[str, ...] | None], ...] | None:
+    """Each completion of ``table`` as its text before its last '%', or
+    ``None`` if it has no '%', with its last block cut at its first '*'
+    (w, '*' or '', x); the cut is ``None`` if that block has two '*', or
+    no '*' after a '%'.  ``None`` for a table with a symbol outside
+    ``BLOCK_ALPHABET``; an unhashable one raises ``TypeError``.  The cuts
+    are kept for the 64 most recent tables, like ``_table``'s.
+    """
+    if not _BLOCK_SYMBOLS.issuperset(itertools.chain.from_iterable(table.words)):
+        return None
+    lasts = []
+    for completion in table.words:
+        head, cut, last = "".join(completion).rpartition("%")
+        w, star, x = last.partition("*")
+        well_formed = "*" not in x and (star or not cut)
+        lasts.append((head if cut else None, (w, star, x) if well_formed else None))
+    return tuple(lasts)
 
 
 def _member_group(prefix: Word, table: _Completions) -> list[bool]:
     """``theorem2_member`` on ``prefix`` joined to each completion of
-    ``table``, in order, with the prefix's text joined once.
+    ``table``, in order, over the completions as ``_lasts`` cuts them,
+    with the prefix's text joined and cut once.
 
-    A completion with no '%' extends the prefix's last block, so its word
-    has the prefix's head, summarised once for the group.  A completion
-    with a '%' has its own head, whose summary is kept for the latest head
-    only: consecutive completions often share it.  A group with a symbol
-    outside ``BLOCK_ALPHABET``, or an unhashable one, goes word by word.
+    A completion with no '%' extends the prefix's last block, its tail, so
+    its word has the prefix's head, summarised once for the group: if the
+    tail has its '*' the completion must have none and joins the x part,
+    and otherwise it must have one and its w part joins the tail.  A
+    completion with a '%' has its own head, the prefix's blocks then its
+    own, summarised on top of the prefix head's summary and kept for the
+    latest head only, since consecutive completions often share it.  Either
+    way one lookup in the summary decides the last block.  A group with a
+    symbol outside ``BLOCK_ALPHABET``, or an unhashable one, goes word by
+    word.
     """
     try:
-        cuts = _BLOCK_SYMBOLS.issuperset(prefix) and _cuts(table)
+        lasts = _BLOCK_SYMBOLS.issuperset(prefix) and _lasts(table)
     except TypeError:  # an unhashable symbol
-        cuts = None
-    if not cuts:
+        lasts = None
+    if not lasts:
         return list(map(theorem2_member, _joined(prefix, table.words)))
-    text = "".join(prefix)
-    head, _, tail = text.rpartition("%")
-    prefix_summary = _head_summary(head)
+    head, cut, tail = "".join(prefix).rpartition("%")
+    tail_w, tail_star, tail_x = tail.partition("*")
+    before = _head_summary(head) if cut else {}  # no '%' in the prefix: no block before the tail
+    prefix_summary = before if cut and "*" not in tail_x else False
     kept_head = kept_summary = None
     verdicts: list[bool] = []
     append = verdicts.append
-    for head, cut, last in cuts:
-        if not cut:
+    for head, last in lasts:
+        if last is None:
+            append(False)
+            continue
+        w, star, x = last
+        if head is None:
             summary = prefix_summary
-            if summary is False:
+            if summary is False or star == tail_star:  # the last block gets no '*' or two
                 append(False)
                 continue
-            last = tail + last
-        elif head != kept_head:
-            kept_head = head
-            summary = kept_summary = _head_summary(text + head)
+            w, x = (tail_w, tail_x + w) if tail_star else (tail + w, x)
         else:
+            if head != kept_head:
+                kept_head = head
+                kept_summary = _head_summary(tail + head, before)
             summary = kept_summary
-        w, star, x = last.partition("*")
-        if not star or "*" in x or summary is False:
-            append(False)
-        else:
-            append(summary is True or summary.get(w, x) != x)
+        append(summary is True or (summary is not False and summary.get(w, x) != x))
     return verdicts
 
 
@@ -582,19 +600,21 @@ def differential_compare(
     The words go by in the runs of ``_runs``: an enumeration's groups, or
     runs of up to ``_RUN`` words of any other iterable.  Each side decides
     a whole run, by its ``walk_group`` where it has one and the run is a
-    group, the two verdict lists are compared in one step, and only a run
-    where they differ is gone through word by word.  A run's words are
-    spelled only for a side with no group walk, where the verdicts differ,
-    or where a side fails; its row is counted from its prefix and
-    completions.  If either side raises anywhere in a run, the run is
-    decided again word by word, a before b, so ``AcceptorFailure`` names
-    the first side and word that a word-by-word loop would fail on; if
-    neither side raises there, the group route itself failed, and its
-    exception is raised again.
+    group, and the two verdict lists are compared in one step.  Where they
+    differ, each side's mismatches are counted in C (a side accepts where
+    its verdict is truthy, and the verdicts differ where they are not the
+    same object), and only the mismatching words that still fit under
+    ``mismatch_cap`` are spelled; the report is truncated when more
+    mismatches were counted than listed.  A run's words are spelled only
+    for a side with no group walk, where a mismatch is listed, or where a
+    side fails; its row is counted from its prefix and completions.  If
+    either side raises anywhere in a run, the run is decided again word by
+    word, a before b, so ``AcceptorFailure`` names the first side and word
+    that a word-by-word loop would fail on; if neither side raises there,
+    the group route itself failed, and its exception is raised again.
     """
     counts: dict[int, list[int]] = {}  # length: [words, a_only, b_only]
     mismatches: list[tuple[Word, str]] = []
-    truncated = False
     walk_a = getattr(accept_a, "walk_group", None)
     walk_b = getattr(accept_b, "walk_group", None)
     for prefix, table, completions in _runs(words):
@@ -613,14 +633,15 @@ def differential_compare(
         row[0] += len(completions)
         if in_a == in_b:
             continue
-        for word, a, b in zip(_joined(prefix, completions), in_a, in_b):
-            if a is not b:
-                row[1 if a else 2] += 1
-                if len(mismatches) < mismatch_cap:
-                    mismatches.append((word, "a" if a else "b"))
-                else:
-                    truncated = True
+        differ = list(map(operator.is_not, in_a, in_b))
+        a_only = sum(map(bool, itertools.compress(in_a, differ)))
+        row[1] += a_only
+        row[2] += differ.count(True) - a_only
+        if (room := mismatch_cap - len(mismatches)) > 0:
+            listed = itertools.compress(zip(_joined(prefix, completions), in_a), differ)
+            mismatches += [(word, "a" if a else "b") for word, a in itertools.islice(listed, room)]
     per_length = {n: LengthStats(w, w - a - b, a, b) for n, (w, a, b) in sorted(counts.items())}
+    truncated = sum(a + b for _, a, b in counts.values()) > len(mismatches)
     return DiffReport(
         max(counts, default=0), per_length, tuple(mismatches), truncated, mismatch_cap
     )

@@ -15,6 +15,8 @@ import this module, so a cold ``wka`` call does not compile it.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 
 from .construct import dfa_to_rwka
@@ -85,18 +87,17 @@ def block_language(machine: WKAutomaton, max_len: int, max_blocks: int) -> Block
     member.  A member has two blocks, so it has a '%'.
 
     Both sides decide each group of the enumeration with their
-    ``walk_group``, and only a member is spelled, to check that part.
+    ``walk_group``.  Accepted non-members are counted in C over the two
+    verdict lists, and only a member is spelled, to check that part.
     """
     accept = existential_acceptor(machine)
     words = unsound = detected = missed = block1_only = block1_rejected = 0
     for prefix, table in enumerate_block_strings(max_len, max_blocks).groups:
-        completions = table.words
-        words += len(completions)
-        walks = accept.walk_group(prefix, table), theorem2_member.walk_group(prefix, table)
-        for accepted, member, completion in zip(*walks, completions):
-            if not member:
-                unsound += accepted
-                continue
+        words += len(table.words)
+        verdicts = accept.walk_group(prefix, table)
+        members = theorem2_member.walk_group(prefix, table)
+        unsound += sum(itertools.compress(verdicts, map(operator.not_, members)))
+        for accepted, completion in itertools.compress(zip(verdicts, table.words), members):
             word = prefix + completion
             if theorem2_member(word[word.index("%") + 1 :]):
                 detected += 1

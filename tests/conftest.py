@@ -2,6 +2,7 @@ import io
 import contextlib
 import functools
 import itertools
+import random
 import sys
 from pathlib import Path
 
@@ -180,6 +181,39 @@ def wk_machines(draw):
     machine = WKAutomaton(states, ("a", "b"), "q0", finals, ComplementarityRelation(rho), delta)
     assert validate(machine).passed
     return machine
+
+
+def _seeded_wk_machine(seed: int) -> WKAutomaton:
+    """A valid WK machine of ``dense_wk_machines``, every part picked by
+    ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 3)))
+    rho = {u: tuple(rng.sample(("x", "y", "z"), rng.randint(1, 3))) for u in ("a", "b")}
+    lower = sorted({y for ys in rho.values() for y in ys})
+    delta = {}
+    for q in states:
+        for u in ("#", "a", "b", "$"):
+            for l in ("#", *lower, "$"):
+                if rng.random() < 0.5:
+                    moves = [m for m in _MOVES if _allowed((u, l), m)]
+                    delta[(q, u, l)] = (rng.choice(states), *rng.choice(moves))
+    finals = {q for q in states if rng.random() < 0.5}
+    machine = WKAutomaton(states, ("a", "b"), "q0", finals, ComplementarityRelation(rho), delta)
+    assert validate(machine).passed
+    return machine
+
+
+def dense_wk_machines():
+    """Machines of the shapes ``wk_machines`` draws, picked uniformly by a
+    ``random.Random`` seeded with a drawn integer: 1-3 states, 1-3 images
+    of each symbol in random order, each read triple a transition with
+    probability 1/2 (its target and moves picked uniformly, the moves from
+    those ``validate`` allows), and each state final with probability 1/2.
+    Hypothesis's own choices lean to the simplest value at each step, so
+    ``wk_machines`` gives mostly sparse machines with few finals and few
+    images; these are denser, and more often move both heads at once onto
+    cells with different live images.  A failure shrinks only its seed."""
+    return st.integers(0, 2**32 - 1).map(_seeded_wk_machine)
 
 
 @st.composite

@@ -81,12 +81,19 @@ def test_a_one_byte_change_fails_a_sha256_row():
         assert wrong == f"stdout is {check_cli.digest(planted)!r}, want {row.line!r}"
 
 
-def test_a_one_byte_change_to_a_rendered_report_fails_its_row(monkeypatch):
+@pytest.mark.parametrize("method", ["to_tsv", "to_text"])
+def test_a_one_byte_change_to_a_rendered_report_fails_its_row(monkeypatch, method):
     monkeypatch.chdir(check_cli.ROOT)
     clear_caches()
-    (row,) = [row for row in SHA256_ROWS if row.argv[0] == "compare"]
-    to_tsv = oracle.DiffReport.to_tsv
-    monkeypatch.setattr(
-        oracle.DiffReport, "to_tsv", lambda self, render=None: to_tsv(self, render).replace("\t", " ", 1)
-    )
-    assert check_cli.check_row(row, check_cli.in_process).startswith("stdout is '2098 ")
+    (row,) = [
+        row for row in SHA256_ROWS
+        if row.argv[0] == "compare" and ("--format" in row.argv) == (method == "to_tsv")
+    ]
+    rendered = getattr(oracle.DiffReport, method)
+
+    def planted(self, render=None):
+        return rendered(self, render).replace("len", "leN", 1)
+
+    monkeypatch.setattr(oracle.DiffReport, method, planted)
+    size = row.line.split()[0]
+    assert check_cli.check_row(row, check_cli.in_process).startswith(f"stdout is '{size} ")

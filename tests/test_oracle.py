@@ -5,6 +5,7 @@ import bisect
 import copy
 import inspect
 import itertools
+import operator
 import pickle
 import random
 import sys
@@ -750,11 +751,23 @@ def shared_table_groups():
     return [(prefix, table) for prefix in enumerate_words(BLOCK_ALPHABET, 5)]
 
 
+def tail_table_groups():
+    """Tables whose completions have no '%', with none, one or two '*',
+    under many prefixes: each word's last block is the prefix's tail
+    joined to a completion.  Completions of one symbol fit under prefixes
+    long enough to hold a head block whose x part is a tail's x part
+    joined to a completion, as in '*ab%*a' then 'b'."""
+    tables = [(table_of(list(itertools.product("ab*", repeat=k))), n) for k, n in ((1, 6), (3, 4))]
+    return [(prefix, table) for table, n in tables for prefix in enumerate_words(BLOCK_ALPHABET, n)]
+
+
 def member_group_sources():
     """The groups that ``theorem2_member.walk_group`` is checked on: all
     words up to length 8, malformed ones included, the (11, 6) block
-    words, one table under many prefixes, and tables and prefixes with a
-    foreign or unhashable symbol."""
+    words, one table under many prefixes that each word's head is, one
+    under many prefixes that each word's last block goes on from, and
+    tables and prefixes with a foreign, two-character or unhashable
+    symbol."""
     blocks = oracle._table(oracle._letters, 2, BLOCK_ALPHABET)
     unhashable = oracle._Completions(((["a"], oracle._NO_TAIL), ("a", oracle._NO_TAIL)))
     foreign = [
@@ -768,6 +781,7 @@ def member_group_sources():
         "words-8": lambda: enumerate_words(BLOCK_ALPHABET, 8).groups,
         "blocks-11-6": lambda: enumerate_block_strings(11, 6).groups,
         "shared-table": shared_table_groups,
+        "tail-table": tail_table_groups,
         "foreign": lambda: foreign,
     }
 
@@ -999,7 +1013,9 @@ class TestGroupedSweeps:
         )
 
     def test_a_planted_fault_in_the_group_walk_is_seen(self):
-        groups = [*enumerate_block_strings(11, 6).groups, *shared_table_groups()]
+        groups = [
+            *enumerate_block_strings(11, 6).groups, *shared_table_groups(), *tail_table_groups()
+        ]
         expected = member_outcomes(members_word_by_word, groups)
         walk = theorem2_member.walk_group
         target = tuple("a*a%a*b")
@@ -1017,24 +1033,41 @@ class TestGroupedSweeps:
         namespace = {**vars(oracle), "kept_head": None, "kept_summary": None}
         exec(stale, namespace)
         assert member_outcomes(namespace["_member_group"], groups) != expected
+        # The prefix's tail taken from the group before.
+        cut = '    head, cut, tail = "".join(prefix).rpartition("%")\n'
+        swap = "    global last_tail\n    tail, last_tail = last_tail, tail\n"
+        stale = source.replace(cut, cut + swap)
+        assert stale != source
+        namespace = {**vars(oracle), "last_tail": ""}
+        exec(stale, namespace)
+        assert member_outcomes(namespace["_member_group"], groups) != expected
 
     @pytest.mark.parametrize(
-        "sides, cap",
-        [(("member", "member"), 100), (("acceptor", "acceptor"), 100),
-         (("acceptor", "member"), 5), (("member", "acceptor"), 100)],
+        "sides, cap, spells",
+        [(("member", "member"), 100, 0), (("acceptor", "acceptor"), 100, 0),
+         (("acceptor", "member"), 5, 2), (("member", "acceptor"), 100, 8)],
     )
     def test_a_compare_spells_only_the_groups_where_the_sides_differ(
-        self, monkeypatch, sides, cap
+        self, monkeypatch, sides, cap, spells
     ):
+        # Of the groups whose verdict lists differ, only those up to the one
+        # that fills the cap are spelled, to list their mismatches.
         kept = existential_acceptor(THEOREM2)
         accept_a, accept_b = (theorem2_member if s == "member" else kept for s in sides)
         words = list(enumerate_block_strings(11, 6))
         expected = reference_compare(accept_a, accept_b, words, mismatch_cap=cap)
-        differ = sum(
-            accept_a.walk_group(prefix, table) != accept_b.walk_group(prefix, table)
-            for prefix, table in enumerate_block_strings(11, 6).groups
-        )
-        assert differ == (0 if sides[0] == sides[1] else 817)  # of 1,097 groups
+        differ = [
+            sum(map(operator.is_not, a, b))
+            for a, b in (
+                (accept_a.walk_group(prefix, table), accept_b.walk_group(prefix, table))
+                for prefix, table in enumerate_block_strings(11, 6).groups
+            )
+            if a != b
+        ]
+        assert len(differ) == (0 if sides[0] == sides[1] else 817)  # of 1,097 groups
+        assert sum(differ) == expected.total_mismatches  # 18,304 or none
+        filled = list(itertools.accumulate(differ))
+        assert spells == (bisect.bisect_left(filled, cap) + 1 if differ else 0)
         spelled = []
         joined = oracle._joined
         monkeypatch.setattr(
@@ -1043,10 +1076,46 @@ class TestGroupedSweeps:
         report = differential_compare(
             accept_a, accept_b, enumerate_block_strings(11, 6), mismatch_cap=cap
         )
-        assert len(spelled) == differ
+        assert len(spelled) == spells
         assert report == expected
         assert report.to_tsv() == expected.to_tsv()
-        assert report.truncated == (differ > 0)  # 18,304 mismatches
+        assert report.truncated == bool(differ)
+
+
+def parity(word):
+    """A side that differs from ``theorem2_member`` both ways: an even
+    count of 'a'.  Its group walk decides each completion alone."""
+    return word.count("a") % 2 == 0
+
+
+parity.walk_group = lambda prefix, table: [parity(prefix + c) for c in table.words]
+
+
+class TestCompareListing:
+    """Where the sides differ, a compare counts each side's mismatches and
+    lists only those that fit under the cap.  On the group route and the
+    list route alike, the report is the per-word loop's: its counts, its
+    mismatches in order with their sides, its truncation and its bytes."""
+
+    @pytest.fixture(scope="class")
+    def mismatches(self):
+        words = list(enumerate_words(BLOCK_ALPHABET, 6))
+        report = reference_compare(theorem2_member, parity, words, mismatch_cap=len(words))
+        assert report.totals.a_only and report.totals.b_only  # both sides accept some
+        return report.total_mismatches
+
+    @pytest.mark.parametrize("route", ["groups", "list"])
+    @pytest.mark.parametrize("cap", [0, 1, 5, 100, "all", "one more"])
+    def test_the_report_is_the_per_word_loops(self, mismatches, route, cap):
+        cap = {"all": mismatches, "one more": mismatches + 1}.get(cap, cap)
+        source = enumerate_words(BLOCK_ALPHABET, 6)
+        expected = reference_compare(theorem2_member, parity, source, mismatch_cap=cap)
+        words = source if route == "groups" else list(source)
+        report = differential_compare(theorem2_member, parity, words, mismatch_cap=cap)
+        assert report == expected
+        assert report.truncated == (mismatches > cap)
+        assert report.to_tsv() == expected.to_tsv()
+        assert report.to_text() == expected.to_text()
 
 
 class TestDifferentialCompare:
