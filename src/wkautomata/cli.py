@@ -70,8 +70,9 @@ def _parse(text: str):
     too: ``_build_parser`` holds one set of parsers, ``oracle._table`` the
     64 most recent completion tables of the enumerators, each with its
     subtables, ``engine._plan`` the walk plans of the 64 most recent
-    (table, alphabet) pairs, ``oracle._lasts`` the pre-parsed completions
-    of the 64 most recent tables that membership decided by group, and
+    (table, alphabet) pairs, ``oracle._index`` the completions, indexed by
+    head and last block, of the 64 most recent tables that membership
+    decided by group, and
     ``oracle.theorem2_member`` the last word head it parsed, one head that
     any thread may read.
     """

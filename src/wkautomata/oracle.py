@@ -107,19 +107,16 @@ def dfa_accepts(dfa: ClassicalDFA, word: Sequence[str]) -> bool:
     return row[_FINAL]
 
 
-def _head_summary(head: str, before: bool | dict[str, str] | None = None) -> bool | dict[str, str]:
+def _head_summary(head: str) -> bool | dict[str, str]:
     """What the blocks of ``head``, a word's text before its last '%',
-    decide about the word, after the blocks whose summary is ``before``
-    (none by default).
+    decide about the word.
 
     ``False`` if some block is malformed, ``True`` if two blocks share a w
     part but differ in the x part, and otherwise the map from each w part
-    to its x part.  ``before`` is read, never changed.
+    to its x part.
     """
-    if before is False:
-        return False
-    conflict = before is True
-    xs: dict[str, str] = {} if conflict or before is None else dict(before)
+    conflict = False
+    xs: dict[str, str] = {}
     for block in head.split("%"):
         w, star, x = block.partition("*")
         if not star or "*" in x:
@@ -147,8 +144,9 @@ def theorem2_member(word: Sequence[str]) -> bool:
     order, half of all words up to length 8 over ``BLOCK_ALPHABET``), and
     such a word parses one block.  The memo holds one head at a time, and
     any thread may call this function.  Its ``walk_group`` decides a whole
-    group of an enumeration (``_member_group``) over completions parsed
-    once per table (``_lasts``), joining no word's text.
+    group of an enumeration (``_member_group``) from each table's
+    completions indexed once by head and last block (``_index``), joining
+    no word's text and doing work only per summary entry and per member.
     """
     global _last_head
     if not _BLOCK_SYMBOLS.issuperset(word):
@@ -168,72 +166,110 @@ def theorem2_member(word: Sequence[str]) -> bool:
     return summary.get(w, x) != x  # a w part the head lacks reads as agreeing
 
 
+def _lead(text: str) -> tuple[str, str, str] | None:
+    """``text`` as the rest of a block whose start is not known yet: the
+    '*' that start must have ('' if ``text`` has its own '*'), and the w
+    and x parts ``text`` adds to the start's; ``None`` if it has two '*'."""
+    w, star, x = text.partition("*")
+    return None if "*" in x else ("", w, x) if star else ("*", "", w)
+
+
 @lru_cache(maxsize=64)
-def _lasts(table: _Completions) -> tuple[tuple[str | None, tuple[str, ...] | None], ...] | None:
-    """Each completion of ``table`` as its text before its last '%', or
-    ``None`` if it has no '%', with its last block cut at its first '*'
-    (w, '*' or '', x); the cut is ``None`` if that block has two '*', or
-    no '*' after a '%'.  ``None`` for a table with a symbol outside
-    ``BLOCK_ALPHABET``; an unhashable one raises ``TypeError``.  The cuts
-    are kept for the 64 most recent tables, like ``_table``'s.
+def _index(table: _Completions) -> tuple | None:
+    """``table``'s completions indexed for ``_member_group``: its size,
+    and a map from the '*' a prefix's tail has ('*' or '') to what can
+    complete such a tail, kept for the 64 most recent tables, like
+    ``_table``'s.  ``None`` for a table with a symbol outside
+    ``BLOCK_ALPHABET``; an unhashable one raises ``TypeError``.
+
+    What completes a tail is a triple.  First the heads (a completion's
+    text before its last '%') whose first fragment completes it, by
+    ``_lead``, each as the w and x parts that fragment adds, the
+    ``_head_summary`` of the head's own later blocks, its completions'
+    last blocks as a map from w part to (x part, position) pairs, and
+    their positions.  Then the completions with no '%' that complete it,
+    as the same map by the w and x parts they add.  Last, the set of all
+    those positions.  A completion whose last block is malformed, and a
+    head whose first fragment or own blocks are, is left out: its words
+    are no members.
     """
     if not _BLOCK_SYMBOLS.issuperset(itertools.chain.from_iterable(table.words)):
         return None
-    lasts = []
-    for completion in table.words:
+    heads: dict[str, tuple] = {}
+    ends = {"": ({}, []), "*": ({}, [])}
+    for pos, completion in enumerate(table.words):
         head, cut, last = "".join(completion).rpartition("%")
-        w, star, x = last.partition("*")
-        well_formed = "*" not in x and (star or not cut)
-        lasts.append((head if cut else None, (w, star, x) if well_formed else None))
-    return tuple(lasts)
+        lead = _lead(last)
+        if lead is None or (cut and lead[0]):  # two '*', or none after a '%'
+            continue
+        if cut and head not in heads:
+            first, more, rest = head.partition("%")
+            heads[head] = (_lead(first), _head_summary(rest) if more else {}, {}, [])
+        lasts, positions = heads[head][2:] if cut else ends[lead[0]]
+        lasts.setdefault(lead[1], []).append((lead[2], pos))
+        positions.append(pos)
+    by_tail = {star: ([], lasts, set(positions)) for star, (lasts, positions) in ends.items()}
+    for lead, own, lasts, positions in heads.values():
+        if lead is not None and own is not False:
+            kept, _, every = by_tail[lead[0]]
+            kept.append((lead[1], lead[2], own, lasts, positions))
+            every.update(positions)
+    return len(table.words), by_tail
 
 
 def _member_group(prefix: Word, table: _Completions) -> list[bool]:
     """``theorem2_member`` on ``prefix`` joined to each completion of
-    ``table``, in order, over the completions as ``_lasts`` cuts them,
-    with the prefix's text joined and cut once.
+    ``table``, in order, over the completions as ``_index`` files them,
+    with the prefix's text joined and cut once into its head, summarised
+    once, and its last block, the tail.
 
-    A completion with no '%' extends the prefix's last block, its tail, so
-    its word has the prefix's head, summarised once for the group: if the
-    tail has its '*' the completion must have none and joins the x part,
-    and otherwise it must have one and its w part joins the tail.  A
-    completion with a '%' has its own head, the prefix's blocks then its
-    own, summarised on top of the prefix head's summary and kept for the
-    latest head only, since consecutive completions often share it.  Either
-    way one lookup in the summary decides the last block.  A group with a
-    symbol outside ``BLOCK_ALPHABET``, or an unhashable one, goes word by
-    word.
+    The verdicts start as non-members and only the members are set, at a
+    cost per head, per summary entry and per member.  A prefix head whose
+    blocks conflict makes every word with well-formed blocks a member.  A
+    head of ``table`` whose first fragment completes the tail is checked
+    against the prefix head's summary: a conflict there, or with the
+    head's own blocks, makes every word under it a member.  Otherwise each
+    (w, x) of the prefix head's summary, of the head's own blocks and of
+    the block the tail and the first fragment make is looked up in the
+    head's last blocks, and those with another x part are members.  A
+    completion with no '%' extends the tail, so only the summary's w parts
+    that start with the tail's are looked up.  A group with a symbol outside
+    ``BLOCK_ALPHABET``, or an unhashable one, goes word by word.
     """
     try:
-        lasts = _BLOCK_SYMBOLS.issuperset(prefix) and _lasts(table)
+        index = _BLOCK_SYMBOLS.issuperset(prefix) and _index(table)
     except TypeError:  # an unhashable symbol
-        lasts = None
-    if not lasts:
+        index = None
+    if not index:
         return list(map(theorem2_member, _joined(prefix, table.words)))
+    size, by_tail = index
+    verdicts = [False] * size
     head, cut, tail = "".join(prefix).rpartition("%")
+    summary = _head_summary(head) if cut else {}  # no '%' in the prefix: no block before the tail
     tail_w, tail_star, tail_x = tail.partition("*")
-    before = _head_summary(head) if cut else {}  # no '%' in the prefix: no block before the tail
-    prefix_summary = before if cut and "*" not in tail_x else False
-    kept_head = kept_summary = None
-    verdicts: list[bool] = []
-    append = verdicts.append
-    for head, last in lasts:
-        if last is None:
-            append(False)
+    if summary is False or "*" in tail_x:  # every word has a malformed block
+        return verdicts
+    heads, lasts, every = by_tail[tail_star]
+    if summary is True:  # every word whose blocks are well formed is a member
+        return list(map(every.__contains__, range(size)))
+    lead_w, lead_x = (tail_w, tail_x) if tail_star else (tail, "")
+    for k, v in summary.items():  # a completion with no '%' has the prefix's head
+        if k.startswith(lead_w):
+            for x, pos in lasts.get(k[len(lead_w) :], ()):
+                if lead_x + x != v:
+                    verdicts[pos] = True
+    for w, x, own, lasts, positions in heads:
+        w, x = lead_w + w, lead_x + x
+        if own is True or summary.get(w, x) != x or own.get(w, x) != x or (
+            own and any(summary.get(k, v) != v for k, v in own.items())
+        ):
+            for pos in positions:
+                verdicts[pos] = True
             continue
-        w, star, x = last
-        if head is None:
-            summary = prefix_summary
-            if summary is False or star == tail_star:  # the last block gets no '*' or two
-                append(False)
-                continue
-            w, x = (tail_w, tail_x + w) if tail_star else (tail + w, x)
-        else:
-            if head != kept_head:
-                kept_head = head
-                kept_summary = _head_summary(tail + head, before)
-            summary = kept_summary
-        append(summary is True or (summary is not False and summary.get(w, x) != x))
+        for k, v in (*summary.items(), *own.items(), (w, x)):
+            for last_x, pos in lasts.get(k, ()):
+                if last_x != v:
+                    verdicts[pos] = True
     return verdicts
 
 

@@ -209,6 +209,18 @@ class TestAcceptsExistential:
         with mock.patch.object(engine, "_MEMO_STATES", memo_states):
             assert_acceptor_matches(machine, 5, order)
 
+    @given(
+        machine=dense_wk_machines(),
+        order=st.randoms(use_true_random=False),
+        memo_states=st.sampled_from([engine._MEMO_STATES, 2]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_acceptor_matches_rich_api_on_dense_machines(self, machine, order, memo_states):
+        # The property above on uniform dense machines, which Hypothesis's
+        # own draws seldom give: a mixed strategy picks them too rarely.
+        with mock.patch.object(engine, "_MEMO_STATES", memo_states):
+            assert_acceptor_matches(machine, 5, order)
+
     @pytest.mark.parametrize("ahead", ["upper", "lower"])
     def test_acceptor_keeps_head_offsets_across_shifted_frontiers(self, ahead):
         # One head runs two symbols ahead, then both compare in lockstep, so
@@ -1021,6 +1033,13 @@ class TestCompiledTables:
         # declared order.  These machines list delta over the sorted lower
         # symbols but declare each symbol's images in drawn order, so a live
         # row in delta order fails here.
+        self.assert_reference_numbering(machine)
+
+    @given(machine=dense_wk_machines())
+    @settings(max_examples=100, deadline=None)
+    def test_dense_machines(self, machine):
+        # As above, on uniform dense machines, which more often have two
+        # live images of one symbol in a cell.
         self.assert_reference_numbering(machine)
 
 

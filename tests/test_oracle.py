@@ -1024,23 +1024,53 @@ class TestGroupedSweeps:
             return [v != (prefix + c == target) for v, c in zip(walk(prefix, table), table.words)]
 
         assert member_outcomes(flipped, groups) != expected
-        # A head summary kept from one group into the next.
         source = textwrap.dedent(inspect.getsource(oracle._member_group))
-        stale = source.replace(
-            "    kept_head = kept_summary = None\n", "    global kept_head, kept_summary\n"
-        )
-        assert stale != source
-        namespace = {**vars(oracle), "kept_head": None, "kept_summary": None}
-        exec(stale, namespace)
-        assert member_outcomes(namespace["_member_group"], groups) != expected
-        # The prefix's tail taken from the group before.
         cut = '    head, cut, tail = "".join(prefix).rpartition("%")\n'
-        swap = "    global last_tail\n    tail, last_tail = last_tail, tail\n"
-        stale = source.replace(cut, cut + swap)
-        assert stale != source
-        namespace = {**vars(oracle), "last_tail": ""}
-        exec(stale, namespace)
-        assert member_outcomes(namespace["_member_group"], groups) != expected
+        start = "    verdicts = [False] * size\n"
+        mutants = {
+            # The prefix's tail taken from the group before.
+            "stale tail": (cut, cut + "    global last_tail\n    tail, last_tail = last_tail, tail\n"),
+            # The verdicts of the group before carried into this one.
+            "stale verdicts": (
+                start,
+                "    global verdicts\n    verdicts = verdicts[:size] + [False] * (size - len(verdicts))\n",
+            ),
+            # Only the prefix head's summary and the first block looked up,
+            # not the head's own blocks.
+            "own blocks skipped": ("*own.items(), (w, x))", "(w, x))"),
+        }
+        for name, (old, new) in mutants.items():
+            assert source.count(old) == 1, name
+            namespace = {**vars(oracle), "last_tail": "", "verdicts": []}
+            exec(source.replace(old, new), namespace)
+            assert member_outcomes(namespace["_member_group"], groups) != expected, name
+
+    def test_random_prefixes_under_every_table_give_the_per_word_verdicts(self):
+        # Prefixes of up to 9 symbols, conflicting and malformed heads under
+        # long tails among them, under every table of two sweeps and one
+        # whose completions hold blocks of their own, conflicting, malformed
+        # or agreeing: either random symbols, or random blocks of a few
+        # short w and x parts.
+        rng = random.Random(40)
+        own = ["%*%*a%*", "%*a%*%*", "%a*%a*b", "%**%a*a", "*a%b*%*", "a%*%*%b", "a%*a%*b"]
+        sweeps = (enumerate_block_strings(11, 6), enumerate_words(BLOCK_ALPHABET, 6))
+        tables = {id(table): table for source in sweeps for _, table in source.groups}
+        seen = set()
+        for table in [*tables.values(), table_of(sorted(map(tuple, own)))]:
+            for _ in range(100):
+                if rng.random() < 0.5:
+                    text = "".join(rng.choices(BLOCK_ALPHABET, k=rng.randint(0, 9)))
+                else:
+                    blocks = [rng.choice(("", "a", "ab")) + "*" + rng.choice(("", "a", "b"))
+                              for _ in range(4)]
+                    text = "%".join(blocks)[: rng.randint(0, 9)]
+                prefix = tuple(text)
+                head, cut, tail = text.rpartition("%")
+                summary = oracle._head_summary(head) if cut else None
+                seen.add((summary if isinstance(summary, bool) else "blocks", len(tail) > 2))
+                got = theorem2_member.walk_group(prefix, table)
+                assert got == members_word_by_word(prefix, table), prefix
+        assert {(True, True), (False, True)} <= seen
 
     @pytest.mark.parametrize(
         "sides, cap, spells",
