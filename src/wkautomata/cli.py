@@ -74,7 +74,9 @@ def _parse(text: str):
     head and last block, of the 64 most recent tables that membership
     decided by group, and
     ``oracle.theorem2_member`` the last word head it parsed, one head that
-    any thread may read.
+    any thread may read.  The acceptor's memo of group verdicts
+    (``group_walker``) is made by each sweep and dies with it; it is not a
+    process cache.
     """
     return fileformat.parse_machine(text)
 

@@ -490,6 +490,24 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
     that a word-by-word sweep would.  The group walk does not call the
     predicate, so the two form no reference cycle, and a dropped predicate
     unlinks its memo at once.
+
+    A sweep walks its groups with a walk of its own, from the predicate's
+    ``group_walker()``, which also keeps the verdicts of each group it
+    walks under the pair of the table and the last slot of the state where
+    the fast walk of the prefix ends: an interned state's key, or a verdict
+    sink's verdict.  A later group with the same pair takes a copy of them
+    and walks nothing.  That is sound because a DFA state is a class of
+    the right congruence (Nerode): its frontier decides every extension,
+    so two prefixes that reach states with one key agree on every
+    completion, and so do two that reach one verdict sink.  The pending
+    sink, whose last slot is ``None``, is never a key: it stands for moves
+    not yet run, so prefixes that reach it may reach different frontiers.
+    The verdict memo belongs to the one sweep that asked for it and dies
+    with it: nothing is kept on the predicate, the machine or the process,
+    and ``walk_group`` itself keeps none.  While the DFA memo has room a
+    hit spares only the walk, since the walked group filled every slot
+    that the hit's words read; past it, a hit also spares the stages that
+    those words would run again.
     """
     compiled = _compile_wk(machine)
     delta, finals, images, live = compiled.delta, compiled.finals, compiled.images, compiled.live
@@ -597,33 +615,49 @@ def existential_acceptor(machine: WKAutomaton) -> Callable[[Sequence[str]], bool
             return walk(word)
         return verdict
 
-    def walk_group(prefix: Word, table) -> list[bool]:
-        """The verdict on ``prefix`` joined to each completion of ``table``,
-        in order; the last level of the table's tree reads the verdicts."""
-        plan = _plan(table, alphabet)
-        state = start
-        try:
-            for x in prefix:
-                state = state[column[x]]
-        except (KeyError, TypeError):  # a foreign or unhashable symbol
-            plan = None
-        if plan is None:
-            return list(map(walk, map(prefix.__add__, table.words)))
-        if plan:
-            states = [state]
-            for level in plan[:-1]:
-                states = [s[c] for s, cs in zip(states, level) for c in cs]
-            verdicts = [s[c][close] for s, cs in zip(states, plan[-1]) for c in cs]
-        else:
-            verdicts = [state[close]]
-        if None in verdicts:
-            words = table.words
-            for i, verdict in enumerate(verdicts):
-                if verdict is None:
-                    verdicts[i] = walk(prefix + words[i])
-        return verdicts
+    def group_walker(seen: dict | None = None) -> Callable[[Word, object], list[bool]]:
+        """A group walk; given ``seen``, it keeps there the verdicts of each
+        (state, table) pair it walks, and walks no pair twice.  A hit hands
+        out a copy, but a walked group's list is the one kept: its caller
+        must only read it."""
 
-    accepts.walk_group = walk_group
+        def walk_group(prefix: Word, table) -> list[bool]:
+            """The verdict on ``prefix`` joined to each completion of
+            ``table``, in order; the last level of the table's tree reads
+            the verdicts."""
+            state = start
+            try:
+                for x in prefix:
+                    state = state[column[x]]
+            except (KeyError, TypeError):  # a foreign or unhashable symbol
+                return list(map(walk, map(prefix.__add__, table.words)))
+            mark = state[-1]  # a frontier's key, a sink's verdict, or pending's None
+            key = None if seen is None or mark is None else (mark, table)
+            if key is not None and key in seen:
+                return list(seen[key])
+            plan = _plan(table, alphabet)
+            if plan is None:
+                return list(map(walk, map(prefix.__add__, table.words)))
+            if plan:
+                states = [state]
+                for level in plan[:-1]:
+                    states = [s[c] for s, cs in zip(states, level) for c in cs]
+                verdicts = [s[c][close] for s, cs in zip(states, plan[-1]) for c in cs]
+            else:
+                verdicts = [state[close]]
+            if None in verdicts:
+                words = table.words
+                for i, verdict in enumerate(verdicts):
+                    if verdict is None:
+                        verdicts[i] = walk(prefix + words[i])
+            if key is not None:
+                seen[key] = verdicts
+            return verdicts
+
+        return walk_group
+
+    accepts.walk_group = group_walker()
+    accepts.group_walker = lambda: group_walker({})
     # States that move to each other form reference cycles; unlink them as
     # soon as the predicate is dropped, not at the next full collection.
     weakref.finalize(accepts, _forget, memo)

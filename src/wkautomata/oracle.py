@@ -585,6 +585,14 @@ def _runs(words: Iterable[Sequence[str]]) -> Iterator[tuple[Word, _Completions |
             yield (), None, chunk
 
 
+def _group_walk(accept) -> Callable[[Word, _Completions], list[bool]] | None:
+    """``accept``'s group walk for one sweep: a fresh one from its
+    ``group_walker`` where it has one (the kept acceptor's, whose memo of
+    verdicts dies with the sweep), else its ``walk_group``, else None."""
+    walker = getattr(accept, "group_walker", None)
+    return walker() if walker is not None else getattr(accept, "walk_group", None)
+
+
 def _verdicts(accept, walk, prefix: Word, table: _Completions | None, completions) -> list[bool]:
     """Whether ``accept`` accepts each word of a run of ``_runs``: by its
     group ``walk`` where it has one and the run has a table, and otherwise
@@ -602,15 +610,21 @@ def sweep_verdicts(
     A run is a group of an enumeration, or up to ``_RUN`` consecutive words
     of one length of anything else, such as a list, a generator or an
     enumeration's ``iter()``; its words are tuples, in order.  A predicate
-    with a ``walk_group`` (the one kept by ``engine.existential_acceptor``,
-    and ``theorem2_member``) decides a group with it; the kept acceptor
-    walks the prefix once, then the table's tree of shared prefixes.  Any
+    with a group walk (``_group_walk``: the one kept by
+    ``engine.existential_acceptor`` makes a walk for each sweep, and
+    ``theorem2_member`` has a ``walk_group``) decides a group with it; the
+    kept acceptor walks the prefix once, then the table's tree of shared
+    prefixes, and a group whose prefix reaches a state that an earlier
+    group with the same table reached takes that group's verdicts.  Any
     other predicate, or a run without a group, is called on each word.
     """
-    walk = getattr(accept, "walk_group", None)
+    walk = _group_walk(accept)
     for prefix, table, completions in _runs(words):
         run = list(_joined(prefix, completions))
-        yield run, walk(prefix, table) if walk and table else list(map(bool, map(accept, run)))
+        if walk and table:  # the walk may keep the list it returns: hand on a copy
+            yield run, list(walk(prefix, table))
+        else:
+            yield run, list(map(bool, map(accept, run)))
 
 
 def _word_by_word(accept_a, accept_b, run: Iterable[Word]) -> None:
@@ -635,8 +649,8 @@ def differential_compare(
 
     The words go by in the runs of ``_runs``: an enumeration's groups, or
     runs of up to ``_RUN`` words of any other iterable.  Each side decides
-    a whole run, by its ``walk_group`` where it has one and the run is a
-    group, and the two verdict lists are compared in one step.  Where they
+    a whole run, by its group walk (``_group_walk``) where it has one and
+    the run is a group, and the two verdict lists are compared in one step.  Where they
     differ, each side's mismatches are counted in C (a side accepts where
     its verdict is truthy, and the verdicts differ where they are not the
     same object), and only the mismatching words that still fit under
@@ -651,8 +665,7 @@ def differential_compare(
     """
     counts: dict[int, list[int]] = {}  # length: [words, a_only, b_only]
     mismatches: list[tuple[Word, str]] = []
-    walk_a = getattr(accept_a, "walk_group", None)
-    walk_b = getattr(accept_b, "walk_group", None)
+    walk_a, walk_b = _group_walk(accept_a), _group_walk(accept_b)
     for prefix, table, completions in _runs(words):
         if walk_a is walk_b is None:  # neither side walks: spell the run once for both
             prefix, table, completions = (), None, list(_joined(prefix, completions))

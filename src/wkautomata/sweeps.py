@@ -86,15 +86,17 @@ def block_language(machine: WKAutomaton, max_len: int, max_blocks: int) -> Block
     a member is detectable exactly when its part after the first '%' is a
     member.  A member has two blocks, so it has a '%'.
 
-    Both sides decide each group of the enumeration with their
-    ``walk_group``.  Accepted non-members are counted in C over the two
-    verdict lists, and only a member is spelled, to check that part.
+    Both sides decide each group of the enumeration with one walk: the
+    machine with a walk of its own for this sweep (``group_walker``),
+    membership with its ``walk_group``.  Accepted non-members are counted
+    in C over the two verdict lists, and only a member is spelled, to
+    check that part.
     """
-    accept = existential_acceptor(machine)
+    walk = existential_acceptor(machine).group_walker()
     words = unsound = detected = missed = block1_only = block1_rejected = 0
     for prefix, table in enumerate_block_strings(max_len, max_blocks).groups:
         words += len(table.words)
-        verdicts = accept.walk_group(prefix, table)
+        verdicts = walk(prefix, table)
         members = theorem2_member.walk_group(prefix, table)
         unsound += sum(itertools.compress(verdicts, map(operator.not_, members)))
         for accepted, completion in itertools.compress(zip(verdicts, table.words), members):

@@ -33,8 +33,9 @@ from wkautomata import (
     run_deterministic,
     run_mfa,
     swk_to_mfa2,
+    theorem2_machine,
 )
-from wkautomata import cli, engine, machines, oracle
+from wkautomata import cli, engine, machines, oracle, sweeps
 from wkautomata.engine import StrandMismatchError
 from wkautomata.fileformat import parse_machine, serialize_machine
 from wkautomata.machines import (
@@ -47,6 +48,7 @@ from wkautomata.machines import (
 from wkautomata.oracle import (
     SearchBoundError,
     dfa_accepts,
+    differential_compare,
     enumerate_block_strings,
     enumerate_words,
     sweep_verdicts,
@@ -500,6 +502,136 @@ class TestGroupWalk:
             assert not memo
         finally:
             gc.enable()
+
+
+def per_word(accept):
+    """``accept`` called word by word, in a group walk of a sweep too."""
+    stub = lambda word: accept(word)  # noqa: E731
+    stub.group_walker = lambda: lambda prefix, table: [accept(prefix + c) for c in table.words]
+    return stub
+
+
+def _memo_sweep_cases():
+    """A machine and its enumerations for each corpus machine that the
+    sweep memo is checked on.  Over two symbols a table holds ten, so
+    words of up to 12 symbols give lengths of several groups."""
+    cases = []
+    for name, max_len in (("theorem2.wk", 6), ("identity-rho.wk", 12), ("example1-rwka.wk", 12)):
+        machine = parse_machine((CORPUS_DIR / name).read_text(encoding="utf-8"))
+        sources = [enumerate_words(machine.upper_alphabet, max_len)]
+        if name == "theorem2.wk":
+            sources += [enumerate_block_strings(9, blocks) for blocks in range(5)]
+        cases.append(pytest.param(machine, sources, id=name))
+    return cases
+
+
+_MEMO_CONDITIONS = ["fresh", "warm", 1, 2]  # or a memo of that many states
+
+
+def assert_memo_sweeps_agree(machine, sources, memo):
+    """Each enumeration of ``sources`` swept by ``sweep_verdicts`` and by
+    ``differential_compare`` gets the verdicts that a predicate of
+    ``machine`` gives word by word, whether the sweep's predicate is
+    fresh, warm or has room for only ``memo`` states."""
+    reference = existential_acceptor.__wrapped__(machine)
+    expected = [[reference(word) for word in source] for source in sources]
+    cap = memo if isinstance(memo, int) else engine._MEMO_STATES
+    with mock.patch.object(engine, "_MEMO_STATES", cap):
+        for source, verdicts in zip(sources, expected):
+
+            def predicate():
+                accept = existential_acceptor.__wrapped__(machine)
+                if memo == "warm":
+                    for word in source:
+                        accept(word)
+                return accept
+
+            assert group_sweep(predicate(), source) == verdicts
+            report = differential_compare(predicate(), per_word(reference), source)
+            assert (report.total_words, report.total_mismatches) == (len(verdicts), 0)
+
+
+class TestSweepMemo:
+    """Each sweep gives the kept acceptor's group walk a memo of its own:
+    a group whose prefix reaches a DFA state that an earlier group with
+    the same table reached takes that group's verdicts, unwalked."""
+
+    @pytest.mark.parametrize("memo", _MEMO_CONDITIONS)
+    @pytest.mark.parametrize("machine, sources", _memo_sweep_cases())
+    def test_a_memo_sweep_gives_the_per_word_verdicts(self, machine, sources, memo):
+        assert_memo_sweeps_agree(machine, sources, memo)
+
+    @given(machine=dense_wk_machines(), memo=st.sampled_from(_MEMO_CONDITIONS))
+    @settings(max_examples=20, deadline=None)
+    def test_a_memo_sweep_gives_the_per_word_verdicts_on_dense_machines(self, machine, memo):
+        assert_memo_sweeps_agree(machine, [enumerate_words(machine.upper_alphabet, 12)], memo)
+
+    @pytest.mark.parametrize("memo", _MEMO_CONDITIONS)
+    def test_block_language_counts_the_per_word_verdicts(self, monkeypatch, theorem2, memo):
+        reference = per_word(existential_acceptor.__wrapped__(theorem2))
+        monkeypatch.setattr(sweeps, "existential_acceptor", lambda machine: reference)
+        expected = [sweeps.block_language(theorem2, 9, blocks) for blocks in range(5)]
+        assert expected[4].words == 14_756
+        if isinstance(memo, int):
+            monkeypatch.setattr(engine, "_MEMO_STATES", memo)
+        for blocks in range(5):
+            accept = existential_acceptor.__wrapped__(theorem2)
+            monkeypatch.setattr(sweeps, "existential_acceptor", lambda machine: accept)
+            if memo == "warm":
+                sweeps.block_language(theorem2, 9, blocks)
+            assert sweeps.block_language(theorem2, 9, blocks) == expected[blocks]
+
+    def test_a_memo_hit_hands_out_a_list_of_its_own(self, theorem2):
+        # A walked group's list is the one kept, so only a hit copies; a
+        # sweep that hands the lists on copies each one.
+        accept = existential_acceptor.__wrapped__(theorem2)
+        prefix, table = list(enumerate_block_strings(9, 4).groups)[-1]
+        expected = [accept(prefix + completion) for completion in table.words]
+        walk = accept.group_walker()
+        lists = [walk(prefix, table)]
+        for _ in range(2):
+            verdicts = walk(prefix, table)
+            assert verdicts == expected
+            assert all(verdicts is not other for other in lists)
+            lists.append(verdicts)
+            verdicts.reverse()
+        assert lists[0] == expected
+        source = enumerate_block_strings(9, 4)
+        swept = []
+        for _, verdicts in sweep_verdicts(existential_acceptor.__wrapped__(theorem2), source):
+            swept += verdicts
+            verdicts.reverse()
+        assert swept == [accept(word) for word in source]
+        # The kept walk keeps no memo, and no two sweeps share one.
+        assert accept.walk_group(prefix, table) == expected
+        assert accept.group_walker() is not accept.group_walker()
+
+    def test_a_warm_block_compare_walks_each_state_and_table_once(self, monkeypatch):
+        # The (11, 6) words come in 1,097 groups whose prefixes reach 126
+        # (state, table) pairs; a walked pair looks its plan up once.
+        # These counts may only fall.
+        accept = existential_acceptor.__wrapped__(theorem2_machine())
+        words = enumerate_block_strings(11, 6)
+        assert sum(1 for _ in words.groups) == 1_097
+        report = differential_compare(accept, oracle.theorem2_member, words)
+        plan, plans = engine._plan, []
+        monkeypatch.setattr(engine, "_plan", lambda *args: plans.append(args) or plan(*args))
+        assert differential_compare(accept, oracle.theorem2_member, words) == report
+        assert len(plans) == 126
+
+    def test_a_full_memo_reruns_fewer_stages(self, monkeypatch):
+        # With room for 2,000 states, of the 17,341 these words intern, the
+        # sweep memo spares the stages of every group it does not walk:
+        # 40,776 and then 37,088 stages, against 68,880 and 65,192 without
+        # it.  These counts may only fall.
+        monkeypatch.setattr(engine, "_MEMO_STATES", 2_000)
+        accept = existential_acceptor.__wrapped__(theorem2_machine())
+        counts = []
+        for _ in range(2):
+            with counting_calls(_STAGE) as runs:
+                differential_compare(accept, oracle.theorem2_member, enumerate_block_strings(11, 6))
+            counts.append(runs[0])
+        assert counts == [40_776, 37_088]
 
 
 def _acceptor_code(name):
